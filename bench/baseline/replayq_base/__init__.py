@@ -1,0 +1,76 @@
+"""Tabular reinforcement learning from batches of observed experience.
+
+Models are learned off-policy with Q-learning over replayed experience
+tuples, environments simulate new experience, and a dynamic-programming
+solver provides exact reference solutions for checking learned models.
+"""
+
+from .core import (
+    ControlParams,
+    ExperienceTuple,
+    QTable,
+    RLModel,
+    batch_state_actions,
+    greedy_action,
+    policy_from_q,
+    q_value,
+)
+from .envs import (
+    Environment,
+    EnvResponse,
+    environment_names,
+    gridworld_environment,
+    make_environment,
+    sample_experience,
+)
+from .learner import ReplayReport, epsilon_greedy, learn, q_update, replay_pass, update_model
+from .oracle import ExplicitMDP, bellman_backup, estimate_mdp, value_iteration
+from .persist import (
+    format_report,
+    load_model,
+    model_from_json,
+    model_to_json,
+    read_experience,
+    save_model,
+    write_experience,
+)
+from .tictactoe import tictactoe_environment, ttt_generate_games, ttt_winner
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "ControlParams",
+    "EnvResponse",
+    "Environment",
+    "ExperienceTuple",
+    "ExplicitMDP",
+    "QTable",
+    "RLModel",
+    "ReplayReport",
+    "batch_state_actions",
+    "bellman_backup",
+    "environment_names",
+    "epsilon_greedy",
+    "estimate_mdp",
+    "format_report",
+    "greedy_action",
+    "gridworld_environment",
+    "learn",
+    "load_model",
+    "make_environment",
+    "model_from_json",
+    "model_to_json",
+    "policy_from_q",
+    "q_update",
+    "q_value",
+    "read_experience",
+    "replay_pass",
+    "sample_experience",
+    "save_model",
+    "tictactoe_environment",
+    "ttt_generate_games",
+    "ttt_winner",
+    "update_model",
+    "value_iteration",
+    "write_experience",
+]

@@ -1,0 +1,160 @@
+"""Environment contract, the built-in 2x2 gridworld, and experience sampling.
+
+An environment is a named bundle of ordered state/action sets and a step
+function. Step functions take (state, action, rng) and return the next state
+with a reward; deterministic environments simply ignore the rng argument.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional, Tuple
+
+import numpy as np
+
+from .core import ActionId, ControlParams, ExperienceTuple, RLModel, StateId
+from .learner import epsilon_greedy
+from .oracle import ExplicitMDP
+
+SAMPLE_MODES = ("random", "epsilon-greedy")
+
+
+class EnvResponse(NamedTuple):
+    next_state: StateId
+    reward: float
+
+
+StepFn = Callable[[StateId, ActionId, random.Random], EnvResponse]
+
+
+@dataclass(frozen=True)
+class Environment:
+    """Ordered state/action sets plus a step function, closed over its states.
+
+    `exact_mdp`, when provided, builds the environment's true dynamics for
+    model-based verification.
+    """
+
+    name: str
+    states: Tuple[StateId, ...]
+    actions: Tuple[ActionId, ...]
+    step: StepFn
+    exact_mdp: Optional[Callable[[], ExplicitMDP]] = None
+
+
+# --- 2x2 gridworld -----------------------------------------------------------
+
+GRIDWORLD_STATES = ("s1", "s2", "s3", "s4")
+GRIDWORLD_ACTIONS = ("up", "down", "left", "right")
+_GRIDWORLD_GOAL = "s4"
+
+# The only open passages on the walled 2x2 grid; every other (state, action)
+# pair hits a wall or the border and stays put.
+_GRIDWORLD_MOVES = {
+    ("s1", "down"): "s2",
+    ("s2", "up"): "s1",
+    ("s2", "right"): "s3",
+    ("s3", "left"): "s2",
+    ("s3", "up"): "s4",
+}
+
+
+def gridworld_step(state: StateId, action: ActionId) -> EnvResponse:
+    """Walled 2x2 maze: entering the goal cell s4 pays +10, any other move -1.
+
+    Blocked moves self-loop, and s4 is absorbing (re-"entering" it from
+    itself earns no bonus).
+    """
+    if state not in GRIDWORLD_STATES:
+        raise ValueError(f"unknown state {state!r}")
+    if action not in GRIDWORLD_ACTIONS:
+        raise ValueError(f"unknown action {action!r}")
+    next_state = _GRIDWORLD_MOVES.get((state, action), state)
+    reward = 10.0 if next_state == _GRIDWORLD_GOAL and state != _GRIDWORLD_GOAL else -1.0
+    return EnvResponse(next_state, reward)
+
+
+def gridworld_mdp() -> ExplicitMDP:
+    """The gridworld's exact dynamics as an explicit MDP."""
+    states, actions = list(GRIDWORLD_STATES), list(GRIDWORLD_ACTIONS)
+    n_s, n_a = len(states), len(actions)
+    transition = np.zeros((n_s, n_a, n_s))
+    reward = np.zeros((n_s, n_a, n_s))
+    for i, s in enumerate(states):
+        for j, a in enumerate(actions):
+            next_state, r = gridworld_step(s, a)
+            k = states.index(next_state)
+            transition[i, j, k] = 1.0
+            reward[i, j, k] = r
+    return ExplicitMDP(states=states, actions=actions, transition=transition, reward=reward)
+
+
+def gridworld_environment() -> Environment:
+    return Environment(
+        name="gridworld-2x2",
+        states=GRIDWORLD_STATES,
+        actions=GRIDWORLD_ACTIONS,
+        step=lambda s, a, rng: gridworld_step(s, a),
+        exact_mdp=gridworld_mdp,
+    )
+
+
+# --- experience sampling -----------------------------------------------------
+
+
+def sample_experience(
+    n: int,
+    env: Environment,
+    mode: str = "random",
+    model: Optional[RLModel] = None,
+    control: Optional[ControlParams] = None,
+    seed: int = 0,
+) -> List[ExperienceTuple]:
+    """Draw `n` one-step transitions, each starting from a uniformly random state.
+
+    Start states are drawn independently per tuple rather than chained along a
+    trajectory. Mode "random" picks actions uniformly; "epsilon-greedy" picks
+    them against the model's Q-table using `control.epsilon`. Fixing the seed
+    fixes the output exactly.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if mode not in SAMPLE_MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {SAMPLE_MODES}")
+    if mode == "epsilon-greedy":
+        if model is None:
+            raise ValueError("model required for epsilon-greedy")
+        if control is None:
+            raise ValueError("control required for epsilon-greedy")
+
+    rng = random.Random(seed)
+    out: List[ExperienceTuple] = []
+    for _ in range(n):
+        state = rng.choice(env.states)
+        if mode == "random":
+            action = rng.choice(env.actions)
+        else:
+            action = epsilon_greedy(model.q, state, control.epsilon, rng)
+        next_state, reward = env.step(state, action, rng)
+        out.append(ExperienceTuple(state, action, reward, next_state))
+    return out
+
+
+# --- registry ----------------------------------------------------------------
+
+
+def environment_names() -> Tuple[str, ...]:
+    return ("gridworld-2x2", "tictactoe")
+
+
+def make_environment(name: str) -> Environment:
+    """Look up a built-in environment by its registered name."""
+    if name == "gridworld-2x2":
+        return gridworld_environment()
+    if name == "tictactoe":
+        from .tictactoe import tictactoe_environment
+
+        return tictactoe_environment()
+    known = ", ".join(environment_names())
+    raise ValueError(f"unknown environment {name!r}; known environments: {known}")

@@ -1,0 +1,175 @@
+"""Tic-tac-toe from player X's point of view, X moving first.
+
+Boards are 9-character strings, row-major, '.' for empty, 'X' for the agent
+and 'B' for the opponent. Cell actions are labeled c1..c9, also row-major
+(c1 is the top-left cell). The dynamics are after-states: one transition
+covers X's move and, if the game continues, the opponent's uniformly random
+reply. Rewards are +1/0/-1 for win/draw/loss, paid only on the transition
+that ends the game.
+"""
+
+from __future__ import annotations
+
+import random
+from functools import lru_cache
+from typing import List, Tuple
+
+from .core import ExperienceTuple
+from .envs import Environment, EnvResponse
+
+EMPTY_BOARD = "........."
+CELL_ACTIONS = tuple(f"c{k}" for k in range(1, 10))
+
+X_WINS = "X-wins"
+B_WINS = "B-wins"
+DRAW = "draw"
+ONGOING = "ongoing"
+
+_LINES = (
+    (0, 1, 2),
+    (3, 4, 5),
+    (6, 7, 8),
+    (0, 3, 6),
+    (1, 4, 7),
+    (2, 5, 8),
+    (0, 4, 8),
+    (2, 4, 6),
+)
+
+
+def _validate_board(board: str) -> None:
+    if not isinstance(board, str) or len(board) != 9:
+        raise ValueError(f"board must be a 9-character string, got {board!r}")
+    bad = set(board) - {".", "X", "B"}
+    if bad:
+        raise ValueError(f"board {board!r} contains invalid symbols {sorted(bad)}")
+
+
+def ttt_winner(board: str) -> str:
+    """Outcome of a board: X-wins, B-wins, draw, or ongoing."""
+    _validate_board(board)
+    x_line = any(board[i] == board[j] == board[k] == "X" for i, j, k in _LINES)
+    b_line = any(board[i] == board[j] == board[k] == "B" for i, j, k in _LINES)
+    if x_line and b_line:
+        raise ValueError(f"illegal board {board!r}: both players complete a line")
+    if x_line:
+        return X_WINS
+    if b_line:
+        return B_WINS
+    if "." not in board:
+        return DRAW
+    return ONGOING
+
+
+def legal_cells(board: str) -> List[int]:
+    """0-based indices of the empty cells."""
+    return [i for i, c in enumerate(board) if c == "."]
+
+
+def _place(board: str, cell: int, mark: str) -> str:
+    return board[: cell] + mark + board[cell + 1 :]
+
+
+def _after_state_step(board: str, cell: int, rng: random.Random) -> Tuple[str, float, bool]:
+    """X marks `cell`; unless that ends the game, B replies uniformly at random.
+
+    Returns (next board, reward for X, game over). B's reply can never fill
+    the board, so a draw only ever follows an X move.
+    """
+    after_x = _place(board, cell, "X")
+    outcome = ttt_winner(after_x)
+    if outcome == X_WINS:
+        return after_x, 1.0, True
+    if outcome == DRAW:
+        return after_x, 0.0, True
+    reply = rng.choice(legal_cells(after_x))
+    after_b = _place(after_x, reply, "B")
+    if ttt_winner(after_b) == B_WINS:
+        return after_b, -1.0, True
+    return after_b, 0.0, False
+
+
+def ttt_generate_games(num_games: int, seed: int = 0) -> List[ExperienceTuple]:
+    """Simulate uniformly random games and emit one tuple per X move.
+
+    Each tuple records the board X saw, the cell it marked, and the after-state
+    including the opponent's reply. Fixing the seed fixes the output.
+    """
+    if num_games < 1:
+        raise ValueError(f"num_games must be >= 1, got {num_games}")
+    rng = random.Random(seed)
+    out: List[ExperienceTuple] = []
+    for _ in range(num_games):
+        board = EMPTY_BOARD
+        while True:
+            cell = rng.choice(legal_cells(board))
+            next_board, reward, game_over = _after_state_step(board, cell, rng)
+            out.append(ExperienceTuple(board, CELL_ACTIONS[cell], reward, next_board))
+            if game_over:
+                break
+            board = next_board
+    return out
+
+
+@lru_cache(maxsize=1)
+def reachable_boards() -> Tuple[str, ...]:
+    """Boards reachable in legal play where X is to move, then every reachable
+    terminal board, in discovery order."""
+    x_to_move = [EMPTY_BOARD]
+    terminals: List[str] = []
+    seen = {EMPTY_BOARD}
+    frontier = [EMPTY_BOARD]
+    while frontier:
+        board = frontier.pop()
+        for cell in legal_cells(board):
+            after_x = _place(board, cell, "X")
+            if ttt_winner(after_x) != ONGOING:
+                if after_x not in seen:
+                    seen.add(after_x)
+                    terminals.append(after_x)
+                continue
+            for reply in legal_cells(after_x):
+                after_b = _place(after_x, reply, "B")
+                if after_b in seen:
+                    continue
+                seen.add(after_b)
+                if ttt_winner(after_b) != ONGOING:
+                    terminals.append(after_b)
+                else:
+                    x_to_move.append(after_b)
+                    frontier.append(after_b)
+    return tuple(x_to_move + terminals)
+
+
+@lru_cache(maxsize=1)
+def _reachable_set() -> frozenset:
+    return frozenset(reachable_boards())
+
+
+def tictactoe_step(state: str, action: str, rng: random.Random) -> EnvResponse:
+    """After-state dynamics for one X move.
+
+    Terminal boards absorb with reward 0. Marking an occupied cell is a
+    self-loop with reward -1, so illegal moves score strictly worse than any
+    sequence of legal play toward a draw.
+    """
+    if action not in CELL_ACTIONS:
+        raise ValueError(f"unknown action {action!r}")
+    if state not in _reachable_set():
+        raise ValueError(f"unknown state {state!r}")
+    if ttt_winner(state) != ONGOING:
+        return EnvResponse(state, 0.0)
+    cell = int(action[1:]) - 1
+    if state[cell] != ".":
+        return EnvResponse(state, -1.0)
+    next_board, reward, _ = _after_state_step(state, cell, rng)
+    return EnvResponse(next_board, reward)
+
+
+def tictactoe_environment() -> Environment:
+    return Environment(
+        name="tictactoe",
+        states=reachable_boards(),
+        actions=CELL_ACTIONS,
+        step=tictactoe_step,
+    )
