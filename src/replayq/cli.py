@@ -181,6 +181,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.gamma >= 1.0:
+        raise _UsageError(f"--gamma must be below 1 for verify, got {args.gamma:g}")
     env = _get_env(args.env)
     model = load_model(args.model)
     if env.exact_mdp is None:
@@ -188,10 +190,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     mdp = env.exact_mdp()
     q_star = value_iteration(mdp, gamma=args.gamma, tol=1e-9)
 
-    model_states = set(model.q.states)
-    model_actions = set(model.q.actions)
-    states = [s for s in mdp.states if s in model_states]
-    actions = [a for a in mdp.actions if a in model_actions]
+    states = [s for s in mdp.states if s in model.q.state_index]
+    actions = [a for a in mdp.actions if a in model.q.action_index]
     if not states or not actions:
         raise ValueError("model shares no states or actions with the environment")
 
@@ -270,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare a model against exact environment dynamics")
     p.add_argument("--model", required=True)
     p.add_argument("--env", required=True)
-    p.add_argument("--gamma", type=_unit_float, default=0.5, help="discount used for the exact solution")
+    p.add_argument("--gamma", type=_unit_float, default=0.5, help="discount in [0, 1) used for the exact solution")
     p.add_argument("--tol", type=float, default=0.1, help="largest acceptable |Q - Q*|")
     p.set_defaults(handler=_cmd_verify)
 

@@ -66,82 +66,91 @@ class ControlParams:
 class QTable:
     """Mapping from (state, action) to an expected-reward estimate.
 
-    States and actions are kept as ordered lists in first-registration order;
-    that order is the tie-breaking rule for greedy lookups. Reading an
-    unknown pair yields 0.0 and never materializes an entry.
+    `rows` holds one dense row per state, one value per action; `state_index`
+    and `action_index` number the labels in first-registration order, which
+    is the tie-breaking rule for greedy lookups. Reading an unknown pair
+    yields 0.0 and never materializes an entry.
     """
 
-    __slots__ = ("states", "actions", "_values", "_known_states", "_known_actions")
+    __slots__ = ("state_index", "action_index", "rows")
 
     def __init__(self, states: Iterable[StateId] = (), actions: Iterable[ActionId] = ()) -> None:
-        self.states: List[StateId] = []
-        self.actions: List[ActionId] = []
-        self._values: Dict[Tuple[StateId, ActionId], float] = {}
-        self._known_states: set = set()
-        self._known_actions: set = set()
-        for s in states:
-            self.add_state(s)
-        for a in actions:
-            self.add_action(a)
+        self.state_index: Dict[StateId, int] = {}
+        self.action_index: Dict[ActionId, int] = {}
+        self.rows: List[List[float]] = []
+        # Actions first, so rows are created at full width.
+        for kind, labels, add in (("action", actions, self.add_action), ("state", states, self.add_state)):
+            for k, label in enumerate(labels):
+                if add(label) != k:
+                    raise ValueError(f"{kind} {label!r} is listed more than once")
 
-    def add_state(self, state: StateId) -> None:
-        """Register a state; later registrations of the same state are no-ops."""
-        if state not in self._known_states:
+    @property
+    def states(self) -> List[StateId]:
+        return list(self.state_index)
+
+    @property
+    def actions(self) -> List[ActionId]:
+        return list(self.action_index)
+
+    def add_state(self, state: StateId) -> int:
+        """Register a state and return its row; re-registering is a no-op."""
+        i = self.state_index.get(state)
+        if i is None:
             validate_label(state, "state")
-            self._known_states.add(state)
-            self.states.append(state)
+            i = self.state_index[state] = len(self.rows)
+            self.rows.append([0.0] * len(self.action_index))
+        return i
 
-    def add_action(self, action: ActionId) -> None:
-        if action not in self._known_actions:
+    def add_action(self, action: ActionId) -> int:
+        """Register an action and return its column, widening every row when new."""
+        j = self.action_index.get(action)
+        if j is None:
             validate_label(action, "action")
-            self._known_actions.add(action)
-            self.actions.append(action)
+            j = self.action_index[action] = len(self.action_index)
+            for row in self.rows:
+                row.append(0.0)
+        return j
 
     def value(self, state: StateId, action: ActionId) -> float:
-        return self._values.get((state, action), 0.0)
+        try:
+            return self.rows[self.state_index[state]][self.action_index[action]]
+        except KeyError:
+            return 0.0
 
     def set(self, state: StateId, action: ActionId, value: float) -> None:
         """Store a value, registering the state and action if new."""
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"value for ({state!r}, {action!r}) must be finite, got {value!r}")
-        self.add_state(state)
-        self.add_action(action)
-        self._values[(state, action)] = value
+        i = self.add_state(state)
+        j = self.add_action(action)
+        self.rows[i][j] = value
 
     def best_value(self, state: StateId) -> float:
         """Largest value over the full action set; 0.0 when no actions exist."""
-        best = None
-        get = self._values.get
-        for a in self.actions:
-            v = get((state, a), 0.0)
-            if best is None or v > best:
-                best = v
-        return 0.0 if best is None else best
+        i = self.state_index.get(state)
+        if i is None or not self.action_index:
+            return 0.0
+        return max(self.rows[i])
 
     def copy(self) -> "QTable":
         out = QTable.__new__(QTable)
-        out.states = list(self.states)
-        out.actions = list(self.actions)
-        out._values = dict(self._values)
-        out._known_states = set(self._known_states)
-        out._known_actions = set(self._known_actions)
+        out.state_index = dict(self.state_index)
+        out.action_index = dict(self.action_index)
+        out.rows = [row[:] for row in self.rows]
         return out
-
-    def _nonzero_values(self) -> Dict[Tuple[StateId, ActionId], float]:
-        return {k: v for k, v in self._values.items() if v != 0.0}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QTable):
             return NotImplemented
         return (
-            self.states == other.states
-            and self.actions == other.actions
-            and self._nonzero_values() == other._nonzero_values()
+            self.state_index == other.state_index
+            and self.action_index == other.action_index
+            and self.rows == other.rows
         )
 
     def __repr__(self) -> str:
-        return f"QTable(states={len(self.states)}, actions={len(self.actions)}, entries={len(self._values)})"
+        return f"QTable(states={len(self.state_index)}, actions={len(self.action_index)})"
 
 
 def q_value(q: QTable, state: StateId, action: ActionId) -> float:
@@ -155,39 +164,30 @@ def greedy_action(q: QTable, state: StateId) -> ActionId:
     An unknown state reads as an all-zero row, so it resolves to the first
     registered action.
     """
-    if not q.actions:
+    actions = q.actions
+    if not actions:
         raise ValueError("no actions defined")
-    best = q.actions[0]
-    best_value = q.value(state, best)
-    for a in q.actions[1:]:
-        v = q.value(state, a)
-        if v > best_value:
-            best, best_value = a, v
-    return best
+    i = q.state_index.get(state)
+    if i is None:
+        return actions[0]
+    row = q.rows[i]
+    # max() returns the first of equal maxima, and index() finds it first.
+    return actions[row.index(max(row))]
 
 
 def policy_from_q(q: QTable) -> Policy:
     """Greedy policy over every registered state. Pure: `q` is not modified."""
-    return {s: greedy_action(q, s) for s in q.states}
+    return {s: greedy_action(q, s) for s in q.state_index}
 
 
 def batch_state_actions(batch: Iterable[ExperienceTuple]) -> Tuple[List[StateId], List[ActionId]]:
     """Distinct states (next-states included) and actions, in first-appearance order."""
-    states: List[StateId] = []
-    actions: List[ActionId] = []
-    seen_s: set = set()
-    seen_a: set = set()
+    q = QTable()
     for t in batch:
-        if t.state not in seen_s:
-            seen_s.add(t.state)
-            states.append(t.state)
-        if t.action not in seen_a:
-            seen_a.add(t.action)
-            actions.append(t.action)
-        if t.next_state not in seen_s:
-            seen_s.add(t.next_state)
-            states.append(t.next_state)
-    return states, actions
+        q.add_state(t.state)
+        q.add_action(t.action)
+        q.add_state(t.next_state)
+    return q.states, q.actions
 
 
 @dataclass

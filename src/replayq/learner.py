@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from .core import (
     ActionId,
@@ -16,7 +16,6 @@ from .core import (
     QTable,
     RLModel,
     StateId,
-    batch_state_actions,
     greedy_action,
     policy_from_q,
 )
@@ -32,17 +31,37 @@ class ReplayReport:
     tuples_processed: int
 
 
-def _update_in_place(q: QTable, t: ExperienceTuple, alpha: float, gamma: float) -> None:
-    # Unseen states/actions are registered so the bootstrap term is defined
-    # (unknown rows read as all-zero).
-    q.add_state(t.state)
-    q.add_action(t.action)
-    q.add_state(t.next_state)
-    current = q.value(t.state, t.action)
-    target = t.reward + gamma * q.best_value(t.next_state)
-    updated = current + alpha * (target - current)
-    if updated != current:
-        q.set(t.state, t.action, updated)
+def _intern(q: QTable, batch: Iterable[ExperienceTuple]) -> list:
+    """Register each tuple's state, action and next state, in that order, and
+    return one (row, action column, reward, next row) item per tuple. Rows
+    only ever widen in place, so the references stay valid as `q` grows."""
+    rows, add_state, add_action = q.rows, q.add_state, q.add_action
+    return [(rows[add_state(t.state)], add_action(t.action), t.reward, rows[add_state(t.next_state)]) for t in batch]
+
+
+def _backup(items: Iterable[tuple], alpha: float, gamma: float) -> None:
+    """The TD update, applied in place to each item in turn."""
+    for row, a, reward, next_row in items:
+        current = row[a]
+        updated = current + alpha * (reward + gamma * max(next_row) - current)
+        if updated != current:
+            row[a] = updated
+
+
+def _check_finite(q: QTable, states: Iterable[StateId]) -> None:
+    """Raise on a non-finite value in the rows of `states`, the rows updates write."""
+    for s in states:
+        for a, value in zip(q.action_index, q.rows[q.state_index[s]]):
+            if not math.isfinite(value):
+                raise ValueError(f"value for ({s!r}, {a!r}) must be finite, got {value!r}")
+
+
+def _update_each(q: QTable, order: List[ExperienceTuple], alpha: float, gamma: float) -> None:
+    # Labels are registered as the updates reach them, so an action first
+    # seen later in `order` is not yet part of earlier bootstrap maxima.
+    for t in order:
+        _backup(_intern(q, (t,)), alpha, gamma)
+    _check_finite(q, dict.fromkeys(t.state for t in order))
 
 
 def q_update(q: QTable, t: ExperienceTuple, alpha: float, gamma: float) -> QTable:
@@ -51,14 +70,9 @@ def q_update(q: QTable, t: ExperienceTuple, alpha: float, gamma: float) -> QTabl
     Returns an updated copy; at most the (t.state, t.action) entry differs.
     The input table is never modified.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if not math.isfinite(t.reward):
-        raise ValueError(f"reward must be finite, got {t.reward!r}")
+    ControlParams(alpha=alpha, gamma=gamma)  # checks both rates
     out = q.copy()
-    _update_in_place(out, t, alpha, gamma)
+    _update_each(out, [t], alpha, gamma)
     return out
 
 
@@ -78,8 +92,7 @@ def replay_pass(
     out = q.copy()
     order = list(batch)
     rng.shuffle(order)
-    for t in order:
-        _update_in_place(out, t, control.alpha, control.gamma)
+    _update_each(out, order, control.alpha, control.gamma)
     total = math.fsum(t.reward for t in batch)
     return out, ReplayReport(total_reward=total, tuples_processed=len(batch))
 
@@ -115,16 +128,17 @@ def learn(
         history = list(prior.reward_history)
         completed = prior.iterations_completed
 
-    states, actions = batch_state_actions(batch)
-    for s in states:
-        q.add_state(s)
-    for a in actions:
-        q.add_action(a)
-
+    items = _intern(q, batch)
+    touched = dict.fromkeys(t.state for t in batch)
+    total = math.fsum(t.reward for t in batch)
     rng = random.Random(seed)
     for _ in range(iterations):
-        q, report = replay_pass(q, batch, control, rng)
-        history.append(report.total_reward)
+        # Shuffling a list as long as the batch draws the same permutation.
+        order = items[:]
+        rng.shuffle(order)
+        _backup(order, control.alpha, control.gamma)
+        _check_finite(q, touched)
+        history.append(total)
 
     return RLModel(
         q=q,

@@ -54,15 +54,11 @@ def _check_stochastic(mdp: ExplicitMDP) -> None:
         )
 
 
-def _table_to_array(mdp: ExplicitMDP, q: QTable) -> np.ndarray:
-    return np.array([[q.value(s, a) for a in mdp.actions] for s in mdp.states])
-
-
 def _array_to_table(mdp: ExplicitMDP, values: np.ndarray) -> QTable:
+    if not np.isfinite(values).all():
+        raise ValueError("state-action values must be finite")
     table = QTable(states=mdp.states, actions=mdp.actions)
-    for i, s in enumerate(mdp.states):
-        for j, a in enumerate(mdp.actions):
-            table.set(s, a, float(values[i, j]))
+    table.rows = values.tolist()
     return table
 
 
@@ -71,7 +67,7 @@ def bellman_backup(mdp: ExplicitMDP, gamma: float, q: QTable) -> QTable:
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     _check_stochastic(mdp)
-    values = _table_to_array(mdp, q)
+    values = np.array([[q.value(s, a) for a in mdp.actions] for s in mdp.states])
     expected_reward = (mdp.transition * mdp.reward).sum(axis=2)
     backed = expected_reward + gamma * (mdp.transition @ values.max(axis=1))
     return _array_to_table(mdp, backed)

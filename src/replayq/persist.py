@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 from typing import Dict, List, Optional
 
@@ -93,9 +94,9 @@ def model_to_json(model: RLModel) -> str:
         },
         "iterations_completed": model.iterations_completed,
         "reward_history": list(model.reward_history),
-        "states": list(model.q.states),
-        "actions": list(model.q.actions),
-        "q": {s: [model.q.value(s, a) for a in model.q.actions] for s in model.q.states},
+        "states": model.q.states,
+        "actions": model.q.actions,
+        "q": dict(zip(model.q.state_index, model.q.rows)),
         "policy": dict(model.policy),
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -106,7 +107,16 @@ def save_model(model: RLModel, path: str) -> None:
         fh.write(model_to_json(model))
 
 
+def _number(value: object, field: str) -> float:
+    # bool is an int subclass, and json reads NaN and Infinity as floats.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def model_from_json(text: str, source: str = "<string>") -> RLModel:
+    """Parse an rlmodel/1 document; a malformed one (see docs/formats.md)
+    raises ValueError naming `source` and the offending field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -117,25 +127,37 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
     if found != MODEL_FORMAT:
         raise ValueError(f"{source}: unsupported model format {found!r}, expected {MODEL_FORMAT!r}")
     try:
-        states = list(doc["states"])
-        actions = list(doc["actions"])
+        states, actions, values, policy = (doc[k] for k in ("states", "actions", "q", "policy"))
+        if not (isinstance(states, list) and isinstance(actions, list) and isinstance(values, dict)
+                and isinstance(policy, dict)):
+            raise ValueError("states and actions must be lists, q and policy objects")
         q = QTable(states=states, actions=actions)
-        for s in states:
-            row = doc["q"][s]
-            if len(row) != len(actions):
-                raise ValueError(f"state {s!r} has {len(row)} values for {len(actions)} actions")
-            for a, value in zip(actions, row):
-                q.set(s, a, value)
-        control = ControlParams(**doc["control"])
+        for s, i in q.state_index.items():
+            row = values.get(s)
+            if not isinstance(row, list) or len(row) != len(actions):
+                raise ValueError(f"q[{s!r}] must list {len(actions)} values, one per action, got {row!r}")
+            q.rows[i] = [_number(v, f"q[{s!r}][{j}]") for j, v in enumerate(row)]
+            if s not in policy:
+                raise ValueError(f"policy has no entry for state {s!r}")
+        for s, a in policy.items():
+            if s not in q.state_index:
+                raise ValueError(f"policy has an entry for {s!r}, which is not in states")
+            if not isinstance(a, str) or a not in q.action_index:
+                raise ValueError(f"policy[{s!r}] is {a!r}, not one of the listed actions")
+        iterations = doc["iterations_completed"]
+        if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 0:
+            raise ValueError(f"iterations_completed must be a non-negative integer, got {iterations!r}")
         model = RLModel(
             q=q,
-            policy={str(s): str(a) for s, a in doc["policy"].items()},
-            control=control,
-            iterations_completed=int(doc["iterations_completed"]),
-            reward_history=[float(r) for r in doc["reward_history"]],
+            policy=policy,
+            control=ControlParams(**doc["control"]),
+            iterations_completed=iterations,
+            reward_history=[_number(r, f"reward_history[{k}]") for k, r in enumerate(doc["reward_history"])],
             learning_rule=str(doc["learning_rule"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"{source}: malformed model file: missing field {exc}") from None
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{source}: malformed model file: {exc}") from None
     return model
 
@@ -158,8 +180,8 @@ def _policy_report(model: RLModel) -> str:
 
 
 def _table_report(model: RLModel) -> str:
-    headers = ["state"] + list(model.q.actions)
-    rows = [[s] + [f"{model.q.value(s, a):.7g}" for a in model.q.actions] for s in model.q.states]
+    headers = ["state"] + model.q.actions
+    rows = [[s] + [f"{v:.7g}" for v in row] for s, row in zip(model.q.state_index, model.q.rows)]
     widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i]) for i in range(len(headers))]
     lines = ["State-action values"]
     lines.append("  ".join(h.rjust(widths[i]) for i, h in enumerate(headers)))

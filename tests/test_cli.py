@@ -183,6 +183,14 @@ def test_verify_rejects_an_untrained_model(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_verify_rejects_gamma_one_as_a_usage_error(tmp_path, capsys):
+    model = trained(tmp_path)
+    capsys.readouterr()
+    rc = run("verify", "--model", model, "--env", "gridworld-2x2", "--gamma", "1")
+    assert rc == 1
+    assert "--gamma must be below 1" in capsys.readouterr().err
+
+
 def test_verify_needs_exact_dynamics(tmp_path, capsys):
     model = trained(tmp_path)
     rc = run("verify", "--model", model, "--env", "tictactoe",
@@ -206,3 +214,17 @@ def test_report_rejects_corrupt_model(tmp_path, capsys):
     bad.write_text(json.dumps({"format": "rlmodel/0"}))
     assert run("report", "--model", str(bad)) == 2
     assert "rlmodel/1" in capsys.readouterr().err
+
+
+def test_report_names_the_file_and_field_of_a_missing_policy_entry(tmp_path, capsys):
+    model = trained(tmp_path)
+    with open(model) as fh:
+        doc = json.load(fh)
+    del doc["policy"]["s2"]
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert run("report", "--model", model, "--view", "policy") == 2
+    err = capsys.readouterr().err
+    assert model in err
+    assert "policy has no entry for state 's2'" in err

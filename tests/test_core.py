@@ -77,6 +77,21 @@ def test_qtable_preserves_first_appearance_order():
     assert q.actions == ["y", "x"]
 
 
+@pytest.mark.parametrize("states,actions", [(["a", "b", "a"], []), ([], ["x", "x"])])
+def test_qtable_rejects_repeated_labels(states, actions):
+    with pytest.raises(ValueError, match="listed more than once"):
+        QTable(states=states, actions=actions)
+
+
+def test_qtable_rows_widen_with_new_actions():
+    q = QTable(states=["s1", "s2"], actions=["up"])
+    q.set("s2", "up", 2.0)
+    q.add_action("down")
+    assert q.rows == [[0.0, 0.0], [2.0, 0.0]]
+    assert q.value("s2", "down") == 0.0
+    assert q.best_value("s2") == 2.0
+
+
 def test_qtable_rejects_non_finite_values():
     q = QTable()
     with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from replayq.core import ControlParams, ExperienceTuple, QTable
+from replayq.core import ControlParams, ExperienceTuple, QTable, RLModel, policy_from_q
 from replayq.learner import (
     LEARNING_RULE,
     epsilon_greedy,
@@ -11,6 +14,7 @@ from replayq.learner import (
     replay_pass,
     update_model,
 )
+from replayq.persist import model_to_json
 
 CONTROL = ControlParams(alpha=0.1, gamma=0.5, epsilon=0.1)
 
@@ -219,3 +223,122 @@ def test_epsilon_greedy_validates_inputs():
         epsilon_greedy(q, "s1", 1.5, random.Random(0))
     with pytest.raises(ValueError):
         epsilon_greedy(QTable(), "s1", 0.1, random.Random(0))
+
+
+def test_learn_rejects_values_that_overflow():
+    batch = [ExperienceTuple("s1", "up", 1e308, "s1")]
+    control = ControlParams(alpha=1.0, gamma=1.0)
+    with pytest.raises(ValueError, match=r"\('s1', 'up'\) must be finite"):
+        learn(batch, control, iterations=3)
+    q, _ = replay_pass(QTable(), batch, control, random.Random(0))
+    with pytest.raises(ValueError, match="must be finite"):
+        replay_pass(q, batch, control, random.Random(0))
+    with pytest.raises(ValueError, match="must be finite"):
+        q_update(q, batch[0], alpha=1.0, gamma=1.0)
+
+
+# --- property: the interned learner equals a dict-based reference -------------
+#
+# The reference keeps values in a (state, action)-keyed dict and registers
+# labels tuple by tuple as the updates reach them, as the learner did before
+# its table became dense rows.
+
+
+def ref_register(tab, t):
+    states, actions, _ = tab
+    for label, known in ((t.state, states), (t.action, actions), (t.next_state, states)):
+        if label not in known:
+            known.append(label)
+
+
+def ref_update(tab, t, alpha, gamma):
+    ref_register(tab, t)
+    states, actions, values = tab
+    current = values.get((t.state, t.action), 0.0)
+    best = max(values.get((t.next_state, a), 0.0) for a in actions)
+    updated = current + alpha * (t.reward + gamma * best - current)
+    if updated != current:
+        values[(t.state, t.action)] = updated
+
+
+def ref_pass(tab, batch, control, rng):
+    order = list(batch)
+    rng.shuffle(order)
+    for t in order:
+        ref_update(tab, t, control.alpha, control.gamma)
+
+
+def ref_learn(batch, control, iterations, seed, prior=None):
+    tab = ([], [], {}) if prior is None else (list(prior[0]), list(prior[1]), dict(prior[2]))
+    for t in batch:
+        ref_register(tab, t)
+    rng = random.Random(seed)
+    for _ in range(iterations):
+        ref_pass(tab, batch, control, rng)
+    return tab
+
+
+def ref_json(tab, control, iterations=0, history=()):
+    states, actions, values = tab
+    q = QTable(states, actions)
+    for (s, a), v in values.items():
+        q.set(s, a, v)
+    rows = {s: [values.get((s, a), 0.0) for a in actions] for s in states}
+    policy = {s: actions[rows[s].index(max(rows[s]))] for s in states}
+    return model_to_json(RLModel(q, policy, control, iterations, list(history)))
+
+
+def table_json(q, control):
+    return model_to_json(RLModel(q, policy_from_q(q), control))
+
+
+labels = st.text(alphabet="abxy", min_size=1, max_size=2)
+controls = st.builds(ControlParams, alpha=st.floats(0.0, 1.0), gamma=st.floats(0.0, 1.0))
+
+
+@st.composite
+def batch_pairs(draw):
+    """A batch, and a second one over the same labels plus a new state and a new action."""
+    states = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    actions = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+
+    def tuples(states, actions, min_size):
+        one = st.builds(ExperienceTuple, st.sampled_from(states), st.sampled_from(actions),
+                        st.floats(-1e3, 1e3), st.sampled_from(states))
+        return st.lists(one, min_size=min_size, max_size=12)
+
+    more_states = states + ["z"]
+    more = draw(tuples(more_states, actions, 0)) + draw(tuples(more_states, ["new"], 1))
+    return draw(tuples(states, actions, 1)), more
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=batch_pairs(), control=controls, iterations=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), with_prior=st.booleans())
+def test_interned_learner_matches_reference(pair, control, iterations, seed, with_prior):
+    batch, more = pair
+    # `more` brings an action the prior lacks, so training on it widens every prior row.
+    first = learn(batch, control, iterations=iterations, seed=seed)
+    ref = ref_learn(batch, control, iterations, seed)
+    history = [math.fsum(t.reward for t in batch)] * iterations
+    assert model_to_json(first) == ref_json(ref, control, iterations, history)
+    if not with_prior:
+        return
+
+    prior_text = model_to_json(first)
+    second = update_model(first, more, control, iterations=iterations, seed=seed + 1)
+    ref2 = ref_learn(more, control, iterations, seed + 1, prior=ref)
+    history += [math.fsum(t.reward for t in more)] * iterations
+    assert model_to_json(second) == ref_json(ref2, control, 2 * iterations, history)
+    assert model_to_json(learn(more, control, iterations, seed + 1, prior=first)) == model_to_json(second)
+    assert model_to_json(first) == prior_text
+
+    q, _ = replay_pass(first.q, more, control, random.Random(seed))
+    ref3 = (list(ref[0]), list(ref[1]), dict(ref[2]))
+    ref_pass(ref3, more, control, random.Random(seed))
+    assert table_json(q, control) == ref_json(ref3, control)
+
+    ref4 = (list(ref[0]), list(ref[1]), dict(ref[2]))
+    ref_update(ref4, more[0], control.alpha, control.gamma)
+    assert table_json(q_update(first.q, more[0], control.alpha, control.gamma), control) == ref_json(ref4, control)
+    assert model_to_json(first) == prior_text

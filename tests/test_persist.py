@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import pytest
 
@@ -230,3 +232,28 @@ def test_reports_are_deterministic():
 def test_format_report_rejects_unknown_view():
     with pytest.raises(ValueError, match="verbosity"):
         format_report(trained_model(), "prose")
+
+
+def corrupted(change):
+    doc = json.loads(model_to_json(trained_model()))
+    change(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "change,field",
+    [
+        pytest.param(lambda d: d["q"]["s1"].__setitem__(0, "1.5"), "q['s1'][0] must be a finite number", id="string-value"),
+        pytest.param(lambda d: d["q"]["s1"].__setitem__(0, True), "q['s1'][0] must be a finite number", id="boolean-value"),
+        pytest.param(lambda d: d["states"].append("s1"), "state 's1' is listed more than once", id="duplicate-state"),
+        pytest.param(lambda d: d["actions"].append("up"), "action 'up' is listed more than once", id="duplicate-action"),
+        pytest.param(lambda d: d.__setitem__("iterations_completed", -1), "iterations_completed", id="negative-iterations"),
+        pytest.param(lambda d: d["reward_history"].append(math.nan), "reward_history[3]", id="nan-reward-history"),
+        pytest.param(lambda d: d["policy"].__setitem__("s1", "jump"), "policy['s1'] is 'jump'", id="unknown-policy-action"),
+        pytest.param(lambda d: d["policy"].pop("s2"), "policy has no entry for state 's2'", id="missing-policy-entry"),
+        pytest.param(lambda d: d["policy"].__setitem__("s9", "up"), "entry for 's9', which is not in states", id="unlisted-policy-state"),
+    ],
+)
+def test_model_from_json_rejects_values_it_would_not_write(change, field):
+    with pytest.raises(ValueError, match=r"^m\.json: malformed model file: .*" + re.escape(field)):
+        model_from_json(corrupted(change), source="m.json")
