@@ -115,12 +115,14 @@ def estimate_mdp(batch: List[ExperienceTuple]) -> ExplicitMDP:
     a_index = {a: i for i, a in enumerate(actions)}
     n_s, n_a = len(states), len(actions)
 
-    counts = np.zeros((n_s, n_a, n_s))
-    reward_sums = np.zeros((n_s, n_a, n_s))
-    for t in batch:
-        i, j, k = s_index[t.state], a_index[t.action], s_index[t.next_state]
-        counts[i, j, k] += 1.0
-        reward_sums[i, j, k] += t.reward
+    # Flat (s, a, s2) cell of each tuple; bincount adds repeats in batch order.
+    flat = np.array([(s_index[t.state] * n_a + a_index[t.action]) * n_s + s_index[t.next_state] for t in batch])
+
+    def tally(weights) -> np.ndarray:
+        return np.bincount(flat, weights=weights, minlength=n_s * n_a * n_s).reshape(n_s, n_a, n_s)
+
+    counts = tally(np.ones(len(batch)))
+    reward_sums = tally([t.reward for t in batch])
 
     totals = counts.sum(axis=2)
     coverage = totals > 0.0
@@ -130,9 +132,7 @@ def estimate_mdp(batch: List[ExperienceTuple]) -> ExplicitMDP:
     reward = np.zeros_like(reward_sums)
     np.divide(reward_sums, counts, out=reward, where=counts > 0.0)
 
-    for i in range(n_s):
-        for j in range(n_a):
-            if not coverage[i, j]:
-                transition[i, j, i] = 1.0
+    u, v = np.nonzero(~coverage)
+    transition[u, v, u] = 1.0
 
     return ExplicitMDP(states=states, actions=actions, transition=transition, reward=reward, coverage=coverage)

@@ -144,16 +144,21 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
                 raise ValueError(f"policy has an entry for {s!r}, which is not in states")
             if not isinstance(a, str) or a not in q.action_index:
                 raise ValueError(f"policy[{s!r}] is {a!r}, not one of the listed actions")
+        control, rule = doc["control"], doc["learning_rule"]
+        if not isinstance(control, dict):
+            raise ValueError(f"control must be an object, got {control!r}")
+        if not isinstance(rule, str):
+            raise ValueError(f"learning_rule must be a string, got {rule!r}")
         iterations = doc["iterations_completed"]
         if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 0:
             raise ValueError(f"iterations_completed must be a non-negative integer, got {iterations!r}")
         model = RLModel(
             q=q,
             policy=policy,
-            control=ControlParams(**doc["control"]),
+            control=ControlParams(**{k: _number(v, f"control.{k}") for k, v in control.items()}),
             iterations_completed=iterations,
             reward_history=[_number(r, f"reward_history[{k}]") for k, r in enumerate(doc["reward_history"])],
-            learning_rule=str(doc["learning_rule"]),
+            learning_rule=rule,
         )
     except KeyError as exc:
         raise ValueError(f"{source}: malformed model file: missing field {exc}") from None

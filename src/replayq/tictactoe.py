@@ -6,13 +6,20 @@ and 'B' for the opponent. Cell actions are labeled c1..c9, also row-major
 covers X's move and, if the game continues, the opponent's uniformly random
 reply. Rewards are +1/0/-1 for win/draw/loss, paid only on the transition
 that ends the game.
+
+The rules are evaluated once per board and cached: `_outcome` and `_settle`
+hold each board's result, and `_moves` each ongoing board's table of X moves
+with their after-states and B's replies, which generation, stepping and board
+enumeration all read. The caches are bounded by the 3^9 boards and by the
+reachable boards with X to move (`tictactoe_step` rejects any other board).
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import List, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Tuple
 
 from .core import ExperienceTuple
 from .envs import Environment, EnvResponse
@@ -48,6 +55,11 @@ def _validate_board(board: str) -> None:
 def ttt_winner(board: str) -> str:
     """Outcome of a board: X-wins, B-wins, draw, or ongoing."""
     _validate_board(board)
+    return _outcome(board)
+
+
+@lru_cache(maxsize=None)
+def _outcome(board: str) -> str:
     x_line = any(board[i] == board[j] == board[k] == "X" for i, j, k in _LINES)
     b_line = any(board[i] == board[j] == board[k] == "B" for i, j, k in _LINES)
     if x_line and b_line:
@@ -70,23 +82,34 @@ def _place(board: str, cell: int, mark: str) -> str:
     return board[: cell] + mark + board[cell + 1 :]
 
 
-def _after_state_step(board: str, cell: int, rng: random.Random) -> Tuple[str, float, bool]:
-    """X marks `cell`; unless that ends the game, B replies uniformly at random.
+_REWARD = {X_WINS: 1.0, DRAW: 0.0, B_WINS: -1.0, ONGOING: 0.0}
+_Transition = Tuple[str, float, bool]
 
-    Returns (next board, reward for X, game over). B's reply can never fill
-    the board, so a draw only ever follows an X move.
-    """
-    after_x = _place(board, cell, "X")
-    outcome = ttt_winner(after_x)
-    if outcome == X_WINS:
-        return after_x, 1.0, True
-    if outcome == DRAW:
-        return after_x, 0.0, True
-    reply = rng.choice(legal_cells(after_x))
-    after_b = _place(after_x, reply, "B")
-    if ttt_winner(after_b) == B_WINS:
-        return after_b, -1.0, True
-    return after_b, 0.0, False
+
+@lru_cache(maxsize=None)
+def _settle(board: str) -> _Transition:
+    outcome = _outcome(board)
+    return board, _REWARD[outcome], outcome != ONGOING
+
+
+@lru_cache(maxsize=None)
+def _moves(board: str) -> Mapping[int, Tuple[str, float, bool, Tuple[_Transition, ...]]]:
+    """X's legal moves on an ongoing board: cell (ascending) -> (after-state,
+    reward, game over, B's replies as (after-state, reward, game over)). B's
+    reply can never fill the board, so a draw only ever follows an X move."""
+    table = {}
+    for cell in legal_cells(board):
+        after_x, reward, game_over = _settle(_place(board, cell, "X"))
+        replies = () if game_over else tuple(_settle(_place(after_x, k, "B")) for k in legal_cells(after_x))
+        table[cell] = (after_x, reward, game_over, replies)
+    return MappingProxyType(table)
+
+
+def _after_state_step(board: str, cell: int, rng: random.Random) -> _Transition:
+    """X marks empty `cell`; unless that ends the game, B replies uniformly at
+    random. Returns (next board, reward for X, game over)."""
+    after_x, reward, game_over, replies = _moves(board)[cell]
+    return (after_x, reward, True) if game_over else rng.choice(replies)
 
 
 def ttt_generate_games(num_games: int, seed: int = 0) -> List[ExperienceTuple]:
@@ -102,7 +125,7 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> List[ExperienceTuple]:
     for _ in range(num_games):
         board = EMPTY_BOARD
         while True:
-            cell = rng.choice(legal_cells(board))
+            cell = rng.choice(tuple(_moves(board)))
             next_board, reward, game_over = _after_state_step(board, cell, rng)
             out.append(ExperienceTuple(board, CELL_ACTIONS[cell], reward, next_board))
             if game_over:
@@ -120,24 +143,16 @@ def reachable_boards() -> Tuple[str, ...]:
     seen = {EMPTY_BOARD}
     frontier = [EMPTY_BOARD]
     while frontier:
-        board = frontier.pop()
-        for cell in legal_cells(board):
-            after_x = _place(board, cell, "X")
-            if ttt_winner(after_x) != ONGOING:
-                if after_x not in seen:
-                    seen.add(after_x)
-                    terminals.append(after_x)
-                continue
-            for reply in legal_cells(after_x):
-                after_b = _place(after_x, reply, "B")
-                if after_b in seen:
-                    continue
-                seen.add(after_b)
-                if ttt_winner(after_b) != ONGOING:
-                    terminals.append(after_b)
-                else:
-                    x_to_move.append(after_b)
-                    frontier.append(after_b)
+        for after_x, reward, game_over, replies in _moves(frontier.pop()).values():
+            # A move that ends the game has no replies; its after-state is terminal.
+            for board, _, over in replies or [(after_x, reward, game_over)]:
+                if board not in seen:
+                    seen.add(board)
+                    if over:
+                        terminals.append(board)
+                    else:
+                        x_to_move.append(board)
+                        frontier.append(board)
     return tuple(x_to_move + terminals)
 
 
@@ -157,7 +172,7 @@ def tictactoe_step(state: str, action: str, rng: random.Random) -> EnvResponse:
         raise ValueError(f"unknown action {action!r}")
     if state not in _reachable_set():
         raise ValueError(f"unknown state {state!r}")
-    if ttt_winner(state) != ONGOING:
+    if _outcome(state) != ONGOING:
         return EnvResponse(state, 0.0)
     cell = int(action[1:]) - 1
     if state[cell] != ".":

@@ -228,3 +228,17 @@ def test_report_names_the_file_and_field_of_a_missing_policy_entry(tmp_path, cap
     err = capsys.readouterr().err
     assert model in err
     assert "policy has no entry for state 's2'" in err
+
+
+def test_report_names_the_file_and_field_of_a_boolean_control_value(tmp_path, capsys):
+    model = trained(tmp_path)
+    with open(model) as fh:
+        doc = json.load(fh)
+    doc["control"]["alpha"] = True
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert run("report", "--model", model) == 2
+    err = capsys.readouterr().err
+    assert model in err
+    assert "control.alpha must be a finite number, got True" in err

@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from replayq.core import ExperienceTuple
+from replayq.core import ExperienceTuple, batch_state_actions
 from replayq.envs import gridworld_mdp
 from replayq.oracle import ExplicitMDP, bellman_backup, estimate_mdp, value_iteration
 
@@ -197,3 +199,41 @@ def test_estimate_mdp_recovers_deterministic_dynamics():
     for s in exact.states:
         for a in exact.actions:
             assert q_est.value(s, a) == pytest.approx(q_exact.value(s, a), abs=1e-7)
+
+
+def _reference_estimate(batch):
+    """Per-tuple loop over dense tables, the direct reading of estimate_mdp's contract."""
+    states, actions = batch_state_actions(batch)
+    n_s, n_a = len(states), len(actions)
+    counts, sums = np.zeros((n_s, n_a, n_s)), np.zeros((n_s, n_a, n_s))
+    for t in batch:
+        i, j, k = states.index(t.state), actions.index(t.action), states.index(t.next_state)
+        counts[i, j, k] += 1.0
+        sums[i, j, k] += t.reward
+    totals = counts.sum(axis=2)
+    transition, reward = np.zeros_like(counts), np.zeros_like(sums)
+    np.divide(counts, totals[:, :, None], out=transition, where=totals[:, :, None] > 0.0)
+    np.divide(sums, counts, out=reward, where=counts > 0.0)
+    for i in range(n_s):
+        for j in range(n_a):
+            if totals[i, j] == 0.0:
+                transition[i, j, i] = 1.0
+    return states, actions, transition, reward, totals > 0.0
+
+
+def test_estimate_mdp_matches_a_per_tuple_loop_bit_for_bit():
+    rng = random.Random(17)
+    # "e" and "f" only ever appear as next states, and "z" is never taken in
+    # "d", so the batch leaves pairs uncovered; the few states repeat transitions.
+    batch = []
+    for _ in range(400):
+        state = rng.choice("abcd")
+        action = rng.choice("xy" if state == "d" else "xyz")
+        batch.append(ExperienceTuple(state, action, rng.uniform(-3, 3), rng.choice("abcdef")))
+    mdp = estimate_mdp(batch)
+    states, actions, transition, reward, coverage = _reference_estimate(batch)
+    assert (mdp.states, mdp.actions) == (states, actions)
+    assert not coverage.all() and (transition > 0).sum() < len(batch)
+    assert np.array_equal(mdp.transition, transition)
+    assert np.array_equal(mdp.reward, reward)
+    assert np.array_equal(mdp.coverage, coverage)

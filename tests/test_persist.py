@@ -252,8 +252,22 @@ def corrupted(change):
         pytest.param(lambda d: d["policy"].__setitem__("s1", "jump"), "policy['s1'] is 'jump'", id="unknown-policy-action"),
         pytest.param(lambda d: d["policy"].pop("s2"), "policy has no entry for state 's2'", id="missing-policy-entry"),
         pytest.param(lambda d: d["policy"].__setitem__("s9", "up"), "entry for 's9', which is not in states", id="unlisted-policy-state"),
+        pytest.param(lambda d: d["control"].__setitem__("alpha", True), "control.alpha must be a finite number", id="boolean-alpha"),
+        pytest.param(lambda d: d["control"].__setitem__("gamma", "0.5"), "control.gamma must be a finite number", id="string-gamma"),
+        pytest.param(lambda d: d["control"].__setitem__("epsilon", None), "control.epsilon must be a finite number", id="null-epsilon"),
+        pytest.param(lambda d: d.__setitem__("control", [0.1, 0.5, 0.1]), "control must be an object", id="control-list"),
+        pytest.param(lambda d: d.__setitem__("learning_rule", {"x": 1}), "learning_rule must be a string", id="object-rule"),
+        pytest.param(lambda d: d.__setitem__("learning_rule", None), "learning_rule must be a string", id="null-rule"),
     ],
 )
 def test_model_from_json_rejects_values_it_would_not_write(change, field):
     with pytest.raises(ValueError, match=r"^m\.json: malformed model file: .*" + re.escape(field)):
         model_from_json(corrupted(change), source="m.json")
+
+
+def test_model_from_json_keeps_control_values_as_floats():
+    doc = json.loads(model_to_json(trained_model()))
+    doc["control"] = {"alpha": 1, "gamma": 0, "epsilon": 0.25}
+    loaded = model_from_json(json.dumps(doc))
+    assert loaded.control == ControlParams(alpha=1.0, gamma=0.0, epsilon=0.25)
+    assert all(type(v) is float for v in vars(loaded.control).values())

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replayq.envs import EnvResponse
 from replayq.tictactoe import (
@@ -31,6 +33,18 @@ def test_winner_rejects_malformed_boards():
         ttt_winner("XXOXXOXXO")
     with pytest.raises(ValueError, match="both players"):
         ttt_winner("XXXBBB...")
+
+
+@pytest.mark.parametrize("board", [list("XXXBB...."), ["........."], "XXXBB.....", "XXXBB...", "xxxbb....", "XXOBB...."])
+def test_winner_rejects_lists_wrong_lengths_and_bad_symbols(board):
+    with pytest.raises(ValueError, match="board"):
+        ttt_winner(board)
+
+
+def test_winner_does_not_cache_rejections():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="both players"):
+            ttt_winner("BBBXXX...")
 
 
 def test_legal_cells_lists_open_positions():
@@ -150,3 +164,90 @@ def test_environment_wiring():
     assert env.actions == CELL_ACTIONS
     assert EMPTY_BOARD in env.states
     assert env.exact_mdp is None
+
+
+# Reference rules: the plain string-scanning implementation the cached move
+# table must reproduce draw for draw.
+_LINES = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8), (0, 4, 8), (2, 4, 6))
+
+
+def ref_winner(board):
+    x = any(board[i] == board[j] == board[k] == "X" for i, j, k in _LINES)
+    b = any(board[i] == board[j] == board[k] == "B" for i, j, k in _LINES)
+    return "X-wins" if x else "B-wins" if b else "ongoing" if "." in board else "draw"
+
+
+def ref_place(board, cell, mark):
+    return board[:cell] + mark + board[cell + 1 :]
+
+
+def ref_after_state(board, cell, rng):
+    after_x = ref_place(board, cell, "X")
+    outcome = ref_winner(after_x)
+    if outcome != "ongoing":
+        return after_x, 1.0 if outcome == "X-wins" else 0.0, True
+    after_b = ref_place(after_x, rng.choice(legal_cells(after_x)), "B")
+    return (after_b, -1.0, True) if ref_winner(after_b) == "B-wins" else (after_b, 0.0, False)
+
+
+def ref_games(num_games, seed):
+    rng, out = random.Random(seed), []
+    for _ in range(num_games):
+        board, over = EMPTY_BOARD, False
+        while not over:
+            cell = rng.choice(legal_cells(board))
+            next_board, reward, over = ref_after_state(board, cell, rng)
+            out.append((board, CELL_ACTIONS[cell], reward, next_board))
+            board = next_board
+    return out
+
+
+def ref_step(state, action, rng):
+    cell = CELL_ACTIONS.index(action)
+    if ref_winner(state) != "ongoing":
+        return state, 0.0
+    if state[cell] != ".":
+        return state, -1.0
+    return ref_after_state(state, cell, rng)[:2]
+
+
+def ref_reachable_boards():
+    x_to_move, terminals, seen, frontier = [EMPTY_BOARD], [], {EMPTY_BOARD}, [EMPTY_BOARD]
+    while frontier:
+        board = frontier.pop()
+        for cell in legal_cells(board):
+            after_x = ref_place(board, cell, "X")
+            if ref_winner(after_x) != "ongoing":
+                if after_x not in seen:
+                    seen.add(after_x)
+                    terminals.append(after_x)
+                continue
+            for reply in legal_cells(after_x):
+                after_b = ref_place(after_x, reply, "B")
+                if after_b not in seen:
+                    seen.add(after_b)
+                    if ref_winner(after_b) != "ongoing":
+                        terminals.append(after_b)
+                    else:
+                        x_to_move.append(after_b)
+                        frontier.append(after_b)
+    return tuple(x_to_move + terminals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_games=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_generated_games_match_the_reference_rules(num_games, seed):
+    games = [(t.state, t.action, t.reward, t.next_state) for t in ttt_generate_games(num_games, seed)]
+    assert games == ref_games(num_games, seed)
+
+
+def test_step_matches_the_reference_rules_on_every_board_and_action():
+    ours, theirs = random.Random(29), random.Random(29)
+    for board in ref_reachable_boards():
+        for action in CELL_ACTIONS:
+            assert tuple(tictactoe_step(board, action, ours)) == ref_step(board, action, theirs)
+    assert ours.random() == theirs.random()
+
+
+def test_reachable_boards_match_the_reference_enumeration_in_order():
+    assert reachable_boards() == ref_reachable_boards()
