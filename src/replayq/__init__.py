@@ -13,7 +13,6 @@ from .core import (
     batch_state_actions,
     greedy_action,
     policy_from_q,
-    q_value,
 )
 from .envs import (
     Environment,
@@ -23,8 +22,8 @@ from .envs import (
     make_environment,
     sample_experience,
 )
-from .learner import ReplayReport, epsilon_greedy, learn, q_update, replay_pass, update_model
-from .oracle import ExplicitMDP, bellman_backup, estimate_mdp, value_iteration
+from .learner import epsilon_greedy, learn, update_model
+from .oracle import ExplicitMDP, estimate_mdp, value_iteration
 from .persist import (
     format_report,
     load_model,
@@ -46,9 +45,7 @@ __all__ = [
     "ExplicitMDP",
     "QTable",
     "RLModel",
-    "ReplayReport",
     "batch_state_actions",
-    "bellman_backup",
     "environment_names",
     "epsilon_greedy",
     "estimate_mdp",
@@ -61,10 +58,7 @@ __all__ = [
     "model_from_json",
     "model_to_json",
     "policy_from_q",
-    "q_update",
-    "q_value",
     "read_experience",
-    "replay_pass",
     "sample_experience",
     "save_model",
     "tictactoe_environment",

@@ -8,12 +8,13 @@ takes --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .core import ControlParams
-from .envs import Environment, environment_names, make_environment, sample_experience
+from .envs import SAMPLE_MODES, Environment, make_environment, sample_experience
 from .learner import learn, update_model
 from .oracle import value_iteration
 from .persist import REPORT_VIEWS, format_report, load_model, read_experience, save_model, write_experience
@@ -57,9 +58,10 @@ def _add_control_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _get_env(name: str) -> Environment:
-    if name not in environment_names():
-        raise _UsageError(f"unknown environment {name!r}; choose from {', '.join(environment_names())}")
-    return make_environment(name)
+    try:
+        return make_environment(name)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -94,9 +96,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     names = [s for s in args.states.split(",") if s]
+    policy = model.policy
     missing = False
     for s in names:
-        action = model.policy.get(s)
+        action = policy.get(s)
         if action is None:
             print(f"{s},unknown-state")
             missing = True
@@ -183,6 +186,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.gamma >= 1.0:
         raise _UsageError(f"--gamma must be below 1 for verify, got {args.gamma:g}")
+    if not 0.0 <= args.tol < math.inf:  # also refuses NaN
+        raise _UsageError(f"--tol must be finite and >= 0, got {args.tol:g}")
     env = _get_env(args.env)
     model = load_model(args.model)
     if env.exact_mdp is None:
@@ -197,6 +202,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     max_diff = max(abs(model.q.value(s, a) - q_star.value(s, a)) for s in states for a in actions)
 
+    policy = model.policy
     compared = 0
     mismatched = 0
     for s in states:
@@ -205,7 +211,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             continue
         compared += 1
         best = max(q_star.actions, key=lambda a: q_star.value(s, a))
-        if model.policy.get(s) != best:
+        if policy.get(s) != best:
             mismatched += 1
 
     print(f"environment: {env.name}")
@@ -232,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="generate experience tuples from an environment")
     p.add_argument("--env", required=True, help="environment name")
     p.add_argument("--n", type=_positive_int, required=True, help="number of tuples")
-    p.add_argument("--mode", choices=["random", "epsilon-greedy"], default="random")
+    p.add_argument("--mode", choices=SAMPLE_MODES, default="random")
     p.add_argument("--model", help="model file, required for epsilon-greedy mode")
     _add_control_flags(p)
     p.add_argument("--seed", type=int, default=0)

@@ -153,11 +153,6 @@ class QTable:
         return f"QTable(states={len(self.state_index)}, actions={len(self.action_index)})"
 
 
-def q_value(q: QTable, state: StateId, action: ActionId) -> float:
-    """Stored value for (state, action), or 0.0 if the pair is unknown."""
-    return q.value(state, action)
-
-
 def greedy_action(q: QTable, state: StateId) -> ActionId:
     """Best-valued action in `state`; ties break to the earliest action.
 
@@ -192,11 +187,15 @@ def batch_state_actions(batch: Iterable[ExperienceTuple]) -> Tuple[List[StateId]
 
 @dataclass
 class RLModel:
-    """Trained artifact: the Q-table, its greedy policy, and learning metadata."""
+    """Trained artifact: the Q-table and learning metadata."""
 
     q: QTable
-    policy: Policy
     control: ControlParams
     iterations_completed: int = 0
     reward_history: List[float] = field(default_factory=list)
     learning_rule: str = "experienceReplay"
+
+    @property
+    def policy(self) -> Policy:
+        """The greedy policy of `q`, recomputed on every access."""
+        return policy_from_q(self.q)

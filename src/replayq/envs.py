@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -144,17 +144,26 @@ def sample_experience(
 # --- registry ----------------------------------------------------------------
 
 
+def _tictactoe_environment() -> Environment:
+    # Imported on use: the tictactoe module itself imports this one.
+    from .tictactoe import tictactoe_environment
+
+    return tictactoe_environment()
+
+
+_ENVIRONMENTS: Dict[str, Callable[[], Environment]] = {
+    "gridworld-2x2": gridworld_environment,
+    "tictactoe": _tictactoe_environment,
+}
+
+
 def environment_names() -> Tuple[str, ...]:
-    return ("gridworld-2x2", "tictactoe")
+    return tuple(_ENVIRONMENTS)
 
 
 def make_environment(name: str) -> Environment:
-    """Look up a built-in environment by its registered name."""
-    if name == "gridworld-2x2":
-        return gridworld_environment()
-    if name == "tictactoe":
-        from .tictactoe import tictactoe_environment
-
-        return tictactoe_environment()
-    known = ", ".join(environment_names())
-    raise ValueError(f"unknown environment {name!r}; known environments: {known}")
+    """Build a built-in environment by its registered name."""
+    factory = _ENVIRONMENTS.get(name)
+    if factory is None:
+        raise ValueError(f"unknown environment {name!r}; known environments: {', '.join(_ENVIRONMENTS)}")
+    return factory()

@@ -1,12 +1,11 @@
-"""Q-learning over batches of experience: single temporal-difference updates,
-shuffled replay passes, epsilon-greedy draws, and the batch / growing-batch
-training entry points."""
+"""Q-learning over batches of experience: shuffled replay passes of the
+temporal-difference update, epsilon-greedy draws, and the batch /
+growing-batch training entry points."""
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from .core import (
@@ -17,18 +16,9 @@ from .core import (
     RLModel,
     StateId,
     greedy_action,
-    policy_from_q,
 )
 
 LEARNING_RULE = "experienceReplay"
-
-
-@dataclass(frozen=True)
-class ReplayReport:
-    """Outcome of one replay pass: batch reward sum and number of tuples seen."""
-
-    total_reward: float
-    tuples_processed: int
 
 
 def _intern(q: QTable, batch: Iterable[ExperienceTuple]) -> list:
@@ -56,47 +46,6 @@ def _check_finite(q: QTable, states: Iterable[StateId]) -> None:
                 raise ValueError(f"value for ({s!r}, {a!r}) must be finite, got {value!r}")
 
 
-def _update_each(q: QTable, order: List[ExperienceTuple], alpha: float, gamma: float) -> None:
-    # Labels are registered as the updates reach them, so an action first
-    # seen later in `order` is not yet part of earlier bootstrap maxima.
-    for t in order:
-        _backup(_intern(q, (t,)), alpha, gamma)
-    _check_finite(q, dict.fromkeys(t.state for t in order))
-
-
-def q_update(q: QTable, t: ExperienceTuple, alpha: float, gamma: float) -> QTable:
-    """One backup of the learned value toward `reward + gamma * best next value`.
-
-    Returns an updated copy; at most the (t.state, t.action) entry differs.
-    The input table is never modified.
-    """
-    ControlParams(alpha=alpha, gamma=gamma)  # checks both rates
-    out = q.copy()
-    _update_each(out, [t], alpha, gamma)
-    return out
-
-
-def replay_pass(
-    q: QTable,
-    batch: List[ExperienceTuple],
-    control: ControlParams,
-    rng: random.Random,
-) -> tuple[QTable, ReplayReport]:
-    """Apply the update rule to every tuple of `batch` in a freshly shuffled order.
-
-    Shuffling decorrelates consecutive samples; the caller owns the random
-    stream, so repeated passes with one generator draw distinct orders while
-    staying reproducible. The report's total reward is the plain sum of batch
-    rewards and does not depend on the shuffle.
-    """
-    out = q.copy()
-    order = list(batch)
-    rng.shuffle(order)
-    _update_each(out, order, control.alpha, control.gamma)
-    total = math.fsum(t.reward for t in batch)
-    return out, ReplayReport(total_reward=total, tuples_processed=len(batch))
-
-
 def learn(
     batch: List[ExperienceTuple],
     control: ControlParams,
@@ -109,7 +58,9 @@ def learn(
     Without `prior` the table starts fresh over the states and actions seen in
     the batch (next-states included). With `prior` its table is extended with
     any newly observed states/actions and training continues from its values;
-    reward history and the iteration count accumulate across calls.
+    reward history and the iteration count accumulate across calls. Every
+    label of the batch is registered before the first update, and `prior` is
+    never modified: `learn([t], control, prior=m)` is one TD update of `m.q`.
 
     Deterministic: identical (batch, control, iterations, seed, prior) inputs
     produce an identical model.
@@ -142,7 +93,6 @@ def learn(
 
     return RLModel(
         q=q,
-        policy=policy_from_q(q),
         control=control,
         iterations_completed=completed + iterations,
         reward_history=history,

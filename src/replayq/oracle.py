@@ -54,25 +54,6 @@ def _check_stochastic(mdp: ExplicitMDP) -> None:
         )
 
 
-def _array_to_table(mdp: ExplicitMDP, values: np.ndarray) -> QTable:
-    if not np.isfinite(values).all():
-        raise ValueError("state-action values must be finite")
-    table = QTable(states=mdp.states, actions=mdp.actions)
-    table.rows = values.tolist()
-    return table
-
-
-def bellman_backup(mdp: ExplicitMDP, gamma: float, q: QTable) -> QTable:
-    """One synchronous Bellman backup of every state-action value in the MDP."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    _check_stochastic(mdp)
-    values = np.array([[q.value(s, a) for a in mdp.actions] for s in mdp.states])
-    expected_reward = (mdp.transition * mdp.reward).sum(axis=2)
-    backed = expected_reward + gamma * (mdp.transition @ values.max(axis=1))
-    return _array_to_table(mdp, backed)
-
-
 def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweeps: int = 1_000_000) -> QTable:
     """Solve for the optimal state-action values of an explicit MDP.
 
@@ -82,7 +63,7 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if tol <= 0.0:
+    if not tol > 0.0:  # also refuses NaN
         raise ValueError(f"tol must be positive, got {tol}")
     _check_stochastic(mdp)
 
@@ -98,7 +79,11 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
     else:
         raise RuntimeError(f"value iteration did not converge within {max_sweeps} sweeps")
 
-    return _array_to_table(mdp, q)
+    if not np.isfinite(q).all():
+        raise ValueError("state-action values must be finite")
+    table = QTable(states=mdp.states, actions=mdp.actions)
+    table.rows = q.tolist()
+    return table
 
 
 def estimate_mdp(batch: List[ExperienceTuple]) -> ExplicitMDP:

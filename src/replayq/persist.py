@@ -15,7 +15,7 @@ import math
 import statistics
 from typing import Dict, List, Optional
 
-from .core import ControlParams, ExperienceTuple, QTable, RLModel
+from .core import ControlParams, ExperienceTuple, QTable, RLModel, greedy_action
 
 DEFAULT_COLUMNS = {"s": "State", "a": "Action", "r": "Reward", "s_new": "NextState"}
 MODEL_FORMAT = "rlmodel/1"
@@ -132,6 +132,10 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
                 and isinstance(policy, dict)):
             raise ValueError("states and actions must be lists, q and policy objects")
         q = QTable(states=states, actions=actions)
+        for name, table in (("q", values), ("policy", policy)):
+            for s in table:
+                if s not in q.state_index:
+                    raise ValueError(f"{name} has an entry for {s!r}, which is not in states")
         for s, i in q.state_index.items():
             row = values.get(s)
             if not isinstance(row, list) or len(row) != len(actions):
@@ -139,25 +143,25 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
             q.rows[i] = [_number(v, f"q[{s!r}][{j}]") for j, v in enumerate(row)]
             if s not in policy:
                 raise ValueError(f"policy has no entry for state {s!r}")
-        for s, a in policy.items():
-            if s not in q.state_index:
-                raise ValueError(f"policy has an entry for {s!r}, which is not in states")
-            if not isinstance(a, str) or a not in q.action_index:
-                raise ValueError(f"policy[{s!r}] is {a!r}, not one of the listed actions")
-        control, rule = doc["control"], doc["learning_rule"]
+            # The policy is derived data; a stored one must be q's argmax.
+            best = greedy_action(q, s)
+            if policy[s] != best:
+                raise ValueError(f"policy[{s!r}] is {policy[s]!r}, but greedy_action(q, {s!r}) is {best!r}")
+        control, rule, history = doc["control"], doc["learning_rule"], doc["reward_history"]
         if not isinstance(control, dict):
             raise ValueError(f"control must be an object, got {control!r}")
         if not isinstance(rule, str):
             raise ValueError(f"learning_rule must be a string, got {rule!r}")
+        if not isinstance(history, list):
+            raise ValueError(f"reward_history must be a list, got {history!r}")
         iterations = doc["iterations_completed"]
         if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 0:
             raise ValueError(f"iterations_completed must be a non-negative integer, got {iterations!r}")
         model = RLModel(
             q=q,
-            policy=policy,
             control=ControlParams(**{k: _number(v, f"control.{k}") for k, v in control.items()}),
             iterations_completed=iterations,
-            reward_history=[_number(r, f"reward_history[{k}]") for k, r in enumerate(doc["reward_history"])],
+            reward_history=[_number(r, f"reward_history[{k}]") for k, r in enumerate(history)],
             learning_rule=rule,
         )
     except KeyError as exc:
@@ -178,10 +182,8 @@ def _fmt(value: float) -> str:
 
 
 def _policy_report(model: RLModel) -> str:
-    lines = ["Policy"]
-    for s in model.q.states:
-        lines.append(f"  {s} -> {model.policy[s]}")
-    return "\n".join(lines)
+    policy = model.policy
+    return "\n".join(["Policy"] + [f"  {s} -> {a}" for s, a in policy.items()])
 
 
 def _table_report(model: RLModel) -> str:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from replayq.cli import main
 from replayq.persist import load_model, read_experience
 
@@ -191,6 +193,15 @@ def test_verify_rejects_gamma_one_as_a_usage_error(tmp_path, capsys):
     assert "--gamma must be below 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.1"])
+def test_verify_rejects_a_non_finite_or_negative_tol_as_a_usage_error(tmp_path, capsys, tol):
+    model = trained(tmp_path)
+    capsys.readouterr()
+    rc = run("verify", "--model", model, "--env", "gridworld-2x2", "--gamma", "0.5", "--tol", tol)
+    assert rc == 1
+    assert "--tol must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_verify_needs_exact_dynamics(tmp_path, capsys):
     model = trained(tmp_path)
     rc = run("verify", "--model", model, "--env", "tictactoe",
@@ -228,6 +239,21 @@ def test_report_names_the_file_and_field_of_a_missing_policy_entry(tmp_path, cap
     err = capsys.readouterr().err
     assert model in err
     assert "policy has no entry for state 's2'" in err
+
+
+def test_predict_names_the_file_and_field_of_a_policy_that_is_not_greedy(tmp_path, capsys):
+    model = trained(tmp_path)
+    with open(model) as fh:
+        doc = json.load(fh)
+    doc["policy"]["s3"] = "down"
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert run("predict", "--model", model, "--states", "s3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert model in captured.err
+    assert "policy['s3'] is 'down', but greedy_action(q, 's3') is 'up'" in captured.err
 
 
 def test_report_names_the_file_and_field_of_a_boolean_control_value(tmp_path, capsys):

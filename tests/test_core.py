@@ -6,10 +6,10 @@ from replayq.core import (
     ControlParams,
     ExperienceTuple,
     QTable,
+    RLModel,
     batch_state_actions,
     greedy_action,
     policy_from_q,
-    q_value,
 )
 
 
@@ -152,11 +152,13 @@ def test_greedy_action_requires_actions():
         greedy_action(q, "s1")
 
 
-def test_q_value_matches_table():
-    q = QTable()
-    q.set("s1", "up", 4.0)
-    assert q_value(q, "s1", "up") == 4.0
-    assert q_value(q, "s1", "down") == 0.0
+def test_model_policy_follows_its_q():
+    q = QTable(states=["s1", "s2"], actions=["up", "down"])
+    model = RLModel(q=q, control=ControlParams())
+    assert model.policy == {"s1": "up", "s2": "up"}
+    model.q.set("s2", "down", 1.0)
+    model.q.set("s3", "down", -1.0)
+    assert model.policy == {"s1": "up", "s2": "down", "s3": "up"} == policy_from_q(model.q)
 
 
 def test_policy_from_q_covers_every_state():

@@ -75,6 +75,8 @@ def test_environment_registry():
     assert env.states == GRIDWORLD_STATES
     with pytest.raises(ValueError, match="unknown environment"):
         make_environment("chess")
+    # Each registered name builds the environment that carries it.
+    assert tuple(make_environment(name).name for name in environment_names()) == environment_names()
 
 
 def test_sample_experience_shape_and_consistency():

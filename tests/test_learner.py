@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replayq.core import ControlParams, ExperienceTuple, QTable, RLModel, policy_from_q
+from replayq.core import ControlParams, ExperienceTuple, QTable, RLModel
 from replayq.learner import (
     LEARNING_RULE,
     epsilon_greedy,
     learn,
-    q_update,
-    replay_pass,
     update_model,
 )
 from replayq.persist import model_to_json
@@ -19,10 +17,16 @@ from replayq.persist import model_to_json
 CONTROL = ControlParams(alpha=0.1, gamma=0.5, epsilon=0.1)
 
 
+def td_step(q, t, alpha, gamma):
+    """One TD update of `q` toward `t`, through the only update path: `learn`."""
+    control = ControlParams(alpha=alpha, gamma=gamma)
+    return learn([t], control, prior=RLModel(q=q, control=control)).q
+
+
 def test_q_update_from_zeros_scales_reward_by_alpha():
     q = QTable()
     t = ExperienceTuple("s1", "up", 10.0, "s2")
-    out = q_update(q, t, alpha=0.1, gamma=0.5)
+    out = td_step(q, t, alpha=0.1, gamma=0.5)
     # the bootstrap term is zero on a fresh table, so the step is just alpha * r
     assert out.value("s1", "up") == pytest.approx(1.0)
     assert q.value("s1", "up") == 0.0
@@ -33,7 +37,7 @@ def test_q_update_bootstraps_from_next_state_max():
     q.set("s2", "left", 4.0)
     q.set("s2", "right", 6.0)
     q.set("s1", "up", 1.0)
-    out = q_update(q, ExperienceTuple("s1", "up", 2.0, "s2"), alpha=0.5, gamma=0.5)
+    out = td_step(q, ExperienceTuple("s1", "up", 2.0, "s2"), alpha=0.5, gamma=0.5)
     # target = 2 + 0.5 * 6 = 5; new value = 1 + 0.5 * (5 - 1) = 3
     assert out.value("s1", "up") == pytest.approx(3.0)
 
@@ -42,27 +46,27 @@ def test_q_update_full_step_hits_the_bellman_target():
     q = QTable()
     for a in ["up", "down", "left", "right"]:
         q.set("s4", a, -2.0)
-    out = q_update(q, ExperienceTuple("s3", "up", 10.0, "s4"), alpha=1.0, gamma=0.5)
+    out = td_step(q, ExperienceTuple("s3", "up", 10.0, "s4"), alpha=1.0, gamma=0.5)
     assert out.value("s3", "up") == pytest.approx(9.0)
 
 
 def test_q_update_alpha_zero_is_identity():
     q = QTable()
     q.set("s1", "up", 2.0)
-    out = q_update(q, ExperienceTuple("s1", "up", 99.0, "s1"), alpha=0.0, gamma=0.9)
+    out = td_step(q, ExperienceTuple("s1", "up", 99.0, "s1"), alpha=0.0, gamma=0.9)
     assert out == q
 
 
 def test_q_update_registers_next_state():
-    q = QTable()
-    out = q_update(q, ExperienceTuple("s1", "up", 0.0, "s9"), alpha=0.1, gamma=0.5)
+    out = td_step(QTable(), ExperienceTuple("s1", "up", 0.0, "s9"), alpha=0.1, gamma=0.5)
     assert "s9" in out.states
 
 
 @pytest.mark.parametrize("alpha,gamma", [(-0.1, 0.5), (1.1, 0.5), (0.1, -0.1), (0.1, 1.5)])
 def test_q_update_validates_rates(alpha, gamma):
-    with pytest.raises(ValueError):
-        q_update(QTable(), ExperienceTuple("s1", "up", 0.0, "s1"), alpha=alpha, gamma=gamma)
+    # learn takes its rates only through ControlParams, which refuses these.
+    with pytest.raises(ValueError, match="must lie in"):
+        td_step(QTable(), ExperienceTuple("s1", "up", 0.0, "s1"), alpha=alpha, gamma=gamma)
 
 
 def test_replay_pass_total_reward_is_batch_sum():
@@ -71,43 +75,34 @@ def test_replay_pass_total_reward_is_batch_sum():
         ExperienceTuple("s2", "down", -2.0, "s1"),
         ExperienceTuple("s1", "up", 0.5, "s1"),
     ]
-    _, report = replay_pass(QTable(), batch, CONTROL, random.Random(0))
-    assert report.total_reward == pytest.approx(0.0)
-    assert report.tuples_processed == 3
-
-
-def test_replay_pass_empty_batch_is_a_no_op():
-    q = QTable()
-    q.set("s1", "up", 2.0)
-    out, report = replay_pass(q, [], CONTROL, random.Random(0))
-    assert out == q
-    assert (report.total_reward, report.tuples_processed) == (0.0, 0)
+    model = learn(batch, CONTROL, iterations=1)
+    assert model.reward_history == [pytest.approx(0.0)]
 
 
 def test_replay_pass_single_tuple_equals_q_update():
     t = ExperienceTuple("s1", "up", 3.0, "s2")
-    via_pass, _ = replay_pass(QTable(), [t], CONTROL, random.Random(0))
-    via_update = q_update(QTable(), t, alpha=CONTROL.alpha, gamma=CONTROL.gamma)
+    via_pass = learn([t], CONTROL, iterations=1).q
+    via_update = td_step(QTable(), t, alpha=CONTROL.alpha, gamma=CONTROL.gamma)
     assert via_pass == via_update
 
 
 def test_replayed_value_decays_geometrically_toward_target():
-    q = QTable()
     t = ExperienceTuple("s1", "up", 4.0, "terminal")
     control = ControlParams(alpha=0.25, gamma=0.0, epsilon=0.1)
+    model = None
     gaps = []
     for _ in range(6):
-        q, _ = replay_pass(q, [t], control, random.Random(0))
-        gaps.append(abs(q.value("s1", "up") - 4.0))
+        model = learn([t], control, prior=model)
+        gaps.append(abs(model.q.value("s1", "up") - 4.0))
     for before, after in zip(gaps, gaps[1:]):
         assert after == pytest.approx(before * 0.75)
 
 
 def test_replay_pass_shuffle_depends_on_rng():
     batch = [ExperienceTuple(f"s{i}", "up", float(i), f"s{i + 1}") for i in range(8)]
-    q1, _ = replay_pass(QTable(), batch, CONTROL, random.Random(1))
-    q1b, _ = replay_pass(QTable(), batch, CONTROL, random.Random(1))
-    q2, _ = replay_pass(QTable(), batch, CONTROL, random.Random(2))
+    q1 = learn(batch, CONTROL, seed=1).q
+    q1b = learn(batch, CONTROL, seed=1).q
+    q2 = learn(batch, CONTROL, seed=2).q
     assert q1 == q1b
     # a different visit order bootstraps different intermediate values
     assert q1 != q2
@@ -116,10 +111,10 @@ def test_replay_pass_shuffle_depends_on_rng():
 def test_replay_pass_leaves_input_table_and_batch_alone():
     batch = [ExperienceTuple("s1", "up", 1.0, "s2"), ExperienceTuple("s2", "up", 2.0, "s1")]
     before = list(batch)
-    q = QTable()
-    replay_pass(q, batch, CONTROL, random.Random(0))
+    prior = RLModel(q=QTable(), control=CONTROL)
+    learn(batch, CONTROL, prior=prior)
     assert batch == before
-    assert q.value("s1", "up") == 0.0
+    assert prior.q == QTable()
 
 
 def test_learn_rejects_empty_batch():
@@ -230,18 +225,15 @@ def test_learn_rejects_values_that_overflow():
     control = ControlParams(alpha=1.0, gamma=1.0)
     with pytest.raises(ValueError, match=r"\('s1', 'up'\) must be finite"):
         learn(batch, control, iterations=3)
-    q, _ = replay_pass(QTable(), batch, control, random.Random(0))
+    model = learn(batch, control)
     with pytest.raises(ValueError, match="must be finite"):
-        replay_pass(q, batch, control, random.Random(0))
-    with pytest.raises(ValueError, match="must be finite"):
-        q_update(q, batch[0], alpha=1.0, gamma=1.0)
+        learn(batch, control, prior=model)
 
 
 # --- property: the interned learner equals a dict-based reference -------------
 #
-# The reference keeps values in a (state, action)-keyed dict and registers
-# labels tuple by tuple as the updates reach them, as the learner did before
-# its table became dense rows.
+# The reference keeps values in a (state, action)-keyed dict, registers every
+# label of a batch before its first pass, and picks its own greedy policy.
 
 
 def ref_register(tab, t):
@@ -252,7 +244,6 @@ def ref_register(tab, t):
 
 
 def ref_update(tab, t, alpha, gamma):
-    ref_register(tab, t)
     states, actions, values = tab
     current = values.get((t.state, t.action), 0.0)
     best = max(values.get((t.next_state, a), 0.0) for a in actions)
@@ -278,18 +269,24 @@ def ref_learn(batch, control, iterations, seed, prior=None):
     return tab
 
 
-def ref_json(tab, control, iterations=0, history=()):
+def ref_model(tab, control, iterations, history):
     states, actions, values = tab
     q = QTable(states, actions)
     for (s, a), v in values.items():
         q.set(s, a, v)
+    return RLModel(q, control, iterations, list(history))
+
+
+def ref_policy(tab):
+    """Greedy policy of the reference table: the first action of the row maximum."""
+    states, actions, values = tab
     rows = {s: [values.get((s, a), 0.0) for a in actions] for s in states}
-    policy = {s: actions[rows[s].index(max(rows[s]))] for s in states}
-    return model_to_json(RLModel(q, policy, control, iterations, list(history)))
+    return {s: actions[rows[s].index(max(rows[s]))] for s in states}
 
 
-def table_json(q, control):
-    return model_to_json(RLModel(q, policy_from_q(q), control))
+def assert_matches_reference(model, tab, control, iterations, history):
+    assert model_to_json(model) == model_to_json(ref_model(tab, control, iterations, history))
+    assert model.policy == ref_policy(tab)
 
 
 labels = st.text(alphabet="abxy", min_size=1, max_size=2)
@@ -321,7 +318,7 @@ def test_interned_learner_matches_reference(pair, control, iterations, seed, wit
     first = learn(batch, control, iterations=iterations, seed=seed)
     ref = ref_learn(batch, control, iterations, seed)
     history = [math.fsum(t.reward for t in batch)] * iterations
-    assert model_to_json(first) == ref_json(ref, control, iterations, history)
+    assert_matches_reference(first, ref, control, iterations, history)
     if not with_prior:
         return
 
@@ -329,16 +326,6 @@ def test_interned_learner_matches_reference(pair, control, iterations, seed, wit
     second = update_model(first, more, control, iterations=iterations, seed=seed + 1)
     ref2 = ref_learn(more, control, iterations, seed + 1, prior=ref)
     history += [math.fsum(t.reward for t in more)] * iterations
-    assert model_to_json(second) == ref_json(ref2, control, 2 * iterations, history)
+    assert_matches_reference(second, ref2, control, 2 * iterations, history)
     assert model_to_json(learn(more, control, iterations, seed + 1, prior=first)) == model_to_json(second)
-    assert model_to_json(first) == prior_text
-
-    q, _ = replay_pass(first.q, more, control, random.Random(seed))
-    ref3 = (list(ref[0]), list(ref[1]), dict(ref[2]))
-    ref_pass(ref3, more, control, random.Random(seed))
-    assert table_json(q, control) == ref_json(ref3, control)
-
-    ref4 = (list(ref[0]), list(ref[1]), dict(ref[2]))
-    ref_update(ref4, more[0], control.alpha, control.gamma)
-    assert table_json(q_update(first.q, more[0], control.alpha, control.gamma), control) == ref_json(ref4, control)
     assert model_to_json(first) == prior_text

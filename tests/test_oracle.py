@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from replayq.core import ExperienceTuple, batch_state_actions
 from replayq.envs import gridworld_mdp
-from replayq.oracle import ExplicitMDP, bellman_backup, estimate_mdp, value_iteration
+from replayq.oracle import ExplicitMDP, estimate_mdp, value_iteration
 
 # Hand-solved fixed point for the gridworld at gamma = 0.5. Working backwards
 # from the absorbing goal: V(s4) = -1 + 0.5 V(s4) gives -2, then
@@ -72,6 +73,9 @@ def test_value_iteration_validates_gamma_and_tol():
         value_iteration(mdp, gamma=-0.1)
     with pytest.raises(ValueError):
         value_iteration(mdp, gamma=0.5, tol=0.0)
+    # No delta is ever below NaN, so an unchecked NaN would run every sweep.
+    with pytest.raises(ValueError, match="tol must be positive"):
+        value_iteration(mdp, gamma=0.5, tol=math.nan, max_sweeps=10)
 
 
 def test_value_iteration_rejects_non_stochastic_rows():
@@ -89,15 +93,13 @@ def test_value_iteration_rejects_non_stochastic_rows():
 def test_bellman_backup_fixes_the_optimal_table():
     mdp = gridworld_mdp()
     q_star = value_iteration(mdp, gamma=0.5, tol=1e-12)
-    backed = bellman_backup(mdp, 0.5, q_star)
-    for s in q_star.states:
-        for a in q_star.actions:
-            assert backed.value(s, a) == pytest.approx(q_star.value(s, a), abs=1e-9)
+    q = np.array([[q_star.value(s, a) for a in mdp.actions] for s in mdp.states])
+    # One more synchronous backup, written out independently of the library.
+    backed = np.einsum("ijk,ijk->ij", mdp.transition, mdp.reward) + 0.5 * mdp.transition @ q.max(axis=1)
+    np.testing.assert_allclose(backed, q, rtol=0, atol=1e-9)
 
 
 def test_backup_iterates_grow_monotonically_under_nonnegative_rewards():
-    from replayq.core import QTable
-
     base = gridworld_mdp()
     shifted = ExplicitMDP(
         states=base.states,
@@ -105,19 +107,18 @@ def test_backup_iterates_grow_monotonically_under_nonnegative_rewards():
         transition=base.transition,
         reward=base.reward + 1.0,  # lift the -1 step cost to 0 so no value can sink
     )
-    q = QTable()
+    # A looser tol stops at an earlier iterate, which must lie below every later one.
     previous = {(s, a): 0.0 for s in base.states for a in base.actions}
-    for _ in range(6):
-        q = bellman_backup(shifted, 0.5, q)
+    for tol in (12.0, 6.0, 3.0, 1.5, 1e-9):  # deltas run 11, 5.5, 2.75, 1.375, 0
+        q = value_iteration(shifted, 0.5, tol=tol)
         current = {(s, a): q.value(s, a) for s in base.states for a in base.actions}
         assert all(current[k] >= previous[k] - 1e-12 for k in current)
         previous = current
 
 
 def test_bellman_backup_from_zeros_is_expected_reward():
-    from replayq.core import QTable
-
-    backed = bellman_backup(gridworld_mdp(), 0.5, QTable())
+    # Every delta is below a huge tol, so value iteration stops after its first backup.
+    backed = value_iteration(gridworld_mdp(), 0.5, tol=1e6)
     assert backed.value("s3", "up") == pytest.approx(10.0)
     assert backed.value("s2", "right") == pytest.approx(-1.0)
 

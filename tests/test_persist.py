@@ -143,7 +143,7 @@ def test_fresh_model_with_empty_history_round_trips(tmp_path):
 
     q = QTable()
     q.set("s1", "up", 0.5)
-    model = RLModel(q=q, policy={"s1": "up"}, control=CONTROL)
+    model = RLModel(q=q, control=CONTROL)
     path = tmp_path / "model.json"
     save_model(model, str(path))
     loaded = load_model(str(path))
@@ -250,6 +250,12 @@ def corrupted(change):
         pytest.param(lambda d: d.__setitem__("iterations_completed", -1), "iterations_completed", id="negative-iterations"),
         pytest.param(lambda d: d["reward_history"].append(math.nan), "reward_history[3]", id="nan-reward-history"),
         pytest.param(lambda d: d["policy"].__setitem__("s1", "jump"), "policy['s1'] is 'jump'", id="unknown-policy-action"),
+        pytest.param(lambda d: d["policy"].__setitem__("s1", "left"),
+                     "policy['s1'] is 'left', but greedy_action(q, 's1') is 'down'", id="policy-not-greedy"),
+        pytest.param(lambda d: d["q"].__setitem__("s9", [0.0] * 4), "q has an entry for 's9', which is not in states",
+                     id="unlisted-q-state"),
+        pytest.param(lambda d: d.__setitem__("reward_history", {}), "reward_history must be a list", id="object-history"),
+        pytest.param(lambda d: d.__setitem__("reward_history", ""), "reward_history must be a list", id="string-history"),
         pytest.param(lambda d: d["policy"].pop("s2"), "policy has no entry for state 's2'", id="missing-policy-entry"),
         pytest.param(lambda d: d["policy"].__setitem__("s9", "up"), "entry for 's9', which is not in states", id="unlisted-policy-state"),
         pytest.param(lambda d: d["control"].__setitem__("alpha", True), "control.alpha must be a finite number", id="boolean-alpha"),
