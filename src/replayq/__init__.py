@@ -10,7 +10,6 @@ from .core import (
     ExperienceTuple,
     QTable,
     RLModel,
-    batch_state_actions,
     greedy_action,
     policy_from_q,
 )
@@ -23,7 +22,7 @@ from .envs import (
     sample_experience,
 )
 from .learner import epsilon_greedy, learn, update_model
-from .oracle import ExplicitMDP, estimate_mdp, value_iteration
+from .oracle import ExplicitMDP, compare_to_optimal, estimate_mdp, value_iteration
 from .persist import (
     format_report,
     load_model,
@@ -45,7 +44,7 @@ __all__ = [
     "ExplicitMDP",
     "QTable",
     "RLModel",
-    "batch_state_actions",
+    "compare_to_optimal",
     "environment_names",
     "epsilon_greedy",
     "estimate_mdp",

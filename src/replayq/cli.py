@@ -16,15 +16,13 @@ from typing import List, Optional, Sequence, Tuple
 from .core import ControlParams
 from .envs import SAMPLE_MODES, Environment, make_environment, sample_experience
 from .learner import learn, update_model
-from .oracle import value_iteration
+from .oracle import compare_to_optimal, value_iteration
 from .persist import REPORT_VIEWS, format_report, load_model, read_experience, save_model, write_experience
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
-
-POLICY_TIE_MARGIN = 1e-9
 
 
 class _UsageError(Exception):
@@ -72,7 +70,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if args.model is None:
             raise _UsageError("--model is required when --mode is epsilon-greedy")
         model = load_model(args.model)
-        control = ControlParams(alpha=args.alpha, gamma=args.gamma, epsilon=args.epsilon)
+        control = ControlParams(epsilon=args.epsilon)
     batch = sample_experience(args.n, env, mode=args.mode, model=model, control=control, seed=args.seed)
     write_experience(batch, args.out)
     print(f"wrote {len(batch)} tuples from {env.name} to {args.out}")
@@ -84,10 +82,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     batch = read_experience(args.data, columns)
     control = ControlParams(alpha=args.alpha, gamma=args.gamma, epsilon=args.epsilon)
     prior = load_model(args.model) if args.model else None
-    if prior is not None:
-        model = update_model(prior, batch, control, iterations=args.iter, seed=args.seed)
-    else:
-        model = learn(batch, control, iterations=args.iter, seed=args.seed)
+    model = learn(batch, control, iterations=args.iter, seed=args.seed, prior=prior)
     save_model(model, args.out)
     print(format_report(model, "summary"))
     return EXIT_OK
@@ -194,28 +189,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"environment {env.name!r} does not expose exact dynamics; cannot verify")
     mdp = env.exact_mdp()
     q_star = value_iteration(mdp, gamma=args.gamma, tol=1e-9)
-
-    states = [s for s in mdp.states if s in model.q.state_index]
-    actions = [a for a in mdp.actions if a in model.q.action_index]
-    if not states or not actions:
-        raise ValueError("model shares no states or actions with the environment")
-
-    max_diff = max(abs(model.q.value(s, a) - q_star.value(s, a)) for s in states for a in actions)
-
-    policy = model.policy
-    compared = 0
-    mismatched = 0
-    for s in states:
-        values = sorted((q_star.value(s, a) for a in q_star.actions), reverse=True)
-        if len(values) > 1 and values[0] - values[1] <= POLICY_TIE_MARGIN:
-            continue
-        compared += 1
-        best = max(q_star.actions, key=lambda a: q_star.value(s, a))
-        if policy.get(s) != best:
-            mismatched += 1
+    pairs, max_diff, compared, mismatched = compare_to_optimal(model.q, q_star)
 
     print(f"environment: {env.name}")
-    print(f"covered pairs: {len(states) * len(actions)}")
+    print(f"covered pairs: {pairs}")
     print(f"max |Q - Q*|: {max_diff:.9g} (tolerance {args.tol:g})")
     print(f"policy agreement: {compared - mismatched}/{compared} tie-free states")
     if max_diff > args.tol or mismatched:
@@ -240,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True, help="number of tuples")
     p.add_argument("--mode", choices=SAMPLE_MODES, default="random")
     p.add_argument("--model", help="model file, required for epsilon-greedy mode")
-    _add_control_flags(p)
+    p.add_argument("--epsilon", type=_unit_float, default=0.1, help="exploration rate in [0, 1]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output experience file")
     p.set_defaults(handler=_cmd_sample)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 StateId = str
 ActionId = str
@@ -126,13 +126,6 @@ class QTable:
         j = self.add_action(action)
         self.rows[i][j] = value
 
-    def best_value(self, state: StateId) -> float:
-        """Largest value over the full action set; 0.0 when no actions exist."""
-        i = self.state_index.get(state)
-        if i is None or not self.action_index:
-            return 0.0
-        return max(self.rows[i])
-
     def copy(self) -> "QTable":
         out = QTable.__new__(QTable)
         out.state_index = dict(self.state_index)
@@ -173,16 +166,6 @@ def greedy_action(q: QTable, state: StateId) -> ActionId:
 def policy_from_q(q: QTable) -> Policy:
     """Greedy policy over every registered state. Pure: `q` is not modified."""
     return {s: greedy_action(q, s) for s in q.state_index}
-
-
-def batch_state_actions(batch: Iterable[ExperienceTuple]) -> Tuple[List[StateId], List[ActionId]]:
-    """Distinct states (next-states included) and actions, in first-appearance order."""
-    q = QTable()
-    for t in batch:
-        q.add_state(t.state)
-        q.add_action(t.action)
-        q.add_state(t.next_state)
-    return q.states, q.actions
 
 
 @dataclass

@@ -11,11 +11,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from .core import ActionId, ControlParams, ExperienceTuple, RLModel, StateId
 from .learner import epsilon_greedy
-from .oracle import ExplicitMDP
+from .oracle import ExplicitMDP, estimate_mdp
 
 SAMPLE_MODES = ("random", "epsilon-greedy")
 
@@ -76,18 +74,10 @@ def gridworld_step(state: StateId, action: ActionId) -> EnvResponse:
 
 
 def gridworld_mdp() -> ExplicitMDP:
-    """The gridworld's exact dynamics as an explicit MDP."""
-    states, actions = list(GRIDWORLD_STATES), list(GRIDWORLD_ACTIONS)
-    n_s, n_a = len(states), len(actions)
-    transition = np.zeros((n_s, n_a, n_s))
-    reward = np.zeros((n_s, n_a, n_s))
-    for i, s in enumerate(states):
-        for j, a in enumerate(actions):
-            next_state, r = gridworld_step(s, a)
-            k = states.index(next_state)
-            transition[i, j, k] = 1.0
-            reward[i, j, k] = r
-    return ExplicitMDP(states=states, actions=actions, transition=transition, reward=reward)
+    """The gridworld's exact dynamics: it is deterministic, so one step from
+    every (state, action) pair estimates them exactly."""
+    steps = [(s, a, gridworld_step(s, a)) for s in GRIDWORLD_STATES for a in GRIDWORLD_ACTIONS]
+    return estimate_mdp([ExperienceTuple(s, a, reward, next_state) for s, a, (next_state, reward) in steps])
 
 
 def gridworld_environment() -> Environment:

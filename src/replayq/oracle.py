@@ -1,16 +1,20 @@
 """Model-based verification tools: explicit finite MDPs, value iteration to
-the Bellman fixed point, and empirical MDP estimation from experience batches."""
+the Bellman fixed point, empirical MDP estimation from experience batches,
+and the comparison of a learned table against the optimal one."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import ActionId, ExperienceTuple, QTable, StateId, batch_state_actions
+from .core import ActionId, ExperienceTuple, QTable, StateId, greedy_action
 
 _ROW_SUM_TOL = 1e-9
+
+# Optimal values closer than this count as a tie: any of the tied actions is optimal.
+POLICY_TIE_MARGIN = 1e-9
 
 
 @dataclass
@@ -21,7 +25,7 @@ class ExplicitMDP:
     to `s2` under action index `a`; `reward[s, a, s2]` is the reward received
     on that move. `coverage[s, a]` is False for pairs that were never
     observed when the model was estimated from data (such pairs are filled
-    with a zero-reward self-loop); None means the dynamics are fully known.
+    with a zero-reward self-loop); it is None for tables given directly.
     """
 
     states: List[StateId]
@@ -74,13 +78,13 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
         q_next = expected_reward + gamma * (mdp.transition @ v)
         delta = float(np.abs(q_next - q).max())
         q = q_next
+        if not np.isfinite(delta):  # an inf or NaN value makes every later delta NaN
+            raise ValueError("state-action values must be finite")
         if delta < tol:
             break
     else:
         raise RuntimeError(f"value iteration did not converge within {max_sweeps} sweeps")
 
-    if not np.isfinite(q).all():
-        raise ValueError("state-action values must be finite")
     table = QTable(states=mdp.states, actions=mdp.actions)
     table.rows = q.tolist()
     return table
@@ -95,29 +99,55 @@ def estimate_mdp(batch: List[ExperienceTuple]) -> ExplicitMDP:
     """
     if not batch:
         raise ValueError("empty batch")
-    states, actions = batch_state_actions(batch)
-    s_index = {s: i for i, s in enumerate(states)}
-    a_index = {a: i for i, a in enumerate(actions)}
-    n_s, n_a = len(states), len(actions)
+    labels = QTable()  # numbers states and actions in first-appearance order
+    cells = np.array([(labels.add_state(t.state), labels.add_action(t.action), labels.add_state(t.next_state))
+                      for t in batch])
+    n_s, n_a = len(labels.state_index), len(labels.action_index)
 
     # Flat (s, a, s2) cell of each tuple; bincount adds repeats in batch order.
-    flat = np.array([(s_index[t.state] * n_a + a_index[t.action]) * n_s + s_index[t.next_state] for t in batch])
+    flat = (cells[:, 0] * n_a + cells[:, 1]) * n_s + cells[:, 2]
 
     def tally(weights) -> np.ndarray:
         return np.bincount(flat, weights=weights, minlength=n_s * n_a * n_s).reshape(n_s, n_a, n_s)
 
-    counts = tally(np.ones(len(batch)))
-    reward_sums = tally([t.reward for t in batch])
-
-    totals = counts.sum(axis=2)
+    # Counts and reward sums become the tables in place: mean rewards first,
+    # while the counts are still counts, then transition frequencies.
+    transition = tally(np.ones(len(batch)))
+    reward = tally([t.reward for t in batch])
+    np.divide(reward, transition, out=reward, where=transition > 0.0)
+    totals = transition.sum(axis=2)
     coverage = totals > 0.0
-
-    transition = np.zeros_like(counts)
-    np.divide(counts, totals[:, :, None], out=transition, where=totals[:, :, None] > 0.0)
-    reward = np.zeros_like(reward_sums)
-    np.divide(reward_sums, counts, out=reward, where=counts > 0.0)
+    np.divide(transition, totals[:, :, None], out=transition, where=coverage[:, :, None])
 
     u, v = np.nonzero(~coverage)
     transition[u, v, u] = 1.0
 
-    return ExplicitMDP(states=states, actions=actions, transition=transition, reward=reward, coverage=coverage)
+    return ExplicitMDP(
+        states=labels.states, actions=labels.actions, transition=transition, reward=reward, coverage=coverage
+    )
+
+
+def compare_to_optimal(q: QTable, q_star: QTable) -> Tuple[int, float, int, int]:
+    """Check a learned table against the optimal one over what both hold.
+
+    Returns `(pairs, max_diff, compared, mismatched)`: the number of
+    (state, action) pairs both tables hold, the largest |Q - Q*| over them,
+    the number of shared states whose best two optimal values differ by more
+    than `POLICY_TIE_MARGIN`, and how many of those states have a greedy
+    action in `q` that differs from the one in `q_star`.
+    """
+    states = [s for s in q_star.states if s in q.state_index]
+    actions = [a for a in q_star.actions if a in q.action_index]
+    if not states or not actions:
+        raise ValueError("model shares no states or actions with the environment")
+
+    max_diff = max(abs(q.value(s, a) - q_star.value(s, a)) for s in states for a in actions)
+
+    compared = mismatched = 0
+    for s in states:
+        top = sorted(q_star.rows[q_star.state_index[s]], reverse=True)[:2]
+        if len(top) > 1 and top[0] - top[1] <= POLICY_TIE_MARGIN:
+            continue
+        compared += 1
+        mismatched += greedy_action(q, s) != greedy_action(q_star, s)
+    return len(states) * len(actions), max_diff, compared, mismatched

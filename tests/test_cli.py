@@ -59,6 +59,20 @@ def test_sample_epsilon_greedy_needs_a_model(tmp_path, capsys):
     assert "--model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--gamma"])
+def test_sample_takes_no_learning_rates(tmp_path, capsys, flag):
+    assert main(sample_args(str(tmp_path / "x.csv")) + [flag, "0.5"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sample_epsilon_greedy_with_epsilon_zero_follows_the_model(tmp_path):
+    model = trained(tmp_path)
+    out = tmp_path / "greedy.csv"
+    assert main(sample_args(str(out)) + ["--mode", "epsilon-greedy", "--model", model, "--epsilon", "0"]) == 0
+    policy = load_model(model).policy
+    assert all(t.action == policy[t.state] for t in read_experience(str(out)))
+
+
 def test_usage_errors_from_argparse(tmp_path, capsys):
     assert run("sample", "--env", "gridworld-2x2", "--n", "0", "--out", "x.csv") == 1
     assert run("sample", "--env", "gridworld-2x2", "--out", "x.csv") == 1

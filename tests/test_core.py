@@ -7,7 +7,6 @@ from replayq.core import (
     ExperienceTuple,
     QTable,
     RLModel,
-    batch_state_actions,
     greedy_action,
     policy_from_q,
 )
@@ -56,7 +55,7 @@ def test_qtable_reads_zero_for_unknown_pairs():
     q.add_state("s1")
     q.add_action("up")
     assert q.value("s1", "up") == 0.0
-    assert q.best_value("s1") == 0.0
+    assert max(q.rows[q.state_index["s1"]]) == 0.0
 
 
 def test_qtable_set_and_get():
@@ -89,25 +88,13 @@ def test_qtable_rows_widen_with_new_actions():
     q.add_action("down")
     assert q.rows == [[0.0, 0.0], [2.0, 0.0]]
     assert q.value("s2", "down") == 0.0
-    assert q.best_value("s2") == 2.0
+    assert max(q.rows[q.state_index["s2"]]) == 2.0
 
 
 def test_qtable_rejects_non_finite_values():
     q = QTable()
     with pytest.raises(ValueError):
         q.set("s1", "up", math.inf)
-
-
-def test_qtable_best_value_is_row_max():
-    q = QTable()
-    q.set("s1", "up", -3.0)
-    q.set("s1", "down", 2.0)
-    q.set("s1", "left", 0.5)
-    assert q.best_value("s1") == 2.0
-    # a state with no registered actions has nothing to maximize over
-    empty = QTable()
-    empty.add_state("s1")
-    assert empty.best_value("s1") == 0.0
 
 
 def test_qtable_copy_is_independent():
@@ -191,14 +178,3 @@ def test_policy_from_q_is_pure():
     snapshot = q.copy()
     assert policy_from_q(q) == policy_from_q(q)
     assert q == snapshot
-
-
-def test_batch_state_actions_distinct_in_order():
-    batch = [
-        ExperienceTuple("s2", "up", 0.0, "s3"),
-        ExperienceTuple("s1", "down", 0.0, "s2"),
-        ExperienceTuple("s2", "up", 0.0, "s1"),
-    ]
-    states, actions = batch_state_actions(batch)
-    assert states == ["s2", "s3", "s1"]
-    assert actions == ["up", "down"]

@@ -59,6 +59,7 @@ def test_gridworld_mdp_agrees_with_step_function():
     mdp = gridworld_mdp()
     assert mdp.states == list(GRIDWORLD_STATES)
     assert mdp.actions == list(GRIDWORLD_ACTIONS)
+    assert mdp.coverage.all()
     for i, s in enumerate(mdp.states):
         for j, a in enumerate(mdp.actions):
             nxt, reward = gridworld_step(s, a)

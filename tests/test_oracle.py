@@ -1,12 +1,14 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from replayq.core import ExperienceTuple, batch_state_actions
+from replayq.core import ExperienceTuple, QTable
 from replayq.envs import gridworld_mdp
-from replayq.oracle import ExplicitMDP, estimate_mdp, value_iteration
+from replayq.oracle import POLICY_TIE_MARGIN, ExplicitMDP, compare_to_optimal, estimate_mdp, value_iteration
+from replayq.tictactoe import ttt_generate_games
 
 # Hand-solved fixed point for the gridworld at gamma = 0.5. Working backwards
 # from the absorbing goal: V(s4) = -1 + 0.5 V(s4) gives -2, then
@@ -76,6 +78,13 @@ def test_value_iteration_validates_gamma_and_tol():
     # No delta is ever below NaN, so an unchecked NaN would run every sweep.
     with pytest.raises(ValueError, match="tol must be positive"):
         value_iteration(mdp, gamma=0.5, tol=math.nan, max_sweeps=10)
+
+
+def test_value_iteration_stops_at_the_first_overflow():
+    # 1e308 + 0.9 * 1e308 is inf on the second sweep; every later delta would be NaN.
+    mdp = ExplicitMDP(states=["s"], actions=["a"], transition=np.ones((1, 1, 1)), reward=np.full((1, 1, 1), 1e308))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="state-action values must be finite"):
+        value_iteration(mdp, gamma=0.9, max_sweeps=20_000)
 
 
 def test_value_iteration_rejects_non_stochastic_rows():
@@ -204,7 +213,8 @@ def test_estimate_mdp_recovers_deterministic_dynamics():
 
 def _reference_estimate(batch):
     """Per-tuple loop over dense tables, the direct reading of estimate_mdp's contract."""
-    states, actions = batch_state_actions(batch)
+    states = list(dict.fromkeys(s for t in batch for s in (t.state, t.next_state)))
+    actions = list(dict.fromkeys(t.action for t in batch))
     n_s, n_a = len(states), len(actions)
     counts, sums = np.zeros((n_s, n_a, n_s)), np.zeros((n_s, n_a, n_s))
     for t in batch:
@@ -238,3 +248,49 @@ def test_estimate_mdp_matches_a_per_tuple_loop_bit_for_bit():
     assert np.array_equal(mdp.transition, transition)
     assert np.array_equal(mdp.reward, reward)
     assert np.array_equal(mdp.coverage, coverage)
+
+
+def test_estimate_mdp_peak_memory_stays_near_its_two_tables():
+    batch = ttt_generate_games(60, seed=1)
+    tracemalloc.start()
+    try:
+        mdp = estimate_mdp(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The transition and reward tables are the two tallies, divided in place.
+    assert peak < 3 * mdp.transition.nbytes
+
+
+def table(rows, actions=("go", "stay")):
+    q = QTable(actions=actions)
+    for s, values in rows.items():
+        for a, v in zip(actions, values):
+            q.set(s, a, v)
+    return q
+
+
+Q_STAR = table({"a": [1.0, 1.0 + POLICY_TIE_MARGIN / 2], "b": [2.0, 0.0], "c": [0.0, 3.0]})
+
+
+def test_compare_to_optimal_skips_states_tied_within_the_margin():
+    # "a" is tied, so preferring "go" there is no mismatch.
+    q = table({"a": [1.0, 1.0], "b": [2.0, 0.5], "c": [0.0, 3.25]})
+    assert compare_to_optimal(q, Q_STAR) == (6, 0.5, 2, 0)
+
+
+def test_compare_to_optimal_counts_a_non_greedy_state():
+    q = table({"a": [1.0, 1.0], "b": [0.0, 1.0], "c": [0.0, 3.0]})
+    assert compare_to_optimal(q, Q_STAR) == (6, 2.0, 2, 1)
+
+
+def test_compare_to_optimal_reads_only_the_shared_pairs():
+    # Only ("b", "go") and ("c", "go") are in both tables; "z" and "jump" are not.
+    q = table({"b": [1.5, -100.0], "c": [-0.5, -100.0], "z": [50.0, 50.0]}, actions=("go", "jump"))
+    assert compare_to_optimal(q, Q_STAR) == (2, 0.5, 2, 1)
+
+
+@pytest.mark.parametrize("rows,actions", [({"z": [1.0]}, ("go",)), ({"a": [1.0]}, ("jump",))])
+def test_compare_to_optimal_refuses_a_model_sharing_nothing(rows, actions):
+    with pytest.raises(ValueError, match="shares no states or actions"):
+        compare_to_optimal(table(rows, actions), Q_STAR)
