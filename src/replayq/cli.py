@@ -17,7 +17,7 @@ from .core import ControlParams
 from .envs import SAMPLE_MODES, Environment, make_environment, sample_experience
 from .learner import learn, update_model
 from .oracle import compare_to_optimal, value_iteration
-from .persist import REPORT_VIEWS, format_report, load_model, read_experience, save_model, write_experience
+from .persist import REPORT_VIEWS, format_report, load_model, read_experience, save_model, write_experience, write_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,8 +161,7 @@ def _write_curve_svg(rows: Sequence[Tuple[int, float]], path: str) -> None:
         f'<text x="{margin - 6}" y="{py(y_hi):.0f}" text-anchor="end" font-size="12">{y_hi:g}</text>',
         "</svg>",
     ]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
@@ -170,8 +169,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     control = ControlParams(alpha=args.alpha, gamma=args.gamma, epsilon=args.epsilon)
     rows = _curve_rows(env, control, rounds=args.rounds, n=args.n, seed=args.seed)
     lines = ["round,total_reward"] + [f"{r},{v!r}" for r, v in rows]
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(args.out, "\n".join(lines) + "\n")
     if args.plot:
         _write_curve_svg(rows, args.plot)
     print(f"ran {len(rows)} rounds on {env.name}; first {rows[0][1]:g}, last {rows[-1][1]:g}")

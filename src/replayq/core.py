@@ -14,7 +14,7 @@ ActionId = str
 Policy = Dict[StateId, ActionId]
 
 # Characters that would corrupt the delimited experience-file format.
-_FORBIDDEN_CHARS = (",", "\n", "\r")
+_FORBIDDEN_CHARS = (",", "\n", "\r", '"')
 
 
 def validate_label(name: str, kind: str = "label") -> str:
@@ -24,6 +24,11 @@ def validate_label(name: str, kind: str = "label") -> str:
     for ch in _FORBIDDEN_CHARS:
         if ch in name:
             raise ValueError(f"{kind} {name!r} contains forbidden character {ch!r}")
+    if not name.isascii():
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{kind} {name!r} is not valid Unicode text") from None
     return name
 
 
@@ -165,7 +170,11 @@ def greedy_action(q: QTable, state: StateId) -> ActionId:
 
 def policy_from_q(q: QTable) -> Policy:
     """Greedy policy over every registered state. Pure: `q` is not modified."""
-    return {s: greedy_action(q, s) for s in q.state_index}
+    actions = q.actions
+    if not actions and q.rows:
+        raise ValueError("no actions defined")
+    # greedy_action's rule, with the action list built once for the table.
+    return {s: actions[row.index(max(row))] for s, row in zip(q.state_index, q.rows)}
 
 
 @dataclass

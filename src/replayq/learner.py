@@ -116,8 +116,9 @@ def epsilon_greedy(q: QTable, state: StateId, epsilon: float, rng: random.Random
     (the greedy action included), otherwise the greedy action."""
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    if not q.actions:
+    actions = q.actions
+    if not actions:
         raise ValueError("no actions defined")
     if rng.random() < epsilon:
-        return rng.choice(q.actions)
+        return rng.choice(actions)
     return greedy_action(q, state)

@@ -9,7 +9,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import ActionId, ExperienceTuple, QTable, StateId, greedy_action
+from .core import ActionId, ExperienceTuple, QTable, StateId, policy_from_q
 
 _ROW_SUM_TOL = 1e-9
 
@@ -49,12 +49,17 @@ class ExplicitMDP:
 
 def _check_stochastic(mdp: ExplicitMDP) -> None:
     row_sums = mdp.transition.sum(axis=2)
-    bad = np.abs(row_sums - 1.0) > _ROW_SUM_TOL
+    bad = ~(np.abs(row_sums - 1.0) <= _ROW_SUM_TOL)  # also true for a row holding NaN or inf
+    # A negative entry can hide in a row summing to 1. One flat scan finds it;
+    # the slower per-row scan runs only when that one fails.
+    if not mdp.transition.min(initial=0.0) >= 0.0:
+        bad |= ~(mdp.transition.min(axis=2) >= 0.0)
     if bad.any():
         s, a = np.argwhere(bad)[0]
         raise ValueError(
-            f"non-stochastic transition row for ({mdp.states[s]!r}, {mdp.actions[a]!r}): "
-            f"probabilities sum to {row_sums[s, a]!r}"
+            f"non-stochastic transition row for ({mdp.states[s]!r}, {mdp.actions[a]!r}): probabilities must be "
+            f"finite and >= 0 and sum to 1; got minimum {float(mdp.transition[s, a].min())!r}, "
+            f"sum {float(row_sums[s, a])!r}"
         )
 
 
@@ -143,11 +148,12 @@ def compare_to_optimal(q: QTable, q_star: QTable) -> Tuple[int, float, int, int]
 
     max_diff = max(abs(q.value(s, a) - q_star.value(s, a)) for s in states for a in actions)
 
+    policy, optimal = policy_from_q(q), policy_from_q(q_star)
     compared = mismatched = 0
     for s in states:
         top = sorted(q_star.rows[q_star.state_index[s]], reverse=True)[:2]
         if len(top) > 1 and top[0] - top[1] <= POLICY_TIE_MARGIN:
             continue
         compared += 1
-        mismatched += greedy_action(q, s) != greedy_action(q_star, s)
+        mismatched += policy[s] != optimal[s]
     return len(states) * len(actions), max_diff, compared, mismatched

@@ -10,12 +10,15 @@ form.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
+import stat
 import statistics
 from typing import Dict, List, Optional
 
-from .core import ControlParams, ExperienceTuple, QTable, RLModel, greedy_action
+from .core import ControlParams, ExperienceTuple, QTable, RLModel, policy_from_q
 
 DEFAULT_COLUMNS = {"s": "State", "a": "Action", "r": "Reward", "s_new": "NextState"}
 MODEL_FORMAT = "rlmodel/1"
@@ -37,7 +40,7 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> L
             raise ValueError(f"unknown column_map keys {sorted(unknown)}; expected s, a, r, s_new")
         columns.update(column_map)
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -78,8 +81,48 @@ def write_experience(batch: List[ExperienceTuple], path: str) -> None:
     lines = [",".join(DEFAULT_COLUMNS[k] for k in ("s", "a", "r", "s_new"))]
     for t in batch:
         lines.append(f"{t.state},{t.action},{t.reward!r},{t.next_state}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path`, never leaving it torn; every output file goes through here.
+
+    A regular or missing target is replaced by a file written beside it and
+    renamed onto its name. Any other target (a symlink, FIFO or device) is
+    written in place. docs/formats.md states the guarantee and its limits.
+    """
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    if old is not None and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        # 0o666 under O_EXCL gives a new file the mode open(path, "w") would.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the target, as open(path, "w") would
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", newline="\n", encoding="utf-8") as fh:
+            if old is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+            fh.write(text)
+        # Truncating a file, or renaming over one, makes ext4 flush it on
+        # close (auto_da_alloc), ~70 ms; renaming onto a freed name does not.
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        os.rename(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def model_to_json(model: RLModel) -> str:
@@ -103,8 +146,7 @@ def model_to_json(model: RLModel) -> str:
 
 
 def save_model(model: RLModel, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(model_to_json(model))
+    write_text(path, model_to_json(model))
 
 
 def _number(value: object, field: str) -> float:
@@ -143,8 +185,8 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
             q.rows[i] = [_number(v, f"q[{s!r}][{j}]") for j, v in enumerate(row)]
             if s not in policy:
                 raise ValueError(f"policy has no entry for state {s!r}")
-            # The policy is derived data; a stored one must be q's argmax.
-            best = greedy_action(q, s)
+        # The policy is derived data; a stored one must be q's argmax.
+        for s, best in policy_from_q(q).items():
             if policy[s] != best:
                 raise ValueError(f"policy[{s!r}] is {policy[s]!r}, but greedy_action(q, {s!r}) is {best!r}")
         control, rule, history = doc["control"], doc["learning_rule"], doc["reward_history"]
@@ -172,7 +214,7 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
 
 
 def load_model(path: str) -> RLModel:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     return model_from_json(text, source=path)
 

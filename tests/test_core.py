@@ -21,7 +21,7 @@ def test_experience_tuple_fields():
     assert t.next_state == "s2"
 
 
-@pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb", ""])
+@pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb", "", '"a"', "a\ud800"])
 def test_experience_tuple_rejects_bad_labels(bad):
     with pytest.raises(ValueError):
         ExperienceTuple(bad, "up", 0.0, "s1")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -97,6 +98,22 @@ def test_value_iteration_rejects_non_stochastic_rows():
     )
     with pytest.raises(ValueError, match="stochastic"):
         value_iteration(broken, gamma=0.5)
+
+
+@pytest.mark.parametrize(
+    "transition,pair",
+    [
+        pytest.param([[[math.nan]]], "('s0', 'a')", id="nan"),
+        pytest.param([[[0.0, 1.0]], [[1.5, -0.5]]], "('s1', 'a')", id="negative"),
+    ],
+)
+def test_value_iteration_rejects_nan_and_negative_probabilities(transition, pair):
+    transition = np.array(transition)
+    n = transition.shape[0]
+    mdp = ExplicitMDP(states=[f"s{i}" for i in range(n)], actions=["a"], transition=transition,
+                      reward=np.zeros_like(transition))
+    with pytest.raises(ValueError, match=re.escape(f"non-stochastic transition row for {pair}")):
+        value_iteration(mdp, gamma=0.5)
 
 
 def test_bellman_backup_fixes_the_optimal_table():

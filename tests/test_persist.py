@@ -1,10 +1,22 @@
+import ast
+import builtins
+import errno
+import hashlib
 import json
 import math
+import os
+import pathlib
 import re
+import stat
 
 import pytest
+from hypothesis import HealthCheck, Phase, example, given, settings
+from hypothesis import strategies as st
 
-from replayq.core import ControlParams, ExperienceTuple
+import replayq
+from replayq import persist
+from replayq.cli import main
+from replayq.core import ControlParams, ExperienceTuple, validate_label
 from replayq.envs import gridworld_environment, sample_experience
 from replayq.learner import learn
 from replayq.persist import (
@@ -15,6 +27,7 @@ from replayq.persist import (
     read_experience,
     save_model,
     write_experience,
+    write_text,
 )
 
 CONTROL = ControlParams(alpha=0.1, gamma=0.5, epsilon=0.1)
@@ -57,6 +70,34 @@ def test_write_experience_empty_batch_yields_header_only(tmp_path):
     write_experience([], str(path))
     assert path.read_text() == "State,Action,Reward,NextState\n"
     assert read_experience(str(path)) == []
+
+
+def _is_label(text):
+    try:
+        validate_label(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Any character, with those a delimited-text parser treats specially drawn often.
+labels = st.text(st.characters() | st.sampled_from("\"'\\ \t\x00;|"), min_size=1, max_size=8).filter(_is_label)
+# Any finite float, -0.0 and subnormals included.
+rewards = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# No explain phase: it reports a failure through pytest once per re-run, which took minutes and 1 GB.
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
+@given(batch=st.lists(st.builds(ExperienceTuple, labels, labels, rewards, labels), max_size=8))
+@example(batch=[ExperienceTuple("s'", "a b", -0.0, "\u00e9"), ExperienceTuple("s", "a", 5e-324, "t;\x00")])
+def test_any_valid_batch_round_trips_byte_exactly(tmp_path, batch):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_experience(batch, str(first))
+    back = read_experience(str(first))
+    assert back == batch
+    write_experience(back, str(second))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_read_experience_with_renamed_columns(tmp_path):
@@ -277,3 +318,197 @@ def test_model_from_json_keeps_control_values_as_floats():
     loaded = model_from_json(json.dumps(doc))
     assert loaded.control == ControlParams(alpha=1.0, gamma=0.0, epsilon=0.25)
     assert all(type(v) is float for v in vars(loaded.control).values())
+
+
+# --- write_text: the one writer of every output file ------------------------
+
+
+def test_write_text_replaces_an_existing_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old contents\n")
+    write_text(str(path), "new\n")
+    assert path.read_bytes() == b"new\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+class _FailsHalfway:
+    """Stands in for the writer's file: writes half its text, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def fileno(self):
+        return self._fh.fileno()
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+def test_write_text_failing_part_way_keeps_the_old_file_and_leaves_no_stray_file(tmp_path, monkeypatch, existing):
+    path = tmp_path / "out.csv"
+    if existing:
+        path.write_text("old\n")
+    monkeypatch.setattr(persist, "open", lambda *a, **k: _FailsHalfway(builtins.open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_text(str(path), "new\n" * 1000)
+    assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"old\n"
+
+
+def test_write_text_failing_to_unlink_keeps_the_old_file_and_leaves_no_stray_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    unlink = os.unlink
+
+    def refuse_target(name, *args, **kwargs):
+        if os.fspath(name) == str(path):
+            raise OSError(errno.EIO, "Input/output error")
+        return unlink(name, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", refuse_target)
+    with pytest.raises(OSError, match="Input/output error"):
+        write_text(str(path), "new\n")
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_write_text_failing_to_rename_leaves_no_stray_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(os, "rename", refuse)
+    with pytest.raises(OSError, match="Input/output error"):
+        write_text(str(path), "new\n")
+    # The old file was unlinked before the rename: the target is absent, not torn.
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_text_names_the_target_when_its_directory_is_missing(tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    with pytest.raises(FileNotFoundError) as caught:
+        write_text(str(path), "new\n")
+    assert caught.value.filename == str(path)
+
+
+def test_write_text_gives_a_new_file_the_mode_open_would(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        write_text(str(tmp_path / "out.csv"), "new\n")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(os.stat(tmp_path / "out.csv").st_mode) == 0o640
+
+
+def test_write_text_keeps_an_existing_files_mode(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    path.chmod(0o604)
+    write_text(str(path), "new\n")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o604
+    assert path.read_bytes() == b"new\n"
+
+
+def test_write_text_refuses_a_file_it_may_not_write(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    monkeypatch.setattr(os, "access", lambda name, mode: False)
+    with pytest.raises(PermissionError):
+        write_text(str(path), "new\n")
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_write_text_writes_through_a_symlink(tmp_path):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    write_text(str(link), "new\n")
+    assert link.is_symlink()
+    assert real.read_bytes() == b"new\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+
+def test_write_text_writes_into_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_text(str(fifo), "new\n")
+        assert os.read(reader, 64) == b"new\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+# sha256 of seeded CLI outputs as written before write_text existed.
+PINNED_SHA256 = {
+    "exp.csv": "50aadccf8fa9c1d4a8dc29eb28cc6fee702504e8a72b8d7b6e6abf6b31d34e2f",
+    "model.json": "3e23de5d3e2c04593fd8f9e2521ae32510ffc5630af641ce9a941a108d533112",
+    "curve.csv": "aa8cb370f2c5140db05ad65de090b18a9961865fd552eb000ceec3c5111ae12a",
+    "curve.svg": "d580391399bdba4e002a993b5f2a9b0708ff0e008bbcb57a81d37436ae996ef1",
+}
+
+
+def test_seeded_cli_outputs_keep_their_bytes(tmp_path, capsys):
+    out = {name: str(tmp_path / name) for name in PINNED_SHA256}
+    for path in out.values():  # overwrite, the path every re-run takes
+        pathlib.Path(path).write_text("stale\n")
+    grid = ["--env", "gridworld-2x2"]
+    assert main(["sample", *grid, "--n", "1000", "--seed", "123", "--out", out["exp.csv"]]) == 0
+    assert main(["train", "--data", out["exp.csv"], "--iter", "500", "--seed", "7", "--out", out["model.json"]]) == 0
+    assert main(["curve", *grid, "--rounds", "10", "--n", "1000", "--seed", "5",
+                 "--out", out["curve.csv"], "--plot", out["curve.svg"]]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest() for name, path in out.items()}
+    assert digests == PINNED_SHA256
+    assert sorted(os.listdir(tmp_path)) == sorted(PINNED_SHA256)
+
+
+def _file_writes(tree):
+    """(enclosing function, line) of each call that writes or renames a file by itself."""
+    found, scope = [], []
+
+    class Finder(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        def visit_Call(self, node):
+            name = ast.unparse(node.func)
+            if name in ("open", "io.open", "os.fdopen"):
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                # A mode that is not a literal could be a write mode.
+                writes = not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+            else:
+                writes = name in ("os.open", "os.replace", "os.rename", "shutil.move") or name.endswith(
+                    (".write_text", ".write_bytes"))
+            if writes:
+                found.append((scope[-1] if scope else "<module>", node.lineno))
+            self.generic_visit(node)
+
+    Finder().visit(tree)
+    return found
+
+
+def test_every_output_file_goes_through_write_text():
+    sources = sorted(pathlib.Path(replayq.__file__).parent.glob("*.py"))
+    writes = {path.name: _file_writes(ast.parse(path.read_text())) for path in sources}
+    outside = [(name, func, line) for name, sites in writes.items() for func, line in sites
+               if (name, func) != ("persist.py", "write_text")]
+    assert outside == [], "write files through persist.write_text"
+    assert writes["persist.py"], "the scan no longer sees write_text's own writes"
