@@ -7,6 +7,8 @@ solver provides exact reference solutions for checking learned models.
 
 from .core import (
     ControlParams,
+    Environment,
+    EnvResponse,
     ExperienceTuple,
     QTable,
     RLModel,
@@ -14,8 +16,6 @@ from .core import (
     policy_from_q,
 )
 from .envs import (
-    Environment,
-    EnvResponse,
     environment_names,
     gridworld_environment,
     make_environment,

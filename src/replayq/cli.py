@@ -13,11 +13,12 @@ import random
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .core import ControlParams
-from .envs import SAMPLE_MODES, Environment, make_environment, sample_experience
+from .core import ControlParams, Environment
+from .envs import SAMPLE_MODES, make_environment, sample_experience
 from .learner import learn, update_model
 from .oracle import compare_to_optimal, value_iteration
-from .persist import REPORT_VIEWS, format_report, load_model, read_experience, save_model, write_experience, write_text
+from .persist import DEFAULT_COLUMNS, REPORT_VIEWS, format_report, load_model, read_experience, save_model
+from .persist import write_experience, write_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,9 +51,9 @@ def _unit_float(text: str) -> float:
 
 
 def _add_control_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=_unit_float, default=0.1, help="learning rate in [0, 1]")
-    parser.add_argument("--gamma", type=_unit_float, default=0.5, help="discount factor in [0, 1]")
-    parser.add_argument("--epsilon", type=_unit_float, default=0.1, help="exploration rate in [0, 1]")
+    parser.add_argument("--alpha", type=_unit_float, default=ControlParams.alpha, help="learning rate in [0, 1]")
+    parser.add_argument("--gamma", type=_unit_float, default=ControlParams.gamma, help="discount factor in [0, 1]")
+    parser.add_argument("--epsilon", type=_unit_float, default=ControlParams.epsilon, help="exploration rate in [0, 1]")
 
 
 def _get_env(name: str) -> Environment:
@@ -71,6 +72,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             raise _UsageError("--model is required when --mode is epsilon-greedy")
         model = load_model(args.model)
         control = ControlParams(epsilon=args.epsilon)
+    elif args.model is not None:
+        raise _UsageError("--model is taken only when --mode is epsilon-greedy")
     batch = sample_experience(args.n, env, mode=args.mode, model=model, control=control, seed=args.seed)
     write_experience(batch, args.out)
     print(f"wrote {len(batch)} tuples from {env.name} to {args.out}")
@@ -78,7 +81,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    columns = {"s": args.s, "a": args.a, "r": args.r, "s_new": args.s_new}
+    columns = {key: getattr(args, key) for key in DEFAULT_COLUMNS}
     batch = read_experience(args.data, columns)
     control = ControlParams(alpha=args.alpha, gamma=args.gamma, epsilon=args.epsilon)
     prior = load_model(args.model) if args.model else None
@@ -215,17 +218,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True, help="number of tuples")
     p.add_argument("--mode", choices=SAMPLE_MODES, default="random")
     p.add_argument("--model", help="model file, required for epsilon-greedy mode")
-    p.add_argument("--epsilon", type=_unit_float, default=0.1, help="exploration rate in [0, 1]")
+    p.add_argument("--epsilon", type=_unit_float, default=ControlParams.epsilon, help="exploration rate in [0, 1]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output experience file")
     p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("train", help="fit or update a model from an experience file")
     p.add_argument("--data", required=True, help="experience file")
-    p.add_argument("--s", default="State", help="state column name")
-    p.add_argument("--a", default="Action", help="action column name")
-    p.add_argument("--r", default="Reward", help="reward column name")
-    p.add_argument("--s-new", default="NextState", help="next-state column name")
+    p.add_argument("--s", default=DEFAULT_COLUMNS["s"], help="state column name")
+    p.add_argument("--a", default=DEFAULT_COLUMNS["a"], help="action column name")
+    p.add_argument("--r", default=DEFAULT_COLUMNS["r"], help="reward column name")
+    p.add_argument("--s-new", default=DEFAULT_COLUMNS["s_new"], help="next-state column name")
     _add_control_flags(p)
     p.add_argument("--iter", type=_positive_int, default=1, help="replay passes over the batch")
     p.add_argument("--seed", type=int, default=0)
@@ -251,7 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare a model against exact environment dynamics")
     p.add_argument("--model", required=True)
     p.add_argument("--env", required=True)
-    p.add_argument("--gamma", type=_unit_float, default=0.5, help="discount in [0, 1) used for the exact solution")
+    p.add_argument("--gamma", type=_unit_float, default=ControlParams.gamma,
+                   help="discount in [0, 1) used for the exact solution")
     p.add_argument("--tol", type=float, default=0.1, help="largest acceptable |Q - Q*|")
     p.set_defaults(handler=_cmd_verify)
 

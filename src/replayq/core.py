@@ -1,11 +1,16 @@
 """Domain types shared across the package: experience tuples, learner
-hyperparameters, the tabular state-action value store, and greedy policies."""
+hyperparameters, the tabular state-action value store, greedy policies, and
+the environment contract."""
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+
+if TYPE_CHECKING:
+    from .oracle import ExplicitMDP
 
 StateId = str
 ActionId = str
@@ -116,6 +121,13 @@ class QTable:
                 row.append(0.0)
         return j
 
+    def intern(self, batch: Iterable[ExperienceTuple]) -> Iterator[Tuple[int, int, float, int]]:
+        """Register each tuple's state, action and next state, in that order,
+        and yield its (row, column, reward, next row); each tuple is registered
+        as its item is consumed."""
+        add_state, add_action = self.add_state, self.add_action
+        return ((add_state(t.state), add_action(t.action), t.reward, add_state(t.next_state)) for t in batch)
+
     def value(self, state: StateId, action: ActionId) -> float:
         try:
             return self.rows[self.state_index[state]][self.action_index[action]]
@@ -191,3 +203,27 @@ class RLModel:
     def policy(self) -> Policy:
         """The greedy policy of `q`, recomputed on every access."""
         return policy_from_q(self.q)
+
+
+class EnvResponse(NamedTuple):
+    next_state: StateId
+    reward: float
+
+
+# Takes (state, action, rng); deterministic environments ignore the rng.
+StepFn = Callable[[StateId, ActionId, random.Random], EnvResponse]
+
+
+@dataclass(frozen=True)
+class Environment:
+    """Ordered state/action sets plus a step function, closed over its states.
+
+    `exact_mdp`, when provided, builds the environment's true dynamics for
+    model-based verification.
+    """
+
+    name: str
+    states: Tuple[StateId, ...]
+    actions: Tuple[ActionId, ...]
+    step: StepFn
+    exact_mdp: Optional[Callable[[], ExplicitMDP]] = None

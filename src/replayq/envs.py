@@ -1,44 +1,18 @@
-"""Environment contract, the built-in 2x2 gridworld, and experience sampling.
-
-An environment is a named bundle of ordered state/action sets and a step
-function. Step functions take (state, action, rng) and return the next state
-with a reward; deterministic environments simply ignore the rng argument.
-"""
+"""The built-in 2x2 gridworld, experience sampling, and the registry of
+built-in environments. The environment contract, `Environment` and
+`EnvResponse`, lives in `core`."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import ActionId, ControlParams, ExperienceTuple, RLModel, StateId
+from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceTuple, RLModel, StateId
 from .learner import epsilon_greedy
 from .oracle import ExplicitMDP, estimate_mdp
+from .tictactoe import tictactoe_environment
 
 SAMPLE_MODES = ("random", "epsilon-greedy")
-
-
-class EnvResponse(NamedTuple):
-    next_state: StateId
-    reward: float
-
-
-StepFn = Callable[[StateId, ActionId, random.Random], EnvResponse]
-
-
-@dataclass(frozen=True)
-class Environment:
-    """Ordered state/action sets plus a step function, closed over its states.
-
-    `exact_mdp`, when provided, builds the environment's true dynamics for
-    model-based verification.
-    """
-
-    name: str
-    states: Tuple[StateId, ...]
-    actions: Tuple[ActionId, ...]
-    step: StepFn
-    exact_mdp: Optional[Callable[[], ExplicitMDP]] = None
 
 
 # --- 2x2 gridworld -----------------------------------------------------------
@@ -134,16 +108,9 @@ def sample_experience(
 # --- registry ----------------------------------------------------------------
 
 
-def _tictactoe_environment() -> Environment:
-    # Imported on use: the tictactoe module itself imports this one.
-    from .tictactoe import tictactoe_environment
-
-    return tictactoe_environment()
-
-
 _ENVIRONMENTS: Dict[str, Callable[[], Environment]] = {
     "gridworld-2x2": gridworld_environment,
-    "tictactoe": _tictactoe_environment,
+    "tictactoe": tictactoe_environment,
 }
 
 

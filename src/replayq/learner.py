@@ -21,14 +21,6 @@ from .core import (
 LEARNING_RULE = "experienceReplay"
 
 
-def _intern(q: QTable, batch: Iterable[ExperienceTuple]) -> list:
-    """Register each tuple's state, action and next state, in that order, and
-    return one (row, action column, reward, next row) item per tuple. Rows
-    only ever widen in place, so the references stay valid as `q` grows."""
-    rows, add_state, add_action = q.rows, q.add_state, q.add_action
-    return [(rows[add_state(t.state)], add_action(t.action), t.reward, rows[add_state(t.next_state)]) for t in batch]
-
-
 def _backup(items: Iterable[tuple], alpha: float, gamma: float) -> None:
     """The TD update, applied in place to each item in turn."""
     for row, a, reward, next_row in items:
@@ -71,15 +63,11 @@ def learn(
         raise ValueError(f"iterations must be >= 1, got {iterations}")
 
     if prior is None:
-        q = QTable()
-        history: List[float] = []
-        completed = 0
-    else:
-        q = prior.q.copy()
-        history = list(prior.reward_history)
-        completed = prior.iterations_completed
-
-    items = _intern(q, batch)
+        prior = RLModel(QTable(), control)
+    q = prior.q.copy()
+    history = list(prior.reward_history)
+    rows = q.rows  # rows only widen in place, so references stay valid as later labels register
+    items = [(rows[s], a, reward, rows[s2]) for s, a, reward, s2 in q.intern(batch)]
     touched = dict.fromkeys(t.state for t in batch)
     total = math.fsum(t.reward for t in batch)
     rng = random.Random(seed)
@@ -94,7 +82,7 @@ def learn(
     return RLModel(
         q=q,
         control=control,
-        iterations_completed=completed + iterations,
+        iterations_completed=prior.iterations_completed + iterations,
         reward_history=history,
         learning_rule=LEARNING_RULE,
     )

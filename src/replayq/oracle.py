@@ -12,6 +12,7 @@ import numpy as np
 from .core import ActionId, ExperienceTuple, QTable, StateId, policy_from_q
 
 _ROW_SUM_TOL = 1e-9
+_REWARD_BLOCK = 64  # states per block when summing expected rewards
 
 # Optimal values closer than this count as a tie: any of the tied actions is optimal.
 POLICY_TIE_MARGIN = 1e-9
@@ -76,8 +77,12 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
         raise ValueError(f"tol must be positive, got {tol}")
     _check_stochastic(mdp)
 
-    expected_reward = (mdp.transition * mdp.reward).sum(axis=2)
+    # Summed a block of states at a time: the whole (S, A, S) product is as large as `transition`.
     q = np.zeros((len(mdp.states), len(mdp.actions)))
+    expected_reward = np.empty_like(q)
+    for lo in range(0, len(q), _REWARD_BLOCK):
+        block = slice(lo, lo + _REWARD_BLOCK)
+        np.sum(mdp.transition[block] * mdp.reward[block], axis=2, out=expected_reward[block])
     for _ in range(max_sweeps):
         v = q.max(axis=1)
         q_next = expected_reward + gamma * (mdp.transition @ v)
@@ -104,13 +109,12 @@ def estimate_mdp(batch: List[ExperienceTuple]) -> ExplicitMDP:
     """
     if not batch:
         raise ValueError("empty batch")
-    labels = QTable()  # numbers states and actions in first-appearance order
-    cells = np.array([(labels.add_state(t.state), labels.add_action(t.action), labels.add_state(t.next_state))
-                      for t in batch])
+    labels = QTable()  # numbers states and actions as `learn` does
+    s, a, rewards, s2 = (np.array(column) for column in zip(*labels.intern(batch)))
     n_s, n_a = len(labels.state_index), len(labels.action_index)
 
     # Flat (s, a, s2) cell of each tuple; bincount adds repeats in batch order.
-    flat = (cells[:, 0] * n_a + cells[:, 1]) * n_s + cells[:, 2]
+    flat = (s * n_a + a) * n_s + s2
 
     def tally(weights) -> np.ndarray:
         return np.bincount(flat, weights=weights, minlength=n_s * n_a * n_s).reshape(n_s, n_a, n_s)
@@ -118,7 +122,7 @@ def estimate_mdp(batch: List[ExperienceTuple]) -> ExplicitMDP:
     # Counts and reward sums become the tables in place: mean rewards first,
     # while the counts are still counts, then transition frequencies.
     transition = tally(np.ones(len(batch)))
-    reward = tally([t.reward for t in batch])
+    reward = tally(rewards)
     np.divide(reward, transition, out=reward, where=transition > 0.0)
     totals = transition.sum(axis=2)
     coverage = totals > 0.0

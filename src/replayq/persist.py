@@ -24,8 +24,6 @@ DEFAULT_COLUMNS = {"s": "State", "a": "Action", "r": "Reward", "s_new": "NextSta
 MODEL_FORMAT = "rlmodel/1"
 NOT_AVAILABLE = "NA"
 
-REPORT_VIEWS = ("policy", "table", "summary")
-
 
 def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> List[ExperienceTuple]:
     """Parse an experience file into tuples, preserving row order.
@@ -37,7 +35,7 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> L
     if column_map:
         unknown = set(column_map) - set(DEFAULT_COLUMNS)
         if unknown:
-            raise ValueError(f"unknown column_map keys {sorted(unknown)}; expected s, a, r, s_new")
+            raise ValueError(f"unknown column_map keys {sorted(unknown)}; expected {', '.join(DEFAULT_COLUMNS)}")
         columns.update(column_map)
 
     with open(path, newline="", encoding="utf-8") as fh:
@@ -46,7 +44,7 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> L
         if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
         indices = {}
-        for key in ("s", "a", "r", "s_new"):
+        for key in DEFAULT_COLUMNS:
             name = columns[key]
             try:
                 indices[key] = header.index(name)
@@ -55,7 +53,7 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> L
 
         out: List[ExperienceTuple] = []
         for row_no, row in enumerate(reader, start=2):
-            if len(row) <= max(indices.values()):
+            if len(row) != len(header):
                 raise ValueError(f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}")
             raw_reward = row[indices["r"]]
             try:
@@ -78,7 +76,7 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> L
 
 def write_experience(batch: List[ExperienceTuple], path: str) -> None:
     """Write tuples under the standard header; read_experience inverts this exactly."""
-    lines = [",".join(DEFAULT_COLUMNS[k] for k in ("s", "a", "r", "s_new"))]
+    lines = [",".join(DEFAULT_COLUMNS.values())]
     for t in batch:
         lines.append(f"{t.state},{t.action},{t.reward!r},{t.next_state}")
     write_text(path, "\n".join(lines) + "\n")
@@ -274,16 +272,16 @@ def _summary_report(model: RLModel) -> str:
     return "\n".join(lines)
 
 
+_REPORTS = {"policy": _policy_report, "table": _table_report, "summary": _summary_report}
+REPORT_VIEWS = tuple(_REPORTS)
+
+
 def format_report(model: RLModel, verbosity: str = "summary") -> str:
     """Render a model as text: its policy, its value table, or summary statistics.
 
     Identical models produce identical text. The summary's standard deviation
     reads "NA" when fewer than two iterations exist.
     """
-    if verbosity == "policy":
-        return _policy_report(model)
-    if verbosity == "table":
-        return _table_report(model)
-    if verbosity == "summary":
-        return _summary_report(model)
-    raise ValueError(f"unknown verbosity {verbosity!r}; expected one of {REPORT_VIEWS}")
+    if verbosity not in _REPORTS:
+        raise ValueError(f"unknown verbosity {verbosity!r}; expected one of {REPORT_VIEWS}")
+    return _REPORTS[verbosity](model)

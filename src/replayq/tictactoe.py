@@ -21,8 +21,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import List, Mapping, Tuple
 
-from .core import ExperienceTuple
-from .envs import Environment, EnvResponse
+from .core import Environment, EnvResponse, ExperienceTuple
 
 EMPTY_BOARD = "........."
 CELL_ACTIONS = tuple(f"c{k}" for k in range(1, 10))

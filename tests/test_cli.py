@@ -59,6 +59,14 @@ def test_sample_epsilon_greedy_needs_a_model(tmp_path, capsys):
     assert "--model" in capsys.readouterr().err
 
 
+def test_sample_takes_a_model_only_in_epsilon_greedy_mode(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(sample_args(str(out)) + ["--mode", "random", "--model", str(tmp_path / "missing.json")])
+    assert rc == 1
+    assert "--model" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--alpha", "--gamma"])
 def test_sample_takes_no_learning_rates(tmp_path, capsys, flag):
     assert main(sample_args(str(tmp_path / "x.csv")) + [flag, "0.5"]) == 1

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from replayq.core import ControlParams, ExperienceTuple, QTable, RLModel
@@ -309,7 +309,8 @@ def batch_pairs(draw):
     return draw(tuples(states, actions, 1)), more
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
 @given(pair=batch_pairs(), control=controls, iterations=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1), with_prior=st.booleans())
 def test_interned_learner_matches_reference(pair, control, iterations, seed, with_prior):

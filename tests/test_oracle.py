@@ -149,6 +149,24 @@ def test_bellman_backup_from_zeros_is_expected_reward():
     assert backed.value("s2", "right") == pytest.approx(-1.0)
 
 
+def test_value_iteration_sums_expected_rewards_as_the_full_product_does():
+    mdp = estimate_mdp(ttt_generate_games(500, seed=1))
+    # At gamma 0 the fixed point is the expected reward itself.
+    backed = np.array(value_iteration(mdp, 0.0).rows)
+    assert np.array_equal(backed, (mdp.transition * mdp.reward).sum(axis=2))
+
+
+def test_value_iteration_peak_memory_stays_well_below_one_table():
+    mdp = estimate_mdp(ttt_generate_games(200, seed=1))
+    tracemalloc.start()
+    try:
+        value_iteration(mdp, 0.99)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * mdp.transition.nbytes
+
+
 def test_explicit_mdp_validates_shapes():
     with pytest.raises(ValueError):
         ExplicitMDP(

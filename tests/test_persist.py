@@ -134,6 +134,17 @@ def test_read_experience_short_row(tmp_path):
         read_experience(str(path))
 
 
+@pytest.mark.parametrize("header, row, message", [
+    ("State,Action,Reward,NextState", "s1,down,-1.0,s2,zzz", "row 2: expected 4 fields, got 5"),
+    ("State,Action,Reward,NextState,Episode", "s1,down,-1.0,s2", "row 2: expected 5 fields, got 4"),
+], ids=["extra-field", "missing-field"])
+def test_read_experience_refuses_a_row_whose_field_count_differs_from_the_header(tmp_path, header, row, message):
+    path = tmp_path / "exp.csv"
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ValueError, match=message):
+        read_experience(str(path))
+
+
 def test_read_experience_empty_file(tmp_path):
     path = tmp_path / "exp.csv"
     path.write_text("")

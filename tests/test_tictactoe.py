@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from replayq.envs import EnvResponse
@@ -234,7 +234,8 @@ def ref_reachable_boards():
     return tuple(x_to_move + terminals)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
 @given(num_games=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_generated_games_match_the_reference_rules(num_games, seed):
     games = [(t.state, t.action, t.reward, t.next_state) for t in ttt_generate_games(num_games, seed)]
