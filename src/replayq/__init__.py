@@ -9,6 +9,7 @@ from .core import (
     ControlParams,
     Environment,
     EnvResponse,
+    ExperienceBatch,
     ExperienceTuple,
     QTable,
     RLModel,
@@ -40,6 +41,7 @@ __all__ = [
     "ControlParams",
     "EnvResponse",
     "Environment",
+    "ExperienceBatch",
     "ExperienceTuple",
     "ExplicitMDP",
     "QTable",

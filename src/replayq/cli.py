@@ -71,9 +71,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if args.model is None:
             raise _UsageError("--model is required when --mode is epsilon-greedy")
         model = load_model(args.model)
-        control = ControlParams(epsilon=args.epsilon)
-    elif args.model is not None:
-        raise _UsageError("--model is taken only when --mode is epsilon-greedy")
+        control = ControlParams() if args.epsilon is None else ControlParams(epsilon=args.epsilon)
+    else:
+        for flag, value in (("--model", args.model), ("--epsilon", args.epsilon)):
+            if value is not None:
+                raise _UsageError(f"{flag} is taken only when --mode is epsilon-greedy")
     batch = sample_experience(args.n, env, mode=args.mode, model=model, control=control, seed=args.seed)
     write_experience(batch, args.out)
     print(f"wrote {len(batch)} tuples from {env.name} to {args.out}")
@@ -218,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True, help="number of tuples")
     p.add_argument("--mode", choices=SAMPLE_MODES, default="random")
     p.add_argument("--model", help="model file, required for epsilon-greedy mode")
-    p.add_argument("--epsilon", type=_unit_float, default=ControlParams.epsilon, help="exploration rate in [0, 1]")
+    p.add_argument("--epsilon", type=_unit_float, help="exploration rate in [0, 1]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output experience file")
     p.set_defaults(handler=_cmd_sample)

@@ -1,13 +1,15 @@
-"""Domain types shared across the package: experience tuples, learner
-hyperparameters, the tabular state-action value store, greedy policies, and
-the environment contract."""
+"""Domain types shared across the package: experience tuples and batches,
+learner hyperparameters, the tabular state-action value store, greedy
+policies, and the environment contract."""
 
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from .oracle import ExplicitMDP
@@ -51,10 +53,89 @@ class ExperienceTuple:
         validate_label(self.state, "state")
         validate_label(self.action, "action")
         validate_label(self.next_state, "next_state")
-        reward = float(self.reward)
+        try:
+            reward = float(self.reward)
+        except (TypeError, ValueError):
+            raise ValueError(f"cannot parse reward {self.reward!r}") from None
         if not math.isfinite(reward):
-            raise ValueError(f"reward must be finite, got {self.reward!r}")
+            raise ValueError(f"reward must be finite, got {reward!r}")
         object.__setattr__(self, "reward", reward)
+
+
+class ExperienceBatch:
+    """A batch of transitions held as columns, like a data frame of s, a, r and s_new.
+
+    `states` and `actions` are label tables in first-appearance order, states
+    taken per row as state, then next state; `s`, `a` and `s_new` hold each
+    row's codes into them and `r` its reward. Columns are never modified in
+    place. Iterating yields ExperienceTuples, and a batch equals a batch or a
+    list of ExperienceTuples holding the same rows in the same order.
+    """
+
+    __slots__ = ("states", "actions", "s", "a", "r", "s_new")
+
+    def __init__(self, rows: Iterable[ExperienceTuple] = ()) -> None:
+        """The batch of `rows`; given a batch, one sharing its columns."""
+        if not isinstance(rows, ExperienceBatch):
+            rows = list(rows)
+            rows = ExperienceBatch.from_columns(
+                *(list(map(attrgetter(name), rows)) for name in ("state", "action", "reward", "next_state"))
+            )
+        for name in self.__slots__:
+            setattr(self, name, getattr(rows, name))
+
+    @classmethod
+    def from_columns(cls, states: Sequence[StateId], actions: Sequence[ActionId], rewards: Sequence[float],
+                     next_states: Sequence[StateId], where: Callable[[int], str] = lambda k: "") -> ExperienceBatch:
+        """The batch of four equally long columns; a reward may be numeric text.
+
+        Each distinct label is validated once and each reward checked finite
+        once. Otherwise the first bad row raises ValueError as ExperienceTuple
+        would, the message prefixed by `where(k)` for its 0-based index `k`.
+        """
+        if not len(states) == len(actions) == len(rewards) == len(next_states):
+            raise ValueError("columns must be equally long")
+        try:
+            r = list(map(float, rewards))
+            state_codes = dict.fromkeys(chain.from_iterable(zip(states, next_states)))
+            action_codes = dict.fromkeys(actions)
+            for label in chain(state_codes, action_codes):
+                validate_label(label)
+            valid = all(map(math.isfinite, r))
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            for k, row in enumerate(zip(states, actions, rewards, next_states)):
+                try:
+                    ExperienceTuple(*row)
+                except ValueError as exc:
+                    raise ValueError(f"{where(k)}{exc}") from None
+        for codes in (state_codes, action_codes):
+            for k, label in enumerate(codes):
+                codes[label] = k
+        batch = cls.__new__(cls)
+        batch.states, batch.actions, batch.r = list(state_codes), list(action_codes), r
+        batch.s, batch.a, batch.s_new = (
+            list(map(codes.__getitem__, column))
+            for codes, column in ((state_codes, states), (action_codes, actions), (state_codes, next_states))
+        )
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def __iter__(self) -> Iterator[ExperienceTuple]:
+        states, actions = self.states, self.actions
+        for s, a, r, s2 in zip(self.s, self.a, self.r, self.s_new):
+            t = object.__new__(ExperienceTuple)  # fields already checked: skip __post_init__
+            t.__dict__.update(state=states[s], action=actions[a], reward=r, next_state=states[s2])
+            yield t
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ExperienceBatch):
+            # The label tables and codes are a function of the rows, so equal rows mean equal columns.
+            return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        return list(self) == other if isinstance(other, list) else NotImplemented
 
 
 @dataclass(frozen=True)
@@ -120,13 +201,6 @@ class QTable:
             for row in self.rows:
                 row.append(0.0)
         return j
-
-    def intern(self, batch: Iterable[ExperienceTuple]) -> Iterator[Tuple[int, int, float, int]]:
-        """Register each tuple's state, action and next state, in that order,
-        and yield its (row, column, reward, next row); each tuple is registered
-        as its item is consumed."""
-        add_state, add_action = self.add_state, self.add_action
-        return ((add_state(t.state), add_action(t.action), t.reward, add_state(t.next_state)) for t in batch)
 
     def value(self, state: StateId, action: ActionId) -> float:
         try:

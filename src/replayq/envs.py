@@ -5,9 +5,9 @@ built-in environments. The environment contract, `Environment` and
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceTuple, RLModel, StateId
+from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
 from .learner import epsilon_greedy
 from .oracle import ExplicitMDP, estimate_mdp
 from .tictactoe import tictactoe_environment
@@ -74,7 +74,7 @@ def sample_experience(
     model: Optional[RLModel] = None,
     control: Optional[ControlParams] = None,
     seed: int = 0,
-) -> List[ExperienceTuple]:
+) -> ExperienceBatch:
     """Draw `n` one-step transitions, each starting from a uniformly random state.
 
     Start states are drawn independently per tuple rather than chained along a
@@ -93,7 +93,7 @@ def sample_experience(
             raise ValueError("control required for epsilon-greedy")
 
     rng = random.Random(seed)
-    out: List[ExperienceTuple] = []
+    rows = []
     for _ in range(n):
         state = rng.choice(env.states)
         if mode == "random":
@@ -101,8 +101,8 @@ def sample_experience(
         else:
             action = epsilon_greedy(model.q, state, control.epsilon, rng)
         next_state, reward = env.step(state, action, rng)
-        out.append(ExperienceTuple(state, action, reward, next_state))
-    return out
+        rows.append((state, action, reward, next_state))
+    return ExperienceBatch.from_columns(*zip(*rows))
 
 
 # --- registry ----------------------------------------------------------------

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from .core import (
     ActionId,
     ControlParams,
+    ExperienceBatch,
     ExperienceTuple,
     QTable,
     RLModel,
@@ -39,7 +40,7 @@ def _check_finite(q: QTable, states: Iterable[StateId]) -> None:
 
 
 def learn(
-    batch: List[ExperienceTuple],
+    batch: Iterable[ExperienceTuple],
     control: ControlParams,
     iterations: int = 1,
     seed: int = 0,
@@ -53,10 +54,12 @@ def learn(
     reward history and the iteration count accumulate across calls. Every
     label of the batch is registered before the first update, and `prior` is
     never modified: `learn([t], control, prior=m)` is one TD update of `m.q`.
+    A batch that is not an ExperienceBatch is made into one first.
 
     Deterministic: identical (batch, control, iterations, seed, prior) inputs
     produce an identical model.
     """
+    batch = ExperienceBatch(batch)
     if not batch:
         raise ValueError("no training data")
     if iterations < 1:
@@ -66,10 +69,14 @@ def learn(
         prior = RLModel(QTable(), control)
     q = prior.q.copy()
     history = list(prior.reward_history)
-    rows = q.rows  # rows only widen in place, so references stay valid as later labels register
-    items = [(rows[s], a, reward, rows[s2]) for s, a, reward, s2 in q.intern(batch)]
-    touched = dict.fromkeys(t.state for t in batch)
-    total = math.fsum(t.reward for t in batch)
+    # Each batch label maps to its column or row once. Actions register first,
+    # so new rows are made at full width and the row references stay valid.
+    columns = [q.add_action(label) for label in batch.actions]
+    rows = [q.rows[q.add_state(label)] for label in batch.states]
+    row, column = rows.__getitem__, columns.__getitem__
+    items = list(zip(map(row, batch.s), map(column, batch.a), batch.r, map(row, batch.s_new)))
+    touched = [batch.states[s] for s in dict.fromkeys(batch.s)]
+    total = math.fsum(batch.r)
     rng = random.Random(seed)
     for _ in range(iterations):
         # Shuffling a list as long as the batch draws the same permutation.
@@ -90,7 +97,7 @@ def learn(
 
 def update_model(
     model: RLModel,
-    new_batch: List[ExperienceTuple],
+    new_batch: Iterable[ExperienceTuple],
     control: ControlParams,
     iterations: int = 1,
     seed: int = 0,

@@ -5,11 +5,11 @@ and the comparison of a learned table against the optimal one."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import ActionId, ExperienceTuple, QTable, StateId, policy_from_q
+from .core import ActionId, ExperienceBatch, ExperienceTuple, QTable, StateId, policy_from_q
 
 _ROW_SUM_TOL = 1e-9
 _REWARD_BLOCK = 64  # states per block when summing expected rewards
@@ -100,18 +100,19 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
     return table
 
 
-def estimate_mdp(batch: List[ExperienceTuple]) -> ExplicitMDP:
+def estimate_mdp(batch: Iterable[ExperienceTuple]) -> ExplicitMDP:
     """Empirical MDP from a batch: transition frequencies and mean rewards.
 
+    States and actions are numbered as the batch's label tables number them.
     Never-observed (state, action) pairs get a zero-reward self-loop and are
     flagged False in the coverage mask, mirroring the learner's zero default
     for untouched table entries.
     """
+    batch = ExperienceBatch(batch)
     if not batch:
         raise ValueError("empty batch")
-    labels = QTable()  # numbers states and actions as `learn` does
-    s, a, rewards, s2 = (np.array(column) for column in zip(*labels.intern(batch)))
-    n_s, n_a = len(labels.state_index), len(labels.action_index)
+    s, a, s2 = np.array(batch.s), np.array(batch.a), np.array(batch.s_new)
+    n_s, n_a = len(batch.states), len(batch.actions)
 
     # Flat (s, a, s2) cell of each tuple; bincount adds repeats in batch order.
     flat = (s * n_a + a) * n_s + s2
@@ -122,7 +123,7 @@ def estimate_mdp(batch: List[ExperienceTuple]) -> ExplicitMDP:
     # Counts and reward sums become the tables in place: mean rewards first,
     # while the counts are still counts, then transition frequencies.
     transition = tally(np.ones(len(batch)))
-    reward = tally(rewards)
+    reward = tally(batch.r)
     np.divide(reward, transition, out=reward, where=transition > 0.0)
     totals = transition.sum(axis=2)
     coverage = totals > 0.0
@@ -132,7 +133,8 @@ def estimate_mdp(batch: List[ExperienceTuple]) -> ExplicitMDP:
     transition[u, v, u] = 1.0
 
     return ExplicitMDP(
-        states=labels.states, actions=labels.actions, transition=transition, reward=reward, coverage=coverage
+        states=list(batch.states), actions=list(batch.actions), transition=transition, reward=reward,
+        coverage=coverage,
     )
 
 

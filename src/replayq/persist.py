@@ -16,20 +16,22 @@ import math
 import os
 import stat
 import statistics
-from typing import Dict, List, Optional
+from operator import itemgetter
+from typing import Dict, Iterable, Optional
 
-from .core import ControlParams, ExperienceTuple, QTable, RLModel, policy_from_q
+from .core import ControlParams, ExperienceBatch, ExperienceTuple, QTable, RLModel, policy_from_q
 
 DEFAULT_COLUMNS = {"s": "State", "a": "Action", "r": "Reward", "s_new": "NextState"}
 MODEL_FORMAT = "rlmodel/1"
 NOT_AVAILABLE = "NA"
 
 
-def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> List[ExperienceTuple]:
-    """Parse an experience file into tuples, preserving row order.
+def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> ExperienceBatch:
+    """Parse an experience file into a batch, preserving row order.
 
     `column_map` renames the tuple elements {s, a, r, s_new} to the file's
     column names; omitted keys fall back to State/Action/Reward/NextState.
+    A malformed file raises ValueError naming the file and its first bad row.
     """
     columns = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -43,42 +45,34 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> L
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        indices = {}
+        indices = []
         for key in DEFAULT_COLUMNS:
             name = columns[key]
             try:
-                indices[key] = header.index(name)
+                indices.append(header.index(name))
             except ValueError:
                 raise ValueError(f"{path}: column {name} not found (header: {header})") from None
+        rows = list(reader)
 
-        out: List[ExperienceTuple] = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}")
-            raw_reward = row[indices["r"]]
-            try:
-                reward = float(raw_reward)
-            except ValueError:
-                raise ValueError(f"{path}: row {row_no}: cannot parse reward {raw_reward!r}") from None
-            try:
-                out.append(
-                    ExperienceTuple(
-                        state=row[indices["s"]],
-                        action=row[indices["a"]],
-                        reward=reward,
-                        next_state=row[indices["s_new"]],
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row_no}: {exc}") from None
-    return out
+    # Rows before the first one of the wrong width are checked first, so the error names the first bad row.
+    width = len(header)
+    end = next((k for k, row in enumerate(rows) if len(row) != width), None)
+    good = rows if end is None else rows[:end]
+    batch = ExperienceBatch.from_columns(
+        *(list(map(itemgetter(i), good)) for i in indices), where=lambda k: f"{path}: row {k + 2}: "
+    )
+    if end is not None:
+        raise ValueError(f"{path}: row {end + 2}: expected {width} fields, got {len(rows[end])}")
+    return batch
 
 
-def write_experience(batch: List[ExperienceTuple], path: str) -> None:
-    """Write tuples under the standard header; read_experience inverts this exactly."""
+def write_experience(batch: Iterable[ExperienceTuple], path: str) -> None:
+    """Write a batch under the standard header; read_experience inverts this exactly."""
+    batch = ExperienceBatch(batch)
+    states, actions = batch.states, batch.actions
     lines = [",".join(DEFAULT_COLUMNS.values())]
-    for t in batch:
-        lines.append(f"{t.state},{t.action},{t.reward!r},{t.next_state}")
+    rows = zip(batch.s, batch.a, batch.r, batch.s_new)
+    lines += [f"{states[s]},{actions[a]},{r!r},{states[s2]}" for s, a, r, s2 in rows]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -190,6 +184,9 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
         control, rule, history = doc["control"], doc["learning_rule"], doc["reward_history"]
         if not isinstance(control, dict):
             raise ValueError(f"control must be an object, got {control!r}")
+        for name in ("alpha", "gamma", "epsilon"):
+            if name not in control:
+                raise KeyError(f"control.{name}")
         if not isinstance(rule, str):
             raise ValueError(f"learning_rule must be a string, got {rule!r}")
         if not isinstance(history, list):

@@ -21,7 +21,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import List, Mapping, Tuple
 
-from .core import Environment, EnvResponse, ExperienceTuple
+from .core import Environment, EnvResponse, ExperienceBatch
 
 EMPTY_BOARD = "........."
 CELL_ACTIONS = tuple(f"c{k}" for k in range(1, 10))
@@ -83,6 +83,7 @@ def _place(board: str, cell: int, mark: str) -> str:
 
 _REWARD = {X_WINS: 1.0, DRAW: 0.0, B_WINS: -1.0, ONGOING: 0.0}
 _Transition = Tuple[str, float, bool]
+_Move = Tuple[str, float, bool, Tuple[_Transition, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +93,7 @@ def _settle(board: str) -> _Transition:
 
 
 @lru_cache(maxsize=None)
-def _moves(board: str) -> Mapping[int, Tuple[str, float, bool, Tuple[_Transition, ...]]]:
+def _moves(board: str) -> Mapping[int, _Move]:
     """X's legal moves on an ongoing board: cell (ascending) -> (after-state,
     reward, game over, B's replies as (after-state, reward, game over)). B's
     reply can never fill the board, so a draw only ever follows an X move."""
@@ -104,33 +105,40 @@ def _moves(board: str) -> Mapping[int, Tuple[str, float, bool, Tuple[_Transition
     return MappingProxyType(table)
 
 
-def _after_state_step(board: str, cell: int, rng: random.Random) -> _Transition:
-    """X marks empty `cell`; unless that ends the game, B replies uniformly at
-    random. Returns (next board, reward for X, game over)."""
-    after_x, reward, game_over, replies = _moves(board)[cell]
+def _after_state_step(move: _Move, rng: random.Random) -> _Transition:
+    """X makes `move`, an entry of `_moves`; unless that ends the game, B
+    replies uniformly at random. Returns (next board, reward for X, game over)."""
+    after_x, reward, game_over, replies = move
     return (after_x, reward, True) if game_over else rng.choice(replies)
 
 
-def ttt_generate_games(num_games: int, seed: int = 0) -> List[ExperienceTuple]:
-    """Simulate uniformly random games and emit one tuple per X move.
+def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
+    """Simulate uniformly random games into a batch of one row per X move.
 
-    Each tuple records the board X saw, the cell it marked, and the after-state
+    Each row records the board X saw, the cell it marked, and the after-state
     including the opponent's reply. Fixing the seed fixes the output.
     """
     if num_games < 1:
         raise ValueError(f"num_games must be >= 1, got {num_games}")
     rng = random.Random(seed)
-    out: List[ExperienceTuple] = []
+    options = {}  # board -> its `_moves` items, which X draws from in cell order
+    states, actions, rewards, next_states = [], [], [], []
     for _ in range(num_games):
         board = EMPTY_BOARD
         while True:
-            cell = rng.choice(tuple(_moves(board)))
-            next_board, reward, game_over = _after_state_step(board, cell, rng)
-            out.append(ExperienceTuple(board, CELL_ACTIONS[cell], reward, next_board))
+            moves = options.get(board)
+            if moves is None:
+                moves = options[board] = tuple(_moves(board).items())
+            cell, move = rng.choice(moves)
+            next_board, reward, game_over = _after_state_step(move, rng)
+            states.append(board)
+            actions.append(CELL_ACTIONS[cell])
+            rewards.append(reward)
+            next_states.append(next_board)
             if game_over:
                 break
             board = next_board
-    return out
+    return ExperienceBatch.from_columns(states, actions, rewards, next_states)
 
 
 @lru_cache(maxsize=1)
@@ -176,7 +184,7 @@ def tictactoe_step(state: str, action: str, rng: random.Random) -> EnvResponse:
     cell = int(action[1:]) - 1
     if state[cell] != ".":
         return EnvResponse(state, -1.0)
-    next_board, reward, _ = _after_state_step(state, cell, rng)
+    next_board, reward, _ = _after_state_step(_moves(state)[cell], rng)
     return EnvResponse(next_board, reward)
 
 

@@ -1,0 +1,135 @@
+"""ExperienceBatch: the one batch type that builders return and learners read."""
+
+import inspect
+import math
+import re
+
+import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
+
+from replayq import (
+    ControlParams,
+    ExperienceBatch,
+    ExperienceTuple,
+    estimate_mdp,
+    gridworld_environment,
+    learn,
+    model_to_json,
+    read_experience,
+    sample_experience,
+    ttt_generate_games,
+    update_model,
+    write_experience,
+)
+from replayq.core import validate_label
+
+NO_EXPLAIN = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink]
+
+
+def _is_label(text):
+    try:
+        validate_label(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Any valid label, drawn from a small pool often, so that labels repeat.
+labels = st.sampled_from(["s1", "s2", "up", "é", "t;\x00"]) | st.text(min_size=1, max_size=4).filter(_is_label)
+tuples = st.builds(ExperienceTuple, labels, labels, st.floats(-1e3, 1e3), labels)
+
+
+def first_appearance(items):
+    return list(dict.fromkeys(items))
+
+
+# No explain phase: it reports a failure through pytest once per re-run, which took minutes and 1 GB.
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+          phases=NO_EXPLAIN)
+@given(rows=st.lists(tuples, max_size=10), control=st.builds(ControlParams, alpha=st.floats(0.0, 1.0),
+                                                              gamma=st.floats(0.0, 1.0)))
+def test_a_batch_is_its_rows(tmp_path, rows, control):
+    batch = ExperienceBatch(rows)
+    assert list(batch) == rows and batch == rows and len(batch) == len(rows)
+    assert batch.states == first_appearance(s for t in rows for s in (t.state, t.next_state))
+    assert batch.actions == first_appearance(t.action for t in rows)
+    assert ExperienceBatch(batch) == batch
+
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_experience(rows, str(first))
+    back = read_experience(str(first))
+    assert back == batch
+    write_experience(back, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    if not rows:
+        return
+
+    from_batch, from_list = learn(batch, control, iterations=2, seed=3), learn(rows, control, iterations=2, seed=3)
+    assert model_to_json(from_batch) == model_to_json(from_list)
+    more = rows[::-1] + [ExperienceTuple("z", "new", 1.0, rows[0].state)]
+    assert model_to_json(update_model(from_batch, ExperienceBatch(more), control, seed=4)) == model_to_json(
+        update_model(from_list, more, control, seed=4))
+
+    mdp_batch, mdp_list = estimate_mdp(batch), estimate_mdp(rows)
+    assert (mdp_batch.states, mdp_batch.actions) == (mdp_list.states, mdp_list.actions) == (batch.states, batch.actions)
+    for name in ("transition", "reward", "coverage"):
+        assert getattr(mdp_batch, name).tobytes() == getattr(mdp_list, name).tobytes()
+
+
+def test_batches_compare_by_their_rows():
+    rows = [ExperienceTuple("a", "x", 1.0, "b"), ExperienceTuple("b", "y", -0.5, "a")]
+    assert ExperienceBatch(rows) == ExperienceBatch(list(rows))
+    assert ExperienceBatch(rows) != ExperienceBatch(rows[::-1])
+    assert ExperienceBatch(rows) != rows[:1] and ExperienceBatch(rows) != tuple(rows)
+    assert ExperienceBatch() == [] and len(ExperienceBatch()) == 0
+    with pytest.raises(TypeError):
+        hash(ExperienceBatch(rows))
+
+
+def test_from_columns_checks_each_row_as_experience_tuple_does():
+    batch = ExperienceBatch.from_columns(["a", "b"], ["x", "x"], ["1.5", 2], ["b", "a"])
+    assert list(batch) == [ExperienceTuple("a", "x", 1.5, "b"), ExperienceTuple("b", "x", 2.0, "a")]
+    columns = (["a", "a"], ["x", "x"], [1.0, 2.0], ["b", "c,d"])
+    with pytest.raises(ValueError, match=r"^at 1: next_state 'c,d' contains forbidden character ','$"):
+        ExperienceBatch.from_columns(*columns, where=lambda k: f"at {k}: ")
+    with pytest.raises(ValueError, match=r"^reward must be finite, got inf$"):
+        ExperienceBatch.from_columns(["a"], ["x"], [math.inf], ["b"])
+    with pytest.raises(ValueError, match=r"^cannot parse reward None$"):
+        ExperienceBatch.from_columns(["a"], ["x"], [None], ["b"])
+    with pytest.raises(ValueError, match="equally long"):
+        ExperienceBatch.from_columns(["a", "b"], ["x"], [1.0], ["b"])
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["s1,up,1.0,s2", "s2,\"u,p\",1.0,s1"], "row 3: action 'u,p' contains forbidden character ','"),
+    (["s1,up,1.0,s2", "s2,up,nan,s1"], "row 3: reward must be finite, got nan"),
+    (["s1,up,1.0,s2", "s2,up,-inf,s1"], "row 3: reward must be finite, got -inf"),
+    (["s1,up,1.0,s2", "s2,up,oops,s1"], "row 3: cannot parse reward 'oops'"),
+    (["s1,up,1.0,\"\"", "s2,up,oops,s1"], "row 2: next_state must be a non-empty string"),
+    # The first bad row is named, whatever is wrong with a later one.
+    (["s1,up,inf,s2", "s2,up,1.0,s1,extra"], "row 2: reward must be finite, got inf"),
+], ids=["label", "nan", "inf", "unparsable", "first-of-two", "before-a-wide-row"])
+def test_read_experience_names_the_file_and_the_first_bad_row(tmp_path, rows, message):
+    path = tmp_path / "exp.csv"
+    path.write_text("\n".join(["State,Action,Reward,NextState", *rows]) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+        read_experience(str(path))
+
+
+def test_the_names_the_benchmark_tracer_binds_are_kept(tmp_path):
+    # The benchmark's tracer reads these parameters by name, and takes len() of these results.
+    assert "batch" in inspect.signature(learn).parameters
+    assert "new_batch" in inspect.signature(update_model).parameters
+    assert "batch" in inspect.signature(write_experience).parameters
+    path = tmp_path / "exp.csv"
+    write_experience(ttt_generate_games(3, seed=1), str(path))
+    for result in (read_experience(str(path)), sample_experience(5, gridworld_environment(), seed=1),
+                   ttt_generate_games(3, seed=1)):
+        assert len(result) == len(list(result)) > 0
+
+
+def test_a_fresh_model_numbers_labels_as_its_batch_does():
+    batch = ttt_generate_games(300, seed=5)
+    model = learn(batch, ControlParams(alpha=0.2, gamma=0.99), seed=1)
+    assert model.q.states == batch.states and model.q.actions == batch.actions

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import re
@@ -295,6 +297,27 @@ def test_estimate_mdp_peak_memory_stays_near_its_two_tables():
         tracemalloc.stop()
     # The transition and reward tables are the two tallies, divided in place.
     assert peak < 3 * mdp.transition.nbytes
+
+
+# sha256 of estimate_mdp on a seeded tic-tac-toe batch, as built while batches
+# were still lists of ExperienceTuple; "labels" is the JSON of [states, actions].
+PINNED_TTT_MDP_SHA256 = {
+    "transition": "770a4971b68f583466fcda632dd8922c5968a0b111a0660cfd89680bebfe2000",
+    "reward": "bf49c711ff9dac9acc20fe393bad8a3c1daa85bbc21d7dd1e87188e8201fad99",
+    "coverage": "db24c8527d20b6c1a0d136d8276d6c1edefff2e460114a2b205583400ac9aa92",
+    "labels": "279a9bfa41a0d76bdbdef2aebfcc75a43b7d5bce325e2344bcc22d6462471d26",
+}
+
+
+def test_seeded_tictactoe_estimate_keeps_its_bytes():
+    mdp = estimate_mdp(ttt_generate_games(500, seed=1))
+    parts = {
+        "transition": mdp.transition.tobytes(),
+        "reward": mdp.reward.tobytes(),
+        "coverage": mdp.coverage.tobytes(),
+        "labels": json.dumps([mdp.states, mdp.actions]).encode(),
+    }
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in parts.items()} == PINNED_TTT_MDP_SHA256
 
 
 def table(rows, actions=("go", "stay")):

@@ -29,6 +29,7 @@ from replayq.persist import (
     write_experience,
     write_text,
 )
+from replayq.tictactoe import ttt_generate_games
 
 CONTROL = ControlParams(alpha=0.1, gamma=0.5, epsilon=0.1)
 
@@ -314,6 +315,8 @@ def corrupted(change):
         pytest.param(lambda d: d["control"].__setitem__("gamma", "0.5"), "control.gamma must be a finite number", id="string-gamma"),
         pytest.param(lambda d: d["control"].__setitem__("epsilon", None), "control.epsilon must be a finite number", id="null-epsilon"),
         pytest.param(lambda d: d.__setitem__("control", [0.1, 0.5, 0.1]), "control must be an object", id="control-list"),
+        pytest.param(lambda d: d.__setitem__("control", {}), "missing field 'control.alpha'", id="empty-control"),
+        pytest.param(lambda d: d["control"].pop("epsilon"), "missing field 'control.epsilon'", id="control-without-epsilon"),
         pytest.param(lambda d: d.__setitem__("learning_rule", {"x": 1}), "learning_rule must be a string", id="object-rule"),
         pytest.param(lambda d: d.__setitem__("learning_rule", None), "learning_rule must be a string", id="null-rule"),
     ],
@@ -322,6 +325,12 @@ def test_model_from_json_rejects_values_it_would_not_write(change, field):
     with pytest.raises(ValueError, match=r"^m\.json: malformed model file: .*" + re.escape(field)):
         model_from_json(corrupted(change), source="m.json")
 
+
+def test_cli_refuses_a_model_whose_control_lacks_a_field(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(corrupted(lambda d: d.__setitem__("control", {})))
+    assert main(["report", "--model", str(path)]) == 2
+    assert f"{path}: malformed model file: missing field 'control.alpha'" in capsys.readouterr().err
 
 def test_model_from_json_keeps_control_values_as_floats():
     doc = json.loads(model_to_json(trained_model()))
@@ -486,6 +495,26 @@ def test_seeded_cli_outputs_keep_their_bytes(tmp_path, capsys):
     digests = {name: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest() for name, path in out.items()}
     assert digests == PINNED_SHA256
     assert sorted(os.listdir(tmp_path)) == sorted(PINNED_SHA256)
+
+
+# sha256 of a seeded tic-tac-toe batch as CSV and of one replay pass over it,
+# as written while batches were still lists of ExperienceTuple.
+PINNED_TTT_SHA256 = {
+    "games.csv": "7e732c6b6675837ad091eff0cbcc39fd097453d2a3689616881aa61ae683b5fe",
+    "model.json": "3b3263c6689c349905f49b29070d72edc5b19652289d0bae35d0443d20feee1a",
+}
+
+
+def test_seeded_tictactoe_outputs_keep_their_bytes(tmp_path):
+    games = ttt_generate_games(2_000, seed=0)
+    path = tmp_path / "games.csv"
+    write_experience(games, str(path))
+    model = learn(games, ControlParams(alpha=0.2, gamma=0.99), iterations=1, seed=0)
+    digests = {
+        "games.csv": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "model.json": hashlib.sha256(model_to_json(model).encode()).hexdigest(),
+    }
+    assert digests == PINNED_TTT_SHA256
 
 
 def _file_writes(tree):
