@@ -22,12 +22,16 @@ Policy = Dict[StateId, ActionId]
 
 # Characters that would corrupt the delimited experience-file format.
 _FORBIDDEN_CHARS = (",", "\n", "\r", '"')
+# The csv module's default field_size_limit: a longer field cannot be read back.
+_MAX_LABEL_LENGTH = 131_072
 
 
 def validate_label(name: str, kind: str = "label") -> str:
     """Check that a state/action label is usable as a file-format field."""
     if not isinstance(name, str) or not name:
         raise ValueError(f"{kind} must be a non-empty string, got {name!r}")
+    if len(name) > _MAX_LABEL_LENGTH:
+        raise ValueError(f"{kind} is {len(name)} characters long, more than {_MAX_LABEL_LENGTH}")
     for ch in _FORBIDDEN_CHARS:
         if ch in name:
             raise ValueError(f"{kind} {name!r} contains forbidden character {ch!r}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 from .core import (
     ActionId,
@@ -22,13 +22,23 @@ from .core import (
 LEARNING_RULE = "experienceReplay"
 
 
-def _backup(items: Iterable[tuple], alpha: float, gamma: float) -> None:
-    """The TD update, applied in place to each item in turn."""
-    for row, a, reward, next_row in items:
+def _backup(items: Iterable[tuple], rows: List[List[float]], v: List[float], alpha: float, gamma: float) -> None:
+    """The TD update, applied in place to each `(s, a, r, s_new)` item in turn.
+
+    `s` and `s_new` index `rows`, and `a` a column. `v` caches each row's
+    maximum for the target: `v[s] == max(rows[s])` holds before and after
+    every update, and a row is scanned only when its maximum was lowered.
+    """
+    for s, a, reward, s_new in items:
+        row = rows[s]
         current = row[a]
-        updated = current + alpha * (reward + gamma * max(next_row) - current)
+        updated = current + alpha * (reward + gamma * v[s_new] - current)
         if updated != current:
             row[a] = updated
+            if updated > v[s]:
+                v[s] = updated
+            elif current == v[s]:
+                v[s] = max(row)
 
 
 def _check_finite(q: QTable, states: Iterable[StateId]) -> None:
@@ -73,8 +83,9 @@ def learn(
     # so new rows are made at full width and the row references stay valid.
     columns = [q.add_action(label) for label in batch.actions]
     rows = [q.rows[q.add_state(label)] for label in batch.states]
-    row, column = rows.__getitem__, columns.__getitem__
-    items = list(zip(map(row, batch.s), map(column, batch.a), batch.r, map(row, batch.s_new)))
+    # Items of codes and a reward hold no container, so the cyclic collector untracks them.
+    items = list(zip(batch.s, map(columns.__getitem__, batch.a), batch.r, batch.s_new))
+    v = list(map(max, rows))
     touched = [batch.states[s] for s in dict.fromkeys(batch.s)]
     total = math.fsum(batch.r)
     rng = random.Random(seed)
@@ -82,7 +93,7 @@ def learn(
         # Shuffling a list as long as the batch draws the same permutation.
         order = items[:]
         rng.shuffle(order)
-        _backup(order, control.alpha, control.gamma)
+        _backup(order, rows, v, control.alpha, control.gamma)
         _check_finite(q, touched)
         history.append(total)
 

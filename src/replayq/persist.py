@@ -16,7 +16,6 @@ import math
 import os
 import stat
 import statistics
-from operator import itemgetter
 from typing import Dict, Iterable, Optional
 
 from .core import ControlParams, ExperienceBatch, ExperienceTuple, QTable, RLModel, policy_from_q
@@ -40,29 +39,41 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
             raise ValueError(f"unknown column_map keys {sorted(unknown)}; expected {', '.join(DEFAULT_COLUMNS)}")
         columns.update(column_map)
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        indices = []
-        for key in DEFAULT_COLUMNS:
-            name = columns[key]
-            try:
-                indices.append(header.index(name))
-            except ValueError:
-                raise ValueError(f"{path}: column {name} not found (header: {header})") from None
-        rows = list(reader)
+    header, fault, fields = None, None, ([], [], [], [])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected a header row")
+            indices = []
+            for key in DEFAULT_COLUMNS:
+                name = columns[key]
+                try:
+                    indices.append(header.index(name))
+                except ValueError:
+                    raise ValueError(f"{path}: column {name} not found (header: {header})") from None
+            i, j, k, m = indices
+            s, a, r, s_new = (field.append for field in fields)
+            width = len(header)
+            for row in reader:
+                if len(row) != width:
+                    fault = f"expected {width} fields, got {len(row)}"
+                    break
+                s(row[i])
+                a(row[j])
+                r(row[k])
+                s_new(row[m])
+    except csv.Error as exc:
+        fault = str(exc)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
-    # Rows before the first one of the wrong width are checked first, so the error names the first bad row.
-    width = len(header)
-    end = next((k for k, row in enumerate(rows) if len(row) != width), None)
-    good = rows if end is None else rows[:end]
-    batch = ExperienceBatch.from_columns(
-        *(list(map(itemgetter(i), good)) for i in indices), where=lambda k: f"{path}: row {k + 2}: "
-    )
-    if end is not None:
-        raise ValueError(f"{path}: row {end + 2}: expected {width} fields, got {len(rows[end])}")
+    # Rows before the first one the reader or the width check refused are
+    # checked first, so the error names the first bad row.
+    batch = ExperienceBatch.from_columns(*fields, where=lambda k: f"{path}: row {k + 2}: ")
+    if fault is not None:
+        raise ValueError(f"{path}: row {len(fields[0]) + 2 if header is not None else 1}: {fault}")
     return batch
 
 
@@ -209,8 +220,11 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
 
 
 def load_model(path: str) -> RLModel:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return model_from_json(text, source=path)
 
 

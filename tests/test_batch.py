@@ -109,7 +109,8 @@ def test_from_columns_checks_each_row_as_experience_tuple_does():
     (["s1,up,1.0,\"\"", "s2,up,oops,s1"], "row 2: next_state must be a non-empty string"),
     # The first bad row is named, whatever is wrong with a later one.
     (["s1,up,inf,s2", "s2,up,1.0,s1,extra"], "row 2: reward must be finite, got inf"),
-], ids=["label", "nan", "inf", "unparsable", "first-of-two", "before-a-wide-row"])
+    (["s1,up,inf,s2", "s" * 131_073 + ",up,1.0,s1"], "row 2: reward must be finite, got inf"),
+], ids=["label", "nan", "inf", "unparsable", "first-of-two", "before-a-wide-row", "before-an-unreadable-row"])
 def test_read_experience_names_the_file_and_the_first_bad_row(tmp_path, rows, message):
     path = tmp_path / "exp.csv"
     path.write_text("\n".join(["State,Action,Reward,NextState", *rows]) + "\n")

@@ -21,7 +21,8 @@ def test_experience_tuple_fields():
     assert t.next_state == "s2"
 
 
-@pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb", "", '"a"', "a\ud800"])
+# 131,073 characters: one more than the csv module reads in a field by default.
+@pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb", "", '"a"', "a\ud800", pytest.param("s" * 131_073, id="too-long")])
 def test_experience_tuple_rejects_bad_labels(bad):
     with pytest.raises(ValueError):
         ExperienceTuple(bad, "up", 0.0, "s1")

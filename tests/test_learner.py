@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from replayq import learner
 from replayq.core import ControlParams, ExperienceTuple, QTable, RLModel
 from replayq.learner import (
     LEARNING_RULE,
@@ -220,6 +222,25 @@ def test_epsilon_greedy_validates_inputs():
         epsilon_greedy(QTable(), "s1", 0.1, random.Random(0))
 
 
+def test_replay_items_are_untracked_by_the_cyclic_collector(monkeypatch):
+    # Relies on CPython untracking a tuple of atomic values (ints, floats) once
+    # the collector has examined it. An item holding a Q row, a list, would stay
+    # tracked, and every collection would traverse the whole batch again.
+    captured = []
+    backup = learner._backup
+
+    def capture(items, *args):
+        captured.extend(items)
+        backup(items, *args)
+
+    monkeypatch.setattr(learner, "_backup", capture)
+    batch = [ExperienceTuple(f"s{k % 5}", f"a{k % 3}", float(k), f"s{(k + 1) % 5}") for k in range(50)]
+    learn(batch, CONTROL, iterations=2)
+    gc.collect()
+    assert len(captured) == 100
+    assert not any(map(gc.is_tracked, captured))
+
+
 def test_learn_rejects_values_that_overflow():
     batch = [ExperienceTuple("s1", "up", 1e308, "s1")]
     control = ControlParams(alpha=1.0, gamma=1.0)
@@ -290,7 +311,11 @@ def assert_matches_reference(model, tab, control, iterations, history):
 
 
 labels = st.text(alphabet="abxy", min_size=1, max_size=2)
-controls = st.builds(ControlParams, alpha=st.floats(0.0, 1.0), gamma=st.floats(0.0, 1.0))
+# The endpoints and small integer rewards make tied maxima, and updates that
+# lower a row's maximum, common; small label sets make self-loops common.
+rates = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
+controls = st.builds(ControlParams, alpha=rates, gamma=rates)
+rewards = st.floats(-1e3, 1e3) | st.sampled_from([-1.0, 0.0, 1.0])
 
 
 @st.composite
@@ -301,8 +326,8 @@ def batch_pairs(draw):
 
     def tuples(states, actions, min_size):
         one = st.builds(ExperienceTuple, st.sampled_from(states), st.sampled_from(actions),
-                        st.floats(-1e3, 1e3), st.sampled_from(states))
-        return st.lists(one, min_size=min_size, max_size=12)
+                        rewards, st.sampled_from(states))
+        return st.lists(one, min_size=min_size, max_size=40)
 
     more_states = states + ["z"]
     more = draw(tuples(more_states, actions, 0)) + draw(tuples(more_states, ["new"], 1))

@@ -146,6 +146,40 @@ def test_read_experience_refuses_a_row_whose_field_count_differs_from_the_header
         read_experience(str(path))
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["S" * 131_073 + ",Action,Reward,NextState"], "row 1: field larger than field limit (131072)"),
+    (["State,Action,Reward,NextState", "s1,up,1.0,s2", "s" * 131_073 + ",up,1.0,s1"],
+     "row 3: field larger than field limit (131072)"),
+], ids=["header", "row"])
+def test_read_experience_names_the_row_the_csv_reader_refuses(tmp_path, lines, message):
+    path = tmp_path / "exp.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        read_experience(str(path))
+    assert main(["train", "--data", str(path), "--out", os.devnull]) == 2
+
+
+def test_a_label_as_long_as_the_csv_field_limit_round_trips(tmp_path):
+    path = str(tmp_path / "exp.csv")
+    batch = [ExperienceTuple("s" * 131_072, "up", 1.0, "s2")]
+    write_experience(batch, path)
+    assert read_experience(path) == batch
+
+
+@pytest.mark.parametrize("read, text, command", [
+    (read_experience, b"State,Action,Reward,NextState\ns1,caf\xe9,1.0,s2\n", ["train", "--out", os.devnull, "--data"]),
+    (load_model, b'{"format": "caf\xe9"}\n', ["report", "--model"]),
+], ids=["experience", "model"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, read, text, command):
+    path = tmp_path / "bad"
+    path.write_bytes(text)
+    message = f"{path}: not UTF-8 text (invalid continuation byte)"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        read(str(path))
+    assert main([*command, str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_read_experience_empty_file(tmp_path):
     path = tmp_path / "exp.csv"
     path.write_text("")
