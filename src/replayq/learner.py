@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from typing import Iterable, List, Optional
 
 from .core import (
@@ -49,6 +50,18 @@ def _check_finite(q: QTable, states: Iterable[StateId]) -> None:
                 raise ValueError(f"value for ({s!r}, {a!r}) must be finite, got {value!r}")
 
 
+def _reward_total(rewards: List[float]) -> float:
+    """The batch's reward total, rounded once as `math.fsum` rounds it."""
+    try:
+        return math.fsum(rewards)
+    except OverflowError:  # a partial sum overflowed, but the total may not: sum exactly
+        exact = sum(map(Fraction, rewards))
+    try:
+        return float(exact)
+    except OverflowError:
+        raise ValueError(f"the batch's reward total must be finite, got {'-' if exact < 0 else ''}inf") from None
+
+
 def learn(
     batch: Iterable[ExperienceTuple],
     control: ControlParams,
@@ -87,7 +100,7 @@ def learn(
     items = list(zip(batch.s, map(columns.__getitem__, batch.a), batch.r, batch.s_new))
     v = list(map(max, rows))
     touched = [batch.states[s] for s in dict.fromkeys(batch.s)]
-    total = math.fsum(batch.r)
+    total = _reward_total(batch.r)
     rng = random.Random(seed)
     for _ in range(iterations):
         # Shuffling a list as long as the batch draws the same permutation.

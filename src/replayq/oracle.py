@@ -12,7 +12,6 @@ import numpy as np
 from .core import ActionId, ExperienceBatch, ExperienceTuple, QTable, StateId, policy_from_q
 
 _ROW_SUM_TOL = 1e-9
-_REWARD_BLOCK = 64  # states per block when summing expected rewards
 
 # Optimal values closer than this count as a tie: any of the tied actions is optimal.
 POLICY_TIE_MARGIN = 1e-9
@@ -20,47 +19,63 @@ POLICY_TIE_MARGIN = 1e-9
 
 @dataclass
 class ExplicitMDP:
-    """A finite MDP with dense transition and reward tables.
+    """A finite MDP as the list of its possible transitions.
 
-    `transition[s, a, s2]` is the probability of moving from state index `s`
-    to `s2` under action index `a`; `reward[s, a, s2]` is the reward received
-    on that move. `coverage[s, a]` is False for pairs that were never
-    observed when the model was estimated from data (such pairs are filled
-    with a zero-reward self-loop); it is None for tables given directly.
+    Entry `i` moves from state index `pair[i] // len(actions)` under action
+    index `pair[i] % len(actions)` to `next_state[i]` with `probability[i]`
+    and reward `step_reward[i]`. Keys `(pair, next_state)` strictly increase,
+    so sums over a (state, action) row add its entries in next-state order.
+    `coverage[s, a]` is False for pairs never observed when the model was
+    estimated from data (each holds one zero-reward self-loop); it is None
+    for a model given directly. `transition` and `reward` are dense
+    `(S, A, S)` views, built on each access.
     """
 
     states: List[StateId]
     actions: List[ActionId]
-    transition: np.ndarray
-    reward: np.ndarray
+    pair: np.ndarray
+    next_state: np.ndarray
+    probability: np.ndarray
+    step_reward: np.ndarray
     coverage: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        n_states, n_pairs = len(self.states), len(self.states) * len(self.actions)
+        self.pair, self.next_state = (np.asarray(x, dtype=np.intp) for x in (self.pair, self.next_state))
+        self.probability, self.step_reward = (np.asarray(x, dtype=float) for x in (self.probability, self.step_reward))
+        shapes = [x.shape for x in (self.pair, self.next_state, self.probability, self.step_reward)]
+        if len(set(shapes)) > 1 or self.pair.ndim != 1:
+            raise ValueError(f"transition arrays must be 1-d and of equal length, got shapes {shapes}")
+        for name, column, bound in (("pair", self.pair, n_pairs), ("next_state", self.next_state, n_states)):
+            if not ((column >= 0) & (column < bound)).all():
+                raise ValueError(f"{name} indices must lie in [0, {bound})")
+        if not (np.diff(self.pair * n_states + self.next_state) > 0).all():
+            raise ValueError("transitions must be in strictly increasing (pair, next_state) order")
+        if not np.isfinite(self.step_reward).all():
+            raise ValueError("rewards must be finite")
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
         n_states, n_actions = len(self.states), len(self.actions)
-        expected = (n_states, n_actions, n_states)
-        self.transition = np.asarray(self.transition, dtype=float)
-        self.reward = np.asarray(self.reward, dtype=float)
-        if self.transition.shape != expected:
-            raise ValueError(f"transition table must have shape {expected}, got {self.transition.shape}")
-        if self.reward.shape != expected:
-            raise ValueError(f"reward table must have shape {expected}, got {self.reward.shape}")
-        if not np.isfinite(self.reward).all():
-            raise ValueError("reward table contains non-finite values")
+        table = np.zeros((n_states * n_actions, n_states))
+        table[self.pair, self.next_state] = values
+        return table.reshape(n_states, n_actions, n_states)
+
+    transition = property(lambda self: self._dense(self.probability))
+    reward = property(lambda self: self._dense(self.step_reward))
 
 
 def _check_stochastic(mdp: ExplicitMDP) -> None:
-    row_sums = mdp.transition.sum(axis=2)
+    row_sums = np.bincount(mdp.pair, weights=mdp.probability, minlength=len(mdp.states) * len(mdp.actions))
     bad = ~(np.abs(row_sums - 1.0) <= _ROW_SUM_TOL)  # also true for a row holding NaN or inf
-    # A negative entry can hide in a row summing to 1. One flat scan finds it;
-    # the slower per-row scan runs only when that one fails.
-    if not mdp.transition.min(initial=0.0) >= 0.0:
-        bad |= ~(mdp.transition.min(axis=2) >= 0.0)
+    bad[mdp.pair[~(mdp.probability >= 0.0)]] = True  # a negative entry can hide in a row summing to 1
     if bad.any():
-        s, a = np.argwhere(bad)[0]
+        p = int(np.flatnonzero(bad)[0])
+        s, a = divmod(p, len(mdp.actions))
+        row = mdp.probability[mdp.pair == p]
         raise ValueError(
             f"non-stochastic transition row for ({mdp.states[s]!r}, {mdp.actions[a]!r}): probabilities must be "
-            f"finite and >= 0 and sum to 1; got minimum {float(mdp.transition[s, a].min())!r}, "
-            f"sum {float(row_sums[s, a])!r}"
+            f"finite and >= 0 and sum to 1; got {row.size} entries, minimum {float(row.min(initial=np.inf))!r}, "
+            f"sum {float(row_sums[p])!r}"
         )
 
 
@@ -69,7 +84,8 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
 
     Sweeps synchronous backups from a zero table until successive iterates
     differ by less than `tol` in sup norm, which bounds the Bellman residual
-    of the returned table by `gamma * tol`.
+    of the returned table by `gamma * tol`. Each backup costs time linear in
+    the number of transitions.
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
@@ -77,15 +93,12 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
         raise ValueError(f"tol must be positive, got {tol}")
     _check_stochastic(mdp)
 
-    # Summed a block of states at a time: the whole (S, A, S) product is as large as `transition`.
     q = np.zeros((len(mdp.states), len(mdp.actions)))
-    expected_reward = np.empty_like(q)
-    for lo in range(0, len(q), _REWARD_BLOCK):
-        block = slice(lo, lo + _REWARD_BLOCK)
-        np.sum(mdp.transition[block] * mdp.reward[block], axis=2, out=expected_reward[block])
+    expected_reward = np.bincount(mdp.pair, weights=mdp.probability * mdp.step_reward, minlength=q.size)
     for _ in range(max_sweeps):
         v = q.max(axis=1)
-        q_next = expected_reward + gamma * (mdp.transition @ v)
+        backed_up = np.bincount(mdp.pair, weights=mdp.probability * v[mdp.next_state], minlength=q.size)
+        q_next = (expected_reward + gamma * backed_up).reshape(q.shape)
         delta = float(np.abs(q_next - q).max())
         q = q_next
         if not np.isfinite(delta):  # an inf or NaN value makes every later delta NaN
@@ -114,27 +127,21 @@ def estimate_mdp(batch: Iterable[ExperienceTuple]) -> ExplicitMDP:
     s, a, s2 = np.array(batch.s), np.array(batch.a), np.array(batch.s_new)
     n_s, n_a = len(batch.states), len(batch.actions)
 
-    # Flat (s, a, s2) cell of each tuple; bincount adds repeats in batch order.
-    flat = (s * n_a + a) * n_s + s2
-
-    def tally(weights) -> np.ndarray:
-        return np.bincount(flat, weights=weights, minlength=n_s * n_a * n_s).reshape(n_s, n_a, n_s)
-
-    # Counts and reward sums become the tables in place: mean rewards first,
-    # while the counts are still counts, then transition frequencies.
-    transition = tally(np.ones(len(batch)))
-    reward = tally(batch.r)
-    np.divide(reward, transition, out=reward, where=transition > 0.0)
-    totals = transition.sum(axis=2)
+    # One entry per distinct (s, a, s2) cell; bincount adds repeats in batch order.
+    cells, inverse = np.unique((s * n_a + a) * n_s + s2, return_inverse=True)
+    counts = np.bincount(inverse)
+    totals = np.bincount(cells // n_s, weights=counts, minlength=n_s * n_a)
     coverage = totals > 0.0
-    np.divide(transition, totals[:, :, None], out=transition, where=coverage[:, :, None])
-
-    u, v = np.nonzero(~coverage)
-    transition[u, v, u] = 1.0
-
+    # Uncovered pairs have no cell, so their self-loops merge in under distinct keys.
+    loops = np.flatnonzero(~coverage)
+    keys = np.concatenate([cells, loops * n_s + loops // n_a])
+    probability = np.concatenate([counts / totals[cells // n_s], np.ones(len(loops))])
+    step_reward = np.concatenate([np.bincount(inverse, weights=batch.r) / counts, np.zeros(len(loops))])
+    order = np.argsort(keys)
     return ExplicitMDP(
-        states=list(batch.states), actions=list(batch.actions), transition=transition, reward=reward,
-        coverage=coverage,
+        states=list(batch.states), actions=list(batch.actions), pair=keys[order] // n_s,
+        next_state=keys[order] % n_s, probability=probability[order], step_reward=step_reward[order],
+        coverage=coverage.reshape(n_s, n_a),
     )
 
 

@@ -118,6 +118,14 @@ def test_train_missing_data_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_train_refuses_a_batch_whose_reward_total_overflows(tmp_path, capsys):
+    data = tmp_path / "exp.csv"
+    data.write_text("State,Action,Reward,NextState\ns1,up,1e308,s2\ns2,up,1e308,s1\n")
+    assert main(train_args(str(data), str(tmp_path / "m.json"))) == 2
+    assert "error: the batch's reward total must be finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_with_renamed_columns(tmp_path):
     data = tmp_path / "exp.csv"
     data.write_text("From,Move,Gain,To\ns1,down,-1.0,s2\ns2,right,-1.0,s3\ns3,up,10.0,s4\n")

@@ -251,6 +251,24 @@ def test_learn_rejects_values_that_overflow():
         learn(batch, control, prior=model)
 
 
+def test_learn_refuses_a_batch_whose_reward_total_overflows():
+    control = ControlParams(alpha=0.5, gamma=0.5)
+    for sign in (1.0, -1.0):
+        batch = [ExperienceTuple("s1", "up", sign * 1e308, "s2")] * 2
+        got = "-inf" if sign < 0 else "inf"
+        with pytest.raises(ValueError, match=f"reward total must be finite, got {got}$"):
+            learn(batch, control)
+        with pytest.raises(ValueError, match="reward total must be finite"):
+            update_model(learn(batch[:1], control), batch, control)
+
+
+def test_learn_keeps_a_finite_reward_total_whose_partial_sums_overflow():
+    # math.fsum raises on the partial sum 2e308, though the total is 1e308.
+    batch = [ExperienceTuple("s1", "up", r, "s2") for r in (1e308, 1e308, -1e308)]
+    model = learn(batch, ControlParams(alpha=0.5, gamma=0.5), iterations=2)
+    assert model.reward_history == [1e308, 1e308]
+
+
 # --- property: the interned learner equals a dict-based reference -------------
 #
 # The reference keeps values in a (state, action)-keyed dict, registers every

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from replayq.core import ExperienceTuple, QTable
 from replayq.envs import gridworld_mdp
@@ -39,14 +41,19 @@ GRIDWORLD_Q_STAR = {
 
 def two_state_mdp(step_reward=1.0):
     # deterministic two-state chain: "go" moves a -> b, everything else loops
-    transition = np.zeros((2, 2, 2))
-    reward = np.zeros((2, 2, 2))
-    transition[0, 0, 1] = 1.0  # a, go -> b
-    transition[0, 1, 0] = 1.0  # a, stay -> a
-    transition[1, 0, 1] = 1.0
-    transition[1, 1, 1] = 1.0
-    reward[0, 0, 1] = step_reward
-    return ExplicitMDP(states=["a", "b"], actions=["go", "stay"], transition=transition, reward=reward)
+    return ExplicitMDP(
+        states=["a", "b"],
+        actions=["go", "stay"],
+        pair=[0, 1, 2, 3],  # (a, go), (a, stay), (b, go), (b, stay)
+        next_state=[1, 0, 1, 1],
+        probability=[1.0, 1.0, 1.0, 1.0],
+        step_reward=[step_reward, 0.0, 0.0, 0.0],
+    )
+
+
+def one_state_loop(probability, step_reward):
+    return ExplicitMDP(states=["s"], actions=["a"], pair=[0], next_state=[0], probability=[probability],
+                       step_reward=[step_reward])
 
 
 def test_value_iteration_reproduces_hand_solved_gridworld():
@@ -63,10 +70,7 @@ def test_value_iteration_gamma_zero_returns_expected_reward():
 
 
 def test_value_iteration_absorbing_geometric_sum():
-    transition = np.ones((1, 1, 1))
-    reward = np.full((1, 1, 1), 2.0)
-    mdp = ExplicitMDP(states=["s"], actions=["a"], transition=transition, reward=reward)
-    q = value_iteration(mdp, gamma=0.9, tol=1e-12)
+    q = value_iteration(one_state_loop(1.0, 2.0), gamma=0.9, tol=1e-12)
     assert q.value("s", "a") == pytest.approx(2.0 / (1 - 0.9), abs=1e-9)
 
 
@@ -85,7 +89,7 @@ def test_value_iteration_validates_gamma_and_tol():
 
 def test_value_iteration_stops_at_the_first_overflow():
     # 1e308 + 0.9 * 1e308 is inf on the second sweep; every later delta would be NaN.
-    mdp = ExplicitMDP(states=["s"], actions=["a"], transition=np.ones((1, 1, 1)), reward=np.full((1, 1, 1), 1e308))
+    mdp = one_state_loop(1.0, 1e308)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="state-action values must be finite"):
         value_iteration(mdp, gamma=0.9, max_sweeps=20_000)
 
@@ -95,25 +99,27 @@ def test_value_iteration_rejects_non_stochastic_rows():
     broken = ExplicitMDP(
         states=mdp.states,
         actions=mdp.actions,
-        transition=mdp.transition * 0.5,
-        reward=mdp.reward,
+        pair=mdp.pair,
+        next_state=mdp.next_state,
+        probability=mdp.probability * 0.5,
+        step_reward=mdp.step_reward,
     )
     with pytest.raises(ValueError, match="stochastic"):
         value_iteration(broken, gamma=0.5)
 
 
 @pytest.mark.parametrize(
-    "transition,pair",
+    "n,rows,pair",
     [
-        pytest.param([[[math.nan]]], "('s0', 'a')", id="nan"),
-        pytest.param([[[0.0, 1.0]], [[1.5, -0.5]]], "('s1', 'a')", id="negative"),
+        pytest.param(1, [(0, 0, math.nan)], "('s0', 'a')", id="nan"),
+        # s1's row sums to 1, so only its negative entry is wrong.
+        pytest.param(2, [(0, 1, 1.0), (1, 0, 1.5), (1, 1, -0.5)], "('s1', 'a')", id="negative"),
     ],
 )
-def test_value_iteration_rejects_nan_and_negative_probabilities(transition, pair):
-    transition = np.array(transition)
-    n = transition.shape[0]
-    mdp = ExplicitMDP(states=[f"s{i}" for i in range(n)], actions=["a"], transition=transition,
-                      reward=np.zeros_like(transition))
+def test_value_iteration_rejects_nan_and_negative_probabilities(n, rows, pair):
+    source, next_state, probability = zip(*rows)
+    mdp = ExplicitMDP(states=[f"s{i}" for i in range(n)], actions=["a"], pair=source, next_state=next_state,
+                      probability=probability, step_reward=np.zeros(len(rows)))
     with pytest.raises(ValueError, match=re.escape(f"non-stochastic transition row for {pair}")):
         value_iteration(mdp, gamma=0.5)
 
@@ -132,8 +138,10 @@ def test_backup_iterates_grow_monotonically_under_nonnegative_rewards():
     shifted = ExplicitMDP(
         states=base.states,
         actions=base.actions,
-        transition=base.transition,
-        reward=base.reward + 1.0,  # lift the -1 step cost to 0 so no value can sink
+        pair=base.pair,
+        next_state=base.next_state,
+        probability=base.probability,
+        step_reward=base.step_reward + 1.0,  # lift the -1 step cost to 0 so no value can sink
     )
     # A looser tol stops at an earlier iterate, which must lie below every later one.
     previous = {(s, a): 0.0 for s in base.states for a in base.actions}
@@ -158,25 +166,97 @@ def test_value_iteration_sums_expected_rewards_as_the_full_product_does():
     assert np.array_equal(backed, (mdp.transition * mdp.reward).sum(axis=2))
 
 
-def test_value_iteration_peak_memory_stays_well_below_one_table():
-    mdp = estimate_mdp(ttt_generate_games(200, seed=1))
+def dense_value_iteration(transition, reward, gamma, tol=1e-9):
+    """Value iteration over dense (S, A, S) tables, written out independently of the library."""
+    expected_reward = (transition * reward).sum(axis=2)
+    q = np.zeros(expected_reward.shape)
+    while True:
+        q_next = expected_reward + gamma * (transition * q.max(axis=1)).sum(axis=2)
+        delta = np.abs(q_next - q).max()
+        q = q_next
+        if delta < tol:
+            return q
+
+
+@st.composite
+def flat_mdps(draw):
+    # Up to seven states: numpy sums a row that short left to right, in the
+    # next-state order that bincount adds a transition list's row in.
+    n_states, n_actions = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    columns = {"pair": [], "next_state": [], "probability": [], "step_reward": []}
+    for pair in range(n_states * n_actions):
+        successors = sorted(draw(st.sets(st.integers(0, n_states - 1), min_size=1)))
+        weights = [draw(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.01, 1.0)) for _ in successors]
+        weights[0] = weights[0] or 1.0  # a row needs some mass
+        for k, w in zip(successors, weights):
+            columns["pair"].append(pair)
+            columns["next_state"].append(k)
+            columns["probability"].append(w / math.fsum(weights))
+            columns["step_reward"].append(draw(st.floats(-10.0, 10.0)))
+    return ExplicitMDP(states=[f"s{i}" for i in range(n_states)], actions=[f"a{j}" for j in range(n_actions)],
+                       **columns)
+
+
+@settings(max_examples=200, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
+@given(mdp=flat_mdps(), gamma=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.95))
+def test_value_iteration_matches_a_dense_reference(mdp, gamma):
+    transition, reward = mdp.transition, mdp.reward
+    q = np.array(value_iteration(mdp, gamma).rows)
+    np.testing.assert_allclose(q, dense_value_iteration(transition, reward, gamma), rtol=0, atol=1e-12)
+    assert np.array_equal(np.array(value_iteration(mdp, 0.0).rows), (transition * reward).sum(axis=2))
+
+
+@pytest.fixture(scope="module")
+def paper_scale_batch():
+    # About 83k tuples: the batch of acceptance criterion 7.
+    return ttt_generate_games(20_000, seed=0)
+
+
+def test_estimate_and_solve_a_paper_scale_batch_in_under_16_mb(paper_scale_batch):
     tracemalloc.start()
     try:
+        mdp = estimate_mdp(paper_scale_batch)
         value_iteration(mdp, 0.99)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * mdp.transition.nbytes
+    assert len(mdp.states) > 3_000
+    assert peak < 16 * 2**20
 
 
-def test_explicit_mdp_validates_shapes():
-    with pytest.raises(ValueError):
-        ExplicitMDP(
-            states=["a"],
-            actions=["x", "y"],
-            transition=np.ones((1, 1, 1)),
-            reward=np.zeros((1, 1, 1)),
-        )
+def test_a_paper_scale_mdp_stores_under_64_bytes_per_transition(paper_scale_batch):
+    mdp = estimate_mdp(paper_scale_batch)
+    n_transitions = len(mdp.pair)
+    assert n_transitions > 40_000
+    stored = sum(x.nbytes for x in (mdp.pair, mdp.next_state, mdp.probability, mdp.step_reward, mdp.coverage))
+    assert stored < 64 * n_transitions + mdp.coverage.nbytes
+
+
+VALID = {"pair": [0, 1], "next_state": [1, 1], "probability": [1.0, 1.0], "step_reward": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "columns,message",
+    [
+        pytest.param({"next_state": [1]}, "1-d and of equal length", id="unequal-lengths"),
+        pytest.param({"pair": [[0, 1]], "next_state": [[1, 1]], "probability": [[1.0, 1.0]],
+                      "step_reward": [[0.0, 0.0]]}, "1-d and of equal length", id="two-dimensional"),
+        pytest.param({"pair": [0, 2]}, "pair indices must lie in [0, 2)", id="pair-too-large"),
+        pytest.param({"pair": [-1, 1]}, "pair indices must lie in [0, 2)", id="pair-negative"),
+        pytest.param({"next_state": [1, 2]}, "next_state indices must lie in [0, 2)", id="next-state-too-large"),
+        pytest.param({"next_state": [-1, 1]}, "next_state indices must lie in [0, 2)", id="next-state-negative"),
+        pytest.param({"pair": [1, 0]}, "strictly increasing (pair, next_state) order", id="unsorted-pairs"),
+        pytest.param({"pair": [0, 0], "next_state": [1, 0]}, "strictly increasing", id="unsorted-next-states"),
+        pytest.param({"pair": [1, 1]}, "strictly increasing", id="duplicate"),
+        pytest.param({"step_reward": [0.0, math.nan]}, "rewards must be finite", id="nan-reward"),
+        pytest.param({"step_reward": [math.inf, 0.0]}, "rewards must be finite", id="inf-reward"),
+    ],
+)
+def test_explicit_mdp_checks_its_transition_list(columns, message):
+    ExplicitMDP(states=["a", "b"], actions=["x"], **VALID)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExplicitMDP(states=["a", "b"], actions=["x"], **{**VALID, **columns})
 
 
 def test_estimate_mdp_rejects_empty_batch():
@@ -285,18 +365,6 @@ def test_estimate_mdp_matches_a_per_tuple_loop_bit_for_bit():
     assert np.array_equal(mdp.transition, transition)
     assert np.array_equal(mdp.reward, reward)
     assert np.array_equal(mdp.coverage, coverage)
-
-
-def test_estimate_mdp_peak_memory_stays_near_its_two_tables():
-    batch = ttt_generate_games(60, seed=1)
-    tracemalloc.start()
-    try:
-        mdp = estimate_mdp(batch)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # The transition and reward tables are the two tallies, divided in place.
-    assert peak < 3 * mdp.transition.nbytes
 
 
 # sha256 of estimate_mdp on a seeded tic-tac-toe batch, as built while batches
