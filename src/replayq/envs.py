@@ -8,7 +8,7 @@ import random
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
-from .learner import epsilon_greedy
+from .core import policy_from_q
 from .oracle import ExplicitMDP, estimate_mdp
 from .tictactoe import tictactoe_environment
 
@@ -91,6 +91,11 @@ def sample_experience(
             raise ValueError("model required for epsilon-greedy")
         if control is None:
             raise ValueError("control required for epsilon-greedy")
+        # learner.epsilon_greedy's draws, with the greedy policy built once.
+        actions = model.q.actions
+        if not actions:
+            raise ValueError("no actions defined")
+        policy = policy_from_q(model.q)
 
     rng = random.Random(seed)
     rows = []
@@ -98,8 +103,10 @@ def sample_experience(
         state = rng.choice(env.states)
         if mode == "random":
             action = rng.choice(env.actions)
+        elif rng.random() < control.epsilon:
+            action = rng.choice(actions)
         else:
-            action = epsilon_greedy(model.q, state, control.epsilon, rng)
+            action = policy.get(state, actions[0])
         next_state, reward = env.step(state, action, rng)
         rows.append((state, action, reward, next_state))
     return ExperienceBatch.from_columns(*zip(*rows))

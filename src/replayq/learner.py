@@ -23,23 +23,27 @@ from .core import (
 LEARNING_RULE = "experienceReplay"
 
 
-def _backup(items: Iterable[tuple], rows: List[List[float]], v: List[float], alpha: float, gamma: float) -> None:
-    """The TD update, applied in place to each `(s, a, r, s_new)` item in turn.
+def _backup(items: Iterable[tuple], rows: List[List[float]], v: List[float], alpha: float, gamma: float) -> bool:
+    """The TD update, applied in place to each `(s, a, r, s_new)` item in turn;
+    returns whether any update changed a value.
 
     `s` and `s_new` index `rows`, and `a` a column. `v` caches each row's
     maximum for the target: `v[s] == max(rows[s])` holds before and after
     every update, and a row is scanned only when its maximum was lowered.
     """
+    changed = False
     for s, a, reward, s_new in items:
         row = rows[s]
         current = row[a]
         updated = current + alpha * (reward + gamma * v[s_new] - current)
         if updated != current:
+            changed = True
             row[a] = updated
             if updated > v[s]:
                 v[s] = updated
             elif current == v[s]:
                 v[s] = max(row)
+    return changed
 
 
 def _check_finite(q: QTable, states: Iterable[StateId]) -> None:
@@ -79,6 +83,11 @@ def learn(
     never modified: `learn([t], control, prior=m)` is one TD update of `m.q`.
     A batch that is not an ExperienceBatch is made into one first.
 
+    Replay stops once a pass changes no value: the table is then a fixed
+    point of every item's update, so each later pass, in any order, would
+    change nothing either. The reward history and the iteration count still
+    cover every pass asked for.
+
     Deterministic: identical (batch, control, iterations, seed, prior) inputs
     produce an identical model.
     """
@@ -91,7 +100,6 @@ def learn(
     if prior is None:
         prior = RLModel(QTable(), control)
     q = prior.q.copy()
-    history = list(prior.reward_history)
     # Each batch label maps to its column or row once. Actions register first,
     # so new rows are made at full width and the row references stay valid.
     columns = [q.add_action(label) for label in batch.actions]
@@ -100,15 +108,16 @@ def learn(
     items = list(zip(batch.s, map(columns.__getitem__, batch.a), batch.r, batch.s_new))
     v = list(map(max, rows))
     touched = [batch.states[s] for s in dict.fromkeys(batch.s)]
-    total = _reward_total(batch.r)
+    history = list(prior.reward_history) + [_reward_total(batch.r)] * iterations
     rng = random.Random(seed)
     for _ in range(iterations):
         # Shuffling a list as long as the batch draws the same permutation.
         order = items[:]
         rng.shuffle(order)
-        _backup(order, rows, v, control.alpha, control.gamma)
+        changed = _backup(order, rows, v, control.alpha, control.gamma)
         _check_finite(q, touched)
-        history.append(total)
+        if not changed:
+            break
 
     return RLModel(
         q=q,

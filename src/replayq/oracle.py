@@ -17,7 +17,7 @@ _ROW_SUM_TOL = 1e-9
 POLICY_TIE_MARGIN = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExplicitMDP:
     """A finite MDP as the list of its possible transitions.
 
@@ -29,6 +29,9 @@ class ExplicitMDP:
     estimated from data (each holds one zero-reward self-loop); it is None
     for a model given directly. `transition` and `reward` are dense
     `(S, A, S)` views, built on each access.
+
+    Frozen, so no field can be reassigned past the constructor's checks.
+    Two MDPs are equal when all their fields are; an MDP is not hashable.
     """
 
     states: List[StateId]
@@ -41,8 +44,8 @@ class ExplicitMDP:
 
     def __post_init__(self) -> None:
         n_states, n_pairs = len(self.states), len(self.states) * len(self.actions)
-        self.pair, self.next_state = (np.asarray(x, dtype=np.intp) for x in (self.pair, self.next_state))
-        self.probability, self.step_reward = (np.asarray(x, dtype=float) for x in (self.probability, self.step_reward))
+        for name, dtype in (("pair", np.intp), ("next_state", np.intp), ("probability", float), ("step_reward", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         shapes = [x.shape for x in (self.pair, self.next_state, self.probability, self.step_reward)]
         if len(set(shapes)) > 1 or self.pair.ndim != 1:
             raise ValueError(f"transition arrays must be 1-d and of equal length, got shapes {shapes}")
@@ -53,6 +56,15 @@ class ExplicitMDP:
             raise ValueError("transitions must be in strictly increasing (pair, next_state) order")
         if not np.isfinite(self.step_reward).all():
             raise ValueError("rewards must be finite")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExplicitMDP):
+            return NotImplemented
+        # Labels compare as lists, since numpy drops a label's trailing NUL.
+        arrays = ("pair", "next_state", "probability", "step_reward", "coverage")
+        return [list(self.states), list(self.actions)] == [list(other.states), list(other.actions)] and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays
+        )
 
     def _dense(self, values: np.ndarray) -> np.ndarray:
         n_states, n_actions = len(self.states), len(self.actions)

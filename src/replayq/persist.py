@@ -30,7 +30,8 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
 
     `column_map` renames the tuple elements {s, a, r, s_new} to the file's
     column names; omitted keys fall back to State/Action/Reward/NextState.
-    A malformed file raises ValueError naming the file and its first bad row.
+    Each of the four columns must appear in the header exactly once. A
+    malformed file raises ValueError naming the file and its first bad row.
     """
     columns = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -49,10 +50,10 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
             indices = []
             for key in DEFAULT_COLUMNS:
                 name = columns[key]
-                try:
-                    indices.append(header.index(name))
-                except ValueError:
-                    raise ValueError(f"{path}: column {name} not found (header: {header})") from None
+                if header.count(name) != 1:
+                    problem = f"appears {header.count(name)} times" if name in header else "not found"
+                    raise ValueError(f"{path}: column {name} {problem} (header: {header})")
+                indices.append(header.index(name))
             i, j, k, m = indices
             s, a, r, s_new = (field.append for field in fields)
             width = len(header)
@@ -164,7 +165,7 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
     raises ValueError naming `source` and the offending field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # also too deep a nesting, or too long an integer
         raise ValueError(f"{source}: not a valid model file: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{source}: not a valid model file: expected an object")

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -123,6 +124,15 @@ def test_train_refuses_a_batch_whose_reward_total_overflows(tmp_path, capsys):
     data.write_text("State,Action,Reward,NextState\ns1,up,1e308,s2\ns2,up,1e308,s1\n")
     assert main(train_args(str(data), str(tmp_path / "m.json"))) == 2
     assert "error: the batch's reward total must be finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_refuses_a_header_that_names_a_used_column_twice(tmp_path, capsys):
+    data = tmp_path / "exp.csv"
+    data.write_text("State,Action,Reward,NextState,State\ns1,up,-1.0,s1,s2\n")
+    assert run(*train_args(str(data), str(tmp_path / "m.json"))) == 2
+    err = capsys.readouterr().err
+    assert f"{data}: column State appears 2 times" in err
     assert not (tmp_path / "m.json").exists()
 
 
@@ -310,3 +320,19 @@ def test_report_names_the_file_and_field_of_a_boolean_control_value(tmp_path, ca
     err = capsys.readouterr().err
     assert model in err
     assert "control.alpha must be a finite number, got True" in err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 200_000, id="nesting"),
+    pytest.param('{"iterations_completed": 1' + "0" * 5_000 + "}", id="long-integer",
+                 marks=pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5_000,
+                                          reason="this Python converts 5,000-digit integers")),
+])
+def test_report_names_the_file_that_json_cannot_parse(tmp_path, capsys, text):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    assert run("report", "--model", str(model)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {model}: not a valid model file: ")
+    assert captured.err.count("\n") == 1

@@ -231,7 +231,7 @@ def test_replay_items_are_untracked_by_the_cyclic_collector(monkeypatch):
 
     def capture(items, *args):
         captured.extend(items)
-        backup(items, *args)
+        return backup(items, *args)
 
     monkeypatch.setattr(learner, "_backup", capture)
     batch = [ExperienceTuple(f"s{k % 5}", f"a{k % 3}", float(k), f"s{(k + 1) % 5}") for k in range(50)]
@@ -373,3 +373,35 @@ def test_interned_learner_matches_reference(pair, control, iterations, seed, wit
     assert_matches_reference(second, ref2, control, 2 * iterations, history)
     assert model_to_json(learn(more, control, iterations, seed + 1, prior=first)) == model_to_json(second)
     assert model_to_json(first) == prior_text
+
+
+@st.composite
+def deterministic_batches(draw):
+    """A batch in which each (state, action) pair has one reward and one next state,
+    and a second one over the same dynamics."""
+    states = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    actions = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(states), st.sampled_from(actions)), min_size=1, max_size=8,
+                          unique=True))
+    dynamics = [ExperienceTuple(s, a, draw(rewards), draw(st.sampled_from(states))) for s, a in pairs]
+    tuples = st.lists(st.sampled_from(dynamics), min_size=1, max_size=30)
+    return draw(tuples), draw(tuples)
+
+
+@settings(max_examples=100, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
+@given(pair=deterministic_batches(), control=controls, iterations=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_replay_that_stops_at_its_fixed_point_equals_every_pass(pair, control, iterations, seed):
+    # Deterministic dynamics let replay reach an exact fixed point within the
+    # passes asked for; the reference runs every pass regardless.
+    batch, more = pair
+    first = learn(batch, control, iterations=iterations, seed=seed)
+    ref = ref_learn(batch, control, iterations, seed)
+    history = [math.fsum(t.reward for t in batch)] * iterations
+    assert_matches_reference(first, ref, control, iterations, history)
+    # Continuing from a fixed point may stop after the first pass.
+    second = learn(more, control, iterations=iterations, seed=seed + 1, prior=first)
+    ref2 = ref_learn(more, control, iterations, seed + 1, prior=ref)
+    history += [math.fsum(t.reward for t in more)] * iterations
+    assert_matches_reference(second, ref2, control, 2 * iterations, history)

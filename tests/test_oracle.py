@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -257,6 +258,30 @@ def test_explicit_mdp_checks_its_transition_list(columns, message):
     ExplicitMDP(states=["a", "b"], actions=["x"], **VALID)
     with pytest.raises(ValueError, match=re.escape(message)):
         ExplicitMDP(states=["a", "b"], actions=["x"], **{**VALID, **columns})
+
+
+def test_explicit_mdps_compare_by_their_fields():
+    batch = ttt_generate_games(20, seed=3)
+    mdp = estimate_mdp(batch)
+    assert mdp == estimate_mdp(batch)
+    assert not mdp != estimate_mdp(batch)
+    assert mdp != estimate_mdp(ttt_generate_games(20, seed=4))
+    assert mdp != dataclasses.replace(mdp, coverage=None)
+    assert dataclasses.replace(mdp, coverage=None) == dataclasses.replace(mdp, coverage=None)
+    assert mdp != dataclasses.replace(mdp, step_reward=mdp.step_reward + 1.0)
+    # numpy would read these two labels as one string.
+    one, other = (ExplicitMDP(states=[label, "b"], actions=["x"], **VALID) for label in ("a", "a\0"))
+    assert one != other
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(mdp)
+
+
+def test_explicit_mdp_fields_cannot_be_reassigned():
+    mdp = estimate_mdp(ttt_generate_games(20, seed=3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mdp.probability = mdp.probability * 2
+    with pytest.raises(ValueError, match="strictly increasing"):
+        dataclasses.replace(mdp, pair=mdp.pair[::-1])
 
 
 def test_estimate_mdp_rejects_empty_batch():

@@ -8,13 +8,14 @@ import os
 import pathlib
 import re
 import stat
+import sys
 
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import replayq
-from replayq import persist
+from replayq import learner, persist
 from replayq.cli import main
 from replayq.core import ControlParams, ExperienceTuple, validate_label
 from replayq.envs import gridworld_environment, sample_experience
@@ -119,6 +120,22 @@ def test_read_experience_missing_column(tmp_path):
     path.write_text("State,Action,Score,NextState\n")
     with pytest.raises(ValueError, match="column Reward not found"):
         read_experience(str(path))
+
+
+def test_read_experience_refuses_a_used_column_named_twice(tmp_path):
+    path = tmp_path / "exp.csv"
+    path.write_text("State,Action,Reward,NextState,State\ns1,down,-1.0,s2,s3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: column State appears 2 times"):
+        read_experience(str(path))
+    path.write_text("From,Move,Gain,To,Move\ns1,down,-1.0,s2,up\n")
+    with pytest.raises(ValueError, match="column Move appears 2 times"):
+        read_experience(str(path), {"s": "From", "a": "Move", "r": "Gain", "s_new": "To"})
+
+
+def test_read_experience_allows_an_unused_column_named_twice(tmp_path):
+    path = tmp_path / "exp.csv"
+    path.write_text("Episode,State,Action,Reward,NextState,Episode\n7,s1,down,-1.0,s2,8\n")
+    assert read_experience(str(path)) == [ExperienceTuple("s1", "down", -1.0, "s2")]
 
 
 def test_read_experience_bad_reward_points_at_row(tmp_path):
@@ -263,6 +280,17 @@ def test_load_model_rejects_non_json(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(ValueError, match="not a valid model"):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[" * 200_000, "maximum recursion depth exceeded", id="nesting"),
+    pytest.param('{"iterations_completed": 1' + "0" * 5_000 + "}", "integer string conversion", id="long-integer",
+                 marks=pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5_000,
+                                          reason="this Python converts 5,000-digit integers")),
+])
+def test_model_from_json_names_the_source_of_text_json_cannot_parse(text, message):
+    with pytest.raises(ValueError, match=f"^model.json: not a valid model file: .*{message}"):
+        model_from_json(text, source="model.json")
 
 
 def test_model_from_json_rejects_ragged_rows():
@@ -529,6 +557,24 @@ def test_seeded_cli_outputs_keep_their_bytes(tmp_path, capsys):
     digests = {name: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest() for name, path in out.items()}
     assert digests == PINNED_SHA256
     assert sorted(os.listdir(tmp_path)) == sorted(PINNED_SHA256)
+
+
+def test_seeded_training_stops_replay_at_its_fixed_point_and_still_counts_every_pass(monkeypatch):
+    # The library calls behind the pinned `sample` and `train` runs above.
+    calls = []
+    backup = learner._backup
+
+    def count(*args):
+        calls.append(None)
+        return backup(*args)
+
+    monkeypatch.setattr(learner, "_backup", count)
+    batch = sample_experience(1000, gridworld_environment(), seed=123)
+    model = learn(batch, ControlParams(), iterations=500, seed=7)
+    assert len(calls) <= 20
+    assert model.iterations_completed == 500
+    assert model.reward_history == [math.fsum(batch.r)] * 500
+    assert hashlib.sha256(model_to_json(model).encode()).hexdigest() == PINNED_SHA256["model.json"]
 
 
 # sha256 of a seeded tic-tac-toe batch as CSV and of one replay pass over it,
