@@ -66,6 +66,15 @@ class ExperienceTuple:
         object.__setattr__(self, "reward", reward)
 
 
+def _raise_first_bad_row(rows: Iterable[tuple], where: Callable[[int], str]) -> None:
+    """Raise ValueError, as ExperienceTuple would, for the first of `rows` it refuses."""
+    for k, row in enumerate(rows):
+        try:
+            ExperienceTuple(*row)
+        except ValueError as exc:
+            raise ValueError(f"{where(k)}{exc}") from None
+
+
 class ExperienceBatch:
     """A batch of transitions held as columns, like a data frame of s, a, r and s_new.
 
@@ -100,29 +109,45 @@ class ExperienceBatch:
         if not len(states) == len(actions) == len(rewards) == len(next_states):
             raise ValueError("columns must be equally long")
         try:
-            r = list(map(float, rewards))
             state_codes = dict.fromkeys(chain.from_iterable(zip(states, next_states)))
             action_codes = dict.fromkeys(actions)
-            for label in chain(state_codes, action_codes):
-                validate_label(label)
-            valid = all(map(math.isfinite, r))
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            for k, row in enumerate(zip(states, actions, rewards, next_states)):
-                try:
-                    ExperienceTuple(*row)
-                except ValueError as exc:
-                    raise ValueError(f"{where(k)}{exc}") from None
+        except TypeError:  # an unhashable label, which the row check names
+            _raise_first_bad_row(zip(states, actions, rewards, next_states), where)
+            raise
         for codes in (state_codes, action_codes):
             for k, label in enumerate(codes):
                 codes[label] = k
-        batch = cls.__new__(cls)
-        batch.states, batch.actions, batch.r = list(state_codes), list(action_codes), r
-        batch.s, batch.a, batch.s_new = (
+        s, a, s_new = (
             list(map(codes.__getitem__, column))
             for codes, column in ((state_codes, states), (action_codes, actions), (state_codes, next_states))
         )
+        return cls.from_codes(list(state_codes), list(action_codes), s, a, s_new, rewards, where=where)
+
+    @classmethod
+    def from_codes(cls, states: List[StateId], actions: List[ActionId], s: List[int], a: List[int],
+                   s_new: List[int], rewards: Sequence[float], r: Optional[List[int]] = None,
+                   where: Callable[[int], str] = lambda k: "") -> ExperienceBatch:
+        """The batch of label tables and the code columns into them; the lists become the batch's own.
+
+        `r` codes each row's reward into `rewards`, a table of distinct values
+        that may be numeric text; without `r`, `rewards` holds one per row.
+        The checks are from_columns': each label and each entry of `rewards`
+        is checked once, and only a fault walks the rows to name the first bad one.
+        """
+        try:
+            values = list(map(float, rewards))
+            for label in chain(states, actions):
+                validate_label(label)
+            valid = all(map(math.isfinite, values))
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            tables = (states, actions, rewards, states)
+            codes = (s, a, range(len(s)) if r is None else r, s_new)
+            _raise_first_bad_row(zip(*(map(t.__getitem__, c) for t, c in zip(tables, codes))), where)
+        batch = cls.__new__(cls)
+        batch.states, batch.actions, batch.s, batch.a, batch.s_new = states, actions, s, a, s_new
+        batch.r = values if r is None else list(map(values.__getitem__, r))
         return batch
 
     def __len__(self) -> int:

@@ -16,13 +16,23 @@ import math
 import os
 import stat
 import statistics
-from typing import Dict, Iterable, Optional
+from itertools import chain, islice
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from .core import ControlParams, ExperienceBatch, ExperienceTuple, QTable, RLModel, policy_from_q
 
 DEFAULT_COLUMNS = {"s": "State", "a": "Action", "r": "Reward", "s_new": "NextState"}
 MODEL_FORMAT = "rlmodel/1"
+_CONTROL_FIELDS = ("alpha", "gamma", "epsilon")
 NOT_AVAILABLE = "NA"
+
+
+class _Codes(dict):
+    """Label -> code in first-appearance order: looking up a new label gives it the next code."""
+
+    def __missing__(self, label: str) -> int:
+        code = self[label] = len(self)
+        return code
 
 
 def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> ExperienceBatch:
@@ -30,8 +40,11 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
 
     `column_map` renames the tuple elements {s, a, r, s_new} to the file's
     column names; omitted keys fall back to State/Action/Reward/NextState.
-    Each of the four columns must appear in the header exactly once. A
-    malformed file raises ValueError naming the file and its first bad row.
+    The four names must differ, and each must appear in the header exactly
+    once. Labels and reward texts are coded as rows are parsed, so the reader
+    holds integer code columns and one copy of each distinct text, never a
+    string per row. A malformed file raises ValueError naming the file and
+    its first bad row.
     """
     columns = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -39,8 +52,14 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
         if unknown:
             raise ValueError(f"unknown column_map keys {sorted(unknown)}; expected {', '.join(DEFAULT_COLUMNS)}")
         columns.update(column_map)
+    for name in columns.values():
+        keys = [key for key, used in columns.items() if used == name]
+        if len(keys) > 1:
+            raise ValueError(f"{path}: column {name} is mapped to both {' and '.join(keys)}")
 
-    header, fault, fields = None, None, ([], [], [], [])
+    header, fault = None, None
+    states, actions, rewards = _Codes(), _Codes(), _Codes()
+    codes = []  # four per row: s, a, r, s_new
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -55,41 +74,61 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
                     raise ValueError(f"{path}: column {name} {problem} (header: {header})")
                 indices.append(header.index(name))
             i, j, k, m = indices
-            s, a, r, s_new = (field.append for field in fields)
+            state, action, reward = states.__getitem__, actions.__getitem__, rewards.__getitem__
+            add = codes.append
             width = len(header)
             for row in reader:
                 if len(row) != width:
                     fault = f"expected {width} fields, got {len(row)}"
                     break
-                s(row[i])
-                a(row[j])
-                r(row[k])
-                s_new(row[m])
+                # State before next state, so state codes follow first appearance.
+                add(state(row[i]))
+                add(action(row[j]))
+                add(reward(row[k]))
+                add(state(row[m]))
     except csv.Error as exc:
         fault = str(exc)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
+    # One list cut into columns at the end: four lists grown side by side
+    # fragmented the heap, adding ~8 MB of RSS at 100k games.
+    s, a, r, s_new = (codes[c::4] for c in range(4))
+    del codes
     # Rows before the first one the reader or the width check refused are
     # checked first, so the error names the first bad row.
-    batch = ExperienceBatch.from_columns(*fields, where=lambda k: f"{path}: row {k + 2}: ")
+    batch = ExperienceBatch.from_codes(list(states), list(actions), s, a, s_new, list(rewards), r,
+                                       where=lambda k: f"{path}: row {k + 2}: ")
     if fault is not None:
-        raise ValueError(f"{path}: row {len(fields[0]) + 2 if header is not None else 1}: {fault}")
+        raise ValueError(f"{path}: row {len(s) + 2 if header is not None else 1}: {fault}")
     return batch
 
 
+# Rows per block of text handed to write_text: each block's lines die before the next is built.
+_BLOCK_ROWS = 1024
+
+
 def write_experience(batch: Iterable[ExperienceTuple], path: str) -> None:
-    """Write a batch under the standard header; read_experience inverts this exactly."""
-    batch = ExperienceBatch(batch)
+    """Write a batch under the standard header; read_experience inverts this exactly.
+
+    The text goes to write_text in blocks of rows, so the writer never holds
+    more than one block of the file's text.
+    """
+    write_text(path, _experience_blocks(ExperienceBatch(batch)))
+
+
+def _experience_blocks(batch: ExperienceBatch) -> Iterator[str]:
+    yield ",".join(DEFAULT_COLUMNS.values()) + "\n"
     states, actions = batch.states, batch.actions
-    lines = [",".join(DEFAULT_COLUMNS.values())]
     rows = zip(batch.s, batch.a, batch.r, batch.s_new)
-    lines += [f"{states[s]},{actions[a]},{r!r},{states[s2]}" for s, a, r, s2 in rows]
-    write_text(path, "\n".join(lines) + "\n")
+    while block := "".join([f"{states[s]},{actions[a]},{r!r},{states[s2]}\n"
+                            for s, a, r, s2 in islice(rows, _BLOCK_ROWS)]):
+        yield block
 
 
-def write_text(path: str, text: str) -> None:
-    """Write `text` to `path`, never leaving it torn; every output file goes through here.
+def write_text(path: str, text: Union[str, Iterable[str]]) -> None:
+    """Write `text`, a string or an iterable of string blocks, to `path`, never
+    leaving it torn; every output file goes through here.
 
     A regular or missing target is replaced by a file written beside it and
     renamed onto its name. Any other target (a symlink, FIFO or device) is
@@ -99,9 +138,11 @@ def write_text(path: str, text: str) -> None:
         old = os.lstat(path)
     except FileNotFoundError:
         old = None
+    blocks = (text,) if isinstance(text, str) else text
     if old is not None and not stat.S_ISREG(old.st_mode):
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write(text)
+            for block in blocks:
+                fh.write(block)
         return
     if old is not None and not os.access(path, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
@@ -116,7 +157,8 @@ def write_text(path: str, text: str) -> None:
         with open(fd, "w", newline="\n", encoding="utf-8") as fh:
             if old is not None:
                 os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
-            fh.write(text)
+            for block in blocks:
+                fh.write(block)
         # Truncating a file, or renaming over one, makes ext4 flush it on
         # close (auto_da_alloc), ~70 ms; renaming onto a freed name does not.
         try:
@@ -129,28 +171,59 @@ def write_text(path: str, text: str) -> None:
         raise
 
 
+def _json_items(values: Iterable[object]) -> List[str]:
+    """The JSON text of each of `values`, from one call to json's C encoder.
+
+    json.dumps runs the pure-Python encoder whenever `indent` is set, so
+    model_to_json lays out encoded items itself. Encoded JSON never holds a
+    raw newline, which makes it a safe item separator.
+    """
+    text = json.dumps(list(values), separators=("\n", ": "))
+    return text[1:-1].split("\n") if len(text) > 2 else []
+
+
+def _json_block(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
+    """A list (with brackets "{}", an object) of encoded items, laid out as indent=2 lays it out at `depth`."""
+    items = list(items)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
 def model_to_json(model: RLModel) -> str:
-    """Serialize a model to the versioned JSON text form."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "learning_rule": model.learning_rule,
-        "control": {
-            "alpha": model.control.alpha,
-            "gamma": model.control.gamma,
-            "epsilon": model.control.epsilon,
-        },
-        "iterations_completed": model.iterations_completed,
-        "reward_history": list(model.reward_history),
-        "states": model.q.states,
-        "actions": model.q.actions,
-        "q": dict(zip(model.q.state_index, model.q.rows)),
-        "policy": dict(model.policy),
+    """Serialize a model to the versioned JSON text form: json.dumps(doc, indent=2) of its document."""
+    q = model.q
+    control = _json_items(getattr(model.control, name) for name in _CONTROL_FIELDS)
+    states = _json_items(q.state_index)
+    # Every value in one C-encoder call, with indent=2's separator between a
+    # row's values; a number holds no "]", so the text splits where rows meet.
+    sep = ",\n      "
+    if q.action_index:
+        text = json.dumps(q.rows, separators=(sep, ": "))
+        rows = [f"[\n      {row}\n    ]" for row in text[2:-2].split("]" + sep + "[")]
+    else:
+        rows = ["[]"] * len(states)
+    fields = {
+        "format": json.dumps(MODEL_FORMAT),
+        "learning_rule": json.dumps(model.learning_rule),
+        "control": _json_block((f'"{name}": {text}' for name, text in zip(_CONTROL_FIELDS, control)), 1, "{}"),
+        "iterations_completed": json.dumps(model.iterations_completed),
+        "reward_history": _json_block(_json_items(model.reward_history), 1),
+        "states": _json_block(states, 1),
+        "actions": _json_block(_json_items(q.action_index), 1),
+        "q": _json_block((f"{s}: {row}" for s, row in zip(states, rows)), 1, "{}"),
+        "policy": _json_block((f"{s}: {a}" for s, a in zip(states, _json_items(model.policy.values()))), 1, "{}"),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_block((f'"{key}": {text}' for key, text in fields.items()), 0, "{}") + "\n"
 
 
 def save_model(model: RLModel, path: str) -> None:
     write_text(path, model_to_json(model))
+
+
+# The types json.loads gives numbers; bool, an int subclass, is not one of them.
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def _number(value: object, field: str) -> float:
@@ -186,7 +259,10 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
             row = values.get(s)
             if not isinstance(row, list) or len(row) != len(actions):
                 raise ValueError(f"q[{s!r}] must list {len(actions)} values, one per action, got {row!r}")
-            q.rows[i] = [_number(v, f"q[{s!r}][{j}]") for j, v in enumerate(row)]
+            if all(map(_JSON_NUMBERS.__contains__, map(type, row))) and all(map(math.isfinite, row)):
+                q.rows[i] = list(map(float, row))
+            else:  # _number words the error
+                q.rows[i] = [_number(v, f"q[{s!r}][{j}]") for j, v in enumerate(row)]
             if s not in policy:
                 raise ValueError(f"policy has no entry for state {s!r}")
         # The policy is derived data; a stored one must be q's argmax.
@@ -196,7 +272,7 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
         control, rule, history = doc["control"], doc["learning_rule"], doc["reward_history"]
         if not isinstance(control, dict):
             raise ValueError(f"control must be an object, got {control!r}")
-        for name in ("alpha", "gamma", "epsilon"):
+        for name in _CONTROL_FIELDS:
             if name not in control:
                 raise KeyError(f"control.{name}")
         if not isinstance(rule, str):

@@ -110,7 +110,12 @@ def test_from_columns_checks_each_row_as_experience_tuple_does():
     # The first bad row is named, whatever is wrong with a later one.
     (["s1,up,inf,s2", "s2,up,1.0,s1,extra"], "row 2: reward must be finite, got inf"),
     (["s1,up,inf,s2", "s" * 131_073 + ",up,1.0,s1"], "row 2: reward must be finite, got inf"),
-], ids=["label", "nan", "inf", "unparsable", "first-of-two", "before-a-wide-row", "before-an-unreadable-row"])
+    (["s1,up,1.0,s2", "s2,up,oops,s1", "s1,\"u,p\",1.0,s2", "s2,up,oops,s1"], "row 3: cannot parse reward 'oops'"),
+    (["s1,up,1.0,s2", "s1,\"u,p\",1.0,s2", "s2,up,oops,s1", "s1,\"u,p\",1.0,s2"],
+     "row 3: action 'u,p' contains forbidden character ','"),
+    (["s1,up,1.0,s2", "s2,up,oops,\"\""], "row 3: next_state must be a non-empty string"),
+], ids=["label", "nan", "inf", "unparsable", "first-of-two", "before-a-wide-row", "before-an-unreadable-row",
+        "reward-before-label", "label-before-reward", "label-and-reward-in-one-row"])
 def test_read_experience_names_the_file_and_the_first_bad_row(tmp_path, rows, message):
     path = tmp_path / "exp.csv"
     path.write_text("\n".join(["State,Action,Reward,NextState", *rows]) + "\n")

@@ -9,15 +9,16 @@ import pathlib
 import re
 import stat
 import sys
+import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, Phase, example, given, settings
+from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import replayq
 from replayq import learner, persist
 from replayq.cli import main
-from replayq.core import ControlParams, ExperienceTuple, validate_label
+from replayq.core import ControlParams, ExperienceBatch, ExperienceTuple, validate_label
 from replayq.envs import gridworld_environment, sample_experience
 from replayq.learner import learn
 from replayq.persist import (
@@ -47,6 +48,28 @@ def test_experience_round_trip_preserves_tuples(tmp_path):
     path = tmp_path / "exp.csv"
     write_experience(small_batch(), str(path))
     assert read_experience(str(path)) == small_batch()
+
+
+def _peak_per_file_byte(action, path):
+    """tracemalloc's peak over `action()`, per byte of the file at `path`."""
+    tracemalloc.start()
+    try:
+        action()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / os.path.getsize(path)
+
+
+def test_experience_io_memory_is_bounded_by_the_file_size(tmp_path):
+    # 2,000 seeded games: 8,390 rows, 227 kB. The batch read back holds four
+    # columns of 8-byte references, about 1.2 bytes per file byte; holding a
+    # string per field of each row took the read to 12 and the write to 5.
+    games = ttt_generate_games(2_000, seed=0)
+    path = str(tmp_path / "games.csv")
+    write_experience(games, path)
+    assert _peak_per_file_byte(lambda: read_experience(path), path) < 5
+    assert _peak_per_file_byte(lambda: write_experience(games, path), path) < 1.0
 
 
 def test_experience_round_trip_is_byte_exact(tmp_path):
@@ -98,6 +121,7 @@ def test_any_valid_batch_round_trips_byte_exactly(tmp_path, batch):
     write_experience(batch, str(first))
     back = read_experience(str(first))
     assert back == batch
+    assert back == ExperienceBatch(batch)  # the same label tables and code columns
     write_experience(back, str(second))
     assert first.read_bytes() == second.read_bytes()
 
@@ -130,6 +154,19 @@ def test_read_experience_refuses_a_used_column_named_twice(tmp_path):
     path.write_text("From,Move,Gain,To,Move\ns1,down,-1.0,s2,up\n")
     with pytest.raises(ValueError, match="column Move appears 2 times"):
         read_experience(str(path), {"s": "From", "a": "Move", "r": "Gain", "s_new": "To"})
+
+
+def test_read_experience_refuses_a_column_map_that_sends_two_elements_to_one_column(tmp_path, capsys):
+    path = tmp_path / "exp.csv"
+    path.write_text("State,Action,Reward,NextState\ns1,down,-1.0,s2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: column State is mapped to both s and s_new$"):
+        read_experience(str(path), {"s_new": "State"})
+    with pytest.raises(ValueError, match="column Move is mapped to both s and a$"):
+        read_experience(str(path), {"s": "Move", "a": "Move"})
+    out = tmp_path / "model.json"
+    assert main(["train", "--data", str(path), "--s-new", "State", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: column State is mapped to both s and s_new\n"
+    assert not out.exists()
 
 
 def test_read_experience_allows_an_unused_column_named_twice(tmp_path):
@@ -293,6 +330,56 @@ def test_model_from_json_names_the_source_of_text_json_cannot_parse(text, messag
         model_from_json(text, source="model.json")
 
 
+def reference_model_json(model):
+    """The rlmodel/1 text as json's indenting encoder writes the model's document."""
+    doc = {
+        "format": "rlmodel/1",
+        "learning_rule": model.learning_rule,
+        "control": {"alpha": model.control.alpha, "gamma": model.control.gamma, "epsilon": model.control.epsilon},
+        "iterations_completed": model.iterations_completed,
+        "reward_history": list(model.reward_history),
+        "states": model.q.states,
+        "actions": model.q.actions,
+        "q": dict(zip(model.q.state_index, model.q.rows)),
+        "policy": dict(model.policy),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Integer-valued floats drawn often: they are written as "3.0", never "3".
+values = st.integers(-10**6, 10**6).map(float) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
+@given(states=st.lists(labels, unique=True, max_size=5), actions=st.lists(labels, unique=True, max_size=4),
+       data=st.data(), history=st.lists(values, max_size=3), rule=st.text(max_size=6),
+       iterations=st.integers(0, 10**12), control=st.builds(ControlParams, *[st.floats(0.0, 1.0)] * 3))
+@example(states=[], actions=[], data=None, history=[], rule="experienceReplay", iterations=0, control=CONTROL)
+def test_model_to_json_is_json_dumps_with_indent_two(states, actions, data, history, rule, iterations, control):
+    from replayq.core import QTable, RLModel
+
+    assume(actions or not states)  # a table with states but no actions has no policy to write
+    q = QTable(states, actions)
+    for row in q.rows:
+        row[:] = data.draw(st.lists(values, min_size=len(actions), max_size=len(actions)))
+    model = RLModel(q, control, iterations, history, rule)
+    text = model_to_json(model)
+    assert text == reference_model_json(model)
+    assert model_to_json(model_from_json(text)) == text
+
+
+def test_model_from_json_reads_integer_values_as_floats():
+    from replayq.core import QTable, RLModel
+
+    model = RLModel(QTable(["s1"], ["up", "down"]), CONTROL)
+    model.q.rows[0] = [2.0, -3.0]
+    doc = json.loads(model_to_json(model))
+    doc["q"]["s1"] = [2, -3]
+    loaded = model_from_json(json.dumps(doc))
+    assert loaded.q == model.q and all(type(v) is float for v in loaded.q.rows[0])
+
+
 def test_model_from_json_rejects_ragged_rows():
     text = model_to_json(trained_model())
     doc = json.loads(text)
@@ -360,6 +447,8 @@ def corrupted(change):
     [
         pytest.param(lambda d: d["q"]["s1"].__setitem__(0, "1.5"), "q['s1'][0] must be a finite number", id="string-value"),
         pytest.param(lambda d: d["q"]["s1"].__setitem__(0, True), "q['s1'][0] must be a finite number", id="boolean-value"),
+        pytest.param(lambda d: d["q"]["s1"].__setitem__(1, math.inf), "q['s1'][1] must be a finite number, got inf",
+                     id="infinite-value"),
         pytest.param(lambda d: d["states"].append("s1"), "state 's1' is listed more than once", id="duplicate-state"),
         pytest.param(lambda d: d["actions"].append("up"), "action 'up' is listed more than once", id="duplicate-action"),
         pytest.param(lambda d: d.__setitem__("iterations_completed", -1), "iterations_completed", id="negative-iterations"),
