@@ -191,7 +191,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if env.exact_mdp is None:
         raise ValueError(f"environment {env.name!r} does not expose exact dynamics; cannot verify")
     mdp = env.exact_mdp()
-    q_star = value_iteration(mdp, gamma=args.gamma, tol=1e-9)
+    try:
+        q_star = value_iteration(mdp, gamma=args.gamma, tol=1e-9)
+    except ValueError as exc:  # a built-in MDP is well formed, so --gamma is too close to 1
+        raise _UsageError(f"--gamma {args.gamma:g} is too close to 1 for verify: {exc}") from None
     pairs, max_diff, compared, mismatched = compare_to_optimal(model.q, q_star)
 
     print(f"environment: {env.name}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -66,13 +66,13 @@ class ExperienceTuple:
         object.__setattr__(self, "reward", reward)
 
 
-def _raise_first_bad_row(rows: Iterable[tuple], where: Callable[[int], str]) -> None:
-    """Raise ValueError, as ExperienceTuple would, for the first of `rows` it refuses."""
-    for k, row in enumerate(rows):
-        try:
-            ExperienceTuple(*row)
-        except ValueError as exc:
-            raise ValueError(f"{where(k)}{exc}") from None
+class _Codes(dict):
+    """Label -> code in first-appearance order: looking up a new label gives it the next code.
+    It is the package's one label numbering: every batch builder codes its labels through it."""
+
+    def __missing__(self, label: StateId) -> int:
+        code = self[label] = len(self)
+        return code
 
 
 class ExperienceBatch:
@@ -90,38 +90,31 @@ class ExperienceBatch:
     def __init__(self, rows: Iterable[ExperienceTuple] = ()) -> None:
         """The batch of `rows`; given a batch, one sharing its columns."""
         if not isinstance(rows, ExperienceBatch):
-            rows = list(rows)
-            rows = ExperienceBatch.from_columns(
-                *(list(map(attrgetter(name), rows)) for name in ("state", "action", "reward", "next_state"))
-            )
+            rows = ExperienceBatch._from_rows(map(attrgetter("state", "action", "reward", "next_state"), rows))
         for name in self.__slots__:
             setattr(self, name, getattr(rows, name))
 
     @classmethod
-    def from_columns(cls, states: Sequence[StateId], actions: Sequence[ActionId], rewards: Sequence[float],
-                     next_states: Sequence[StateId], where: Callable[[int], str] = lambda k: "") -> ExperienceBatch:
-        """The batch of four equally long columns; a reward may be numeric text.
+    def _from_rows(cls, rows: Iterable[tuple]) -> ExperienceBatch:
+        """The batch of `(state, action, reward, next_state)` rows, labels coded as rows arrive.
 
-        Each distinct label is validated once and each reward checked finite
-        once. Otherwise the first bad row raises ValueError as ExperienceTuple
-        would, the message prefixed by `where(k)` for its 0-based index `k`.
+        The checks are from_codes'. A row with an unhashable label raises
+        ValueError as ExperienceTuple would, once the rows before it pass.
         """
-        if not len(states) == len(actions) == len(rewards) == len(next_states):
-            raise ValueError("columns must be equally long")
-        try:
-            state_codes = dict.fromkeys(chain.from_iterable(zip(states, next_states)))
-            action_codes = dict.fromkeys(actions)
-        except TypeError:  # an unhashable label, which the row check names
-            _raise_first_bad_row(zip(states, actions, rewards, next_states), where)
-            raise
-        for codes in (state_codes, action_codes):
-            for k, label in enumerate(codes):
-                codes[label] = k
-        s, a, s_new = (
-            list(map(codes.__getitem__, column))
-            for codes, column in ((state_codes, states), (action_codes, actions), (state_codes, next_states))
-        )
-        return cls.from_codes(list(state_codes), list(action_codes), s, a, s_new, rewards, where=where)
+        states, actions = _Codes(), _Codes()
+        s, a, r, s_new = [], [], [], []
+        for row in rows:
+            try:  # state before next state, so state codes follow first appearance
+                codes = states[row[0]], actions[row[1]], states[row[3]]
+            except TypeError:  # an unhashable label
+                cls.from_codes(list(states), list(actions), s, a, s_new, r)
+                ExperienceTuple(*row)
+                raise
+            s.append(codes[0])
+            a.append(codes[1])
+            r.append(row[2])
+            s_new.append(codes[2])
+        return cls.from_codes(list(states), list(actions), s, a, s_new, r)
 
     @classmethod
     def from_codes(cls, states: List[StateId], actions: List[ActionId], s: List[int], a: List[int],
@@ -131,9 +124,12 @@ class ExperienceBatch:
 
         `r` codes each row's reward into `rewards`, a table of distinct values
         that may be numeric text; without `r`, `rewards` holds one per row.
-        The checks are from_columns': each label and each entry of `rewards`
-        is checked once, and only a fault walks the rows to name the first bad one.
+        Each label and each entry of `rewards` is checked once, and only a
+        fault walks the rows to name the first bad one, as ExperienceTuple
+        would, the message prefixed by `where(k)` for its 0-based index `k`.
         """
+        if not len(s) == len(a) == len(s_new) == len(rewards if r is None else r):
+            raise ValueError("code columns must be equally long")
         try:
             values = list(map(float, rewards))
             for label in chain(states, actions):
@@ -144,7 +140,11 @@ class ExperienceBatch:
         if not valid:
             tables = (states, actions, rewards, states)
             codes = (s, a, range(len(s)) if r is None else r, s_new)
-            _raise_first_bad_row(zip(*(map(t.__getitem__, c) for t, c in zip(tables, codes))), where)
+            for k, row in enumerate(zip(*(map(t.__getitem__, c) for t, c in zip(tables, codes)))):
+                try:
+                    ExperienceTuple(*row)
+                except ValueError as exc:
+                    raise ValueError(f"{where(k)}{exc}") from None
         batch = cls.__new__(cls)
         batch.states, batch.actions, batch.s, batch.a, batch.s_new = states, actions, s, a, s_new
         batch.r = values if r is None else list(map(values.__getitem__, r))
@@ -177,10 +177,10 @@ class ControlParams:
     epsilon: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "gamma", "epsilon"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+                raise ValueError(f"{f.name} must lie in [0, 1], got {value}")
 
 
 class QTable:

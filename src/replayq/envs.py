@@ -5,7 +5,7 @@ built-in environments. The environment contract, `Environment` and
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
 from .core import policy_from_q
@@ -97,19 +97,20 @@ def sample_experience(
             raise ValueError("no actions defined")
         policy = policy_from_q(model.q)
 
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(n):
-        state = rng.choice(env.states)
-        if mode == "random":
-            action = rng.choice(env.actions)
-        elif rng.random() < control.epsilon:
-            action = rng.choice(actions)
-        else:
-            action = policy.get(state, actions[0])
-        next_state, reward = env.step(state, action, rng)
-        rows.append((state, action, reward, next_state))
-    return ExperienceBatch.from_columns(*zip(*rows))
+    def draws() -> Iterator[tuple]:
+        rng = random.Random(seed)
+        for _ in range(n):
+            state = rng.choice(env.states)
+            if mode == "random":
+                action = rng.choice(env.actions)
+            elif rng.random() < control.epsilon:
+                action = rng.choice(actions)
+            else:
+                action = policy.get(state, actions[0])
+            next_state, reward = env.step(state, action, rng)
+            yield state, action, reward, next_state
+
+    return ExperienceBatch._from_rows(draws())
 
 
 # --- registry ----------------------------------------------------------------

@@ -20,8 +20,6 @@ from .core import (
     greedy_action,
 )
 
-LEARNING_RULE = "experienceReplay"
-
 
 def _backup(items: Iterable[tuple], rows: List[List[float]], v: List[float], alpha: float, gamma: float) -> bool:
     """The TD update, applied in place to each `(s, a, r, s_new)` item in turn;
@@ -124,7 +122,6 @@ def learn(
         control=control,
         iterations_completed=prior.iterations_completed + iterations,
         reward_history=history,
-        learning_rule=LEARNING_RULE,
     )
 
 

@@ -97,7 +97,9 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
     Sweeps synchronous backups from a zero table until successive iterates
     differ by less than `tol` in sup norm, which bounds the Bellman residual
     of the returned table by `gamma * tol`. Each backup costs time linear in
-    the number of transitions.
+    the number of transitions. Sweep `k` changes the table by at most
+    `gamma**k * max|E[r]|`; when that bound does not fall below `tol` within
+    `max_sweeps` sweeps, ValueError is raised before the first one.
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
@@ -107,6 +109,8 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
 
     q = np.zeros((len(mdp.states), len(mdp.actions)))
     expected_reward = np.bincount(mdp.pair, weights=mdp.probability * mdp.step_reward, minlength=q.size)
+    if float(np.abs(expected_reward).max(initial=0.0)) * gamma ** max(max_sweeps - 1, 0) >= tol:
+        raise ValueError(f"value iteration at gamma {gamma} may need more than {max_sweeps} sweeps to reach tol {tol}")
     for _ in range(max_sweeps):
         v = q.max(axis=1)
         backed_up = np.bincount(mdp.pair, weights=mdp.probability * v[mdp.next_state], minlength=q.size)

@@ -16,23 +16,16 @@ import math
 import os
 import stat
 import statistics
+from dataclasses import fields
 from itertools import chain, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-from .core import ControlParams, ExperienceBatch, ExperienceTuple, QTable, RLModel, policy_from_q
+from .core import ControlParams, ExperienceBatch, ExperienceTuple, QTable, RLModel, _Codes, policy_from_q
 
 DEFAULT_COLUMNS = {"s": "State", "a": "Action", "r": "Reward", "s_new": "NextState"}
 MODEL_FORMAT = "rlmodel/1"
-_CONTROL_FIELDS = ("alpha", "gamma", "epsilon")
+_CONTROL_FIELDS = tuple(f.name for f in fields(ControlParams))  # in the order rlmodel/1 lists them
 NOT_AVAILABLE = "NA"
-
-
-class _Codes(dict):
-    """Label -> code in first-appearance order: looking up a new label gives it the next code."""
-
-    def __missing__(self, label: str) -> int:
-        code = self[label] = len(self)
-        return code
 
 
 def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> ExperienceBatch:
@@ -75,17 +68,13 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
                 indices.append(header.index(name))
             i, j, k, m = indices
             state, action, reward = states.__getitem__, actions.__getitem__, rewards.__getitem__
-            add = codes.append
             width = len(header)
             for row in reader:
                 if len(row) != width:
                     fault = f"expected {width} fields, got {len(row)}"
                     break
                 # State before next state, so state codes follow first appearance.
-                add(state(row[i]))
-                add(action(row[j]))
-                add(reward(row[k]))
-                add(state(row[m]))
+                codes += state(row[i]), action(row[j]), reward(row[k]), state(row[m])
     except csv.Error as exc:
         fault = str(exc)
     except UnicodeDecodeError as exc:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import List, Mapping, Tuple
 
-from .core import Environment, EnvResponse, ExperienceBatch
+from .core import Environment, EnvResponse, ExperienceBatch, _Codes
 
 EMPTY_BOARD = "........."
 CELL_ACTIONS = tuple(f"c{k}" for k in range(1, 10))
@@ -122,7 +122,8 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
         raise ValueError(f"num_games must be >= 1, got {num_games}")
     rng = random.Random(seed)
     options = {}  # board -> its `_moves` items, which X draws from in cell order
-    states, actions, rewards, next_states = [], [], [], []
+    states, actions = _Codes(), _Codes()
+    s, a, r, s_new = [], [], [], []
     for _ in range(num_games):
         board = EMPTY_BOARD
         while True:
@@ -131,14 +132,15 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
                 moves = options[board] = tuple(_moves(board).items())
             cell, move = rng.choice(moves)
             next_board, reward, game_over = _after_state_step(move, rng)
-            states.append(board)
-            actions.append(CELL_ACTIONS[cell])
-            rewards.append(reward)
-            next_states.append(next_board)
+            # State before next state, so state codes follow first appearance.
+            s.append(states[board])
+            a.append(actions[CELL_ACTIONS[cell]])
+            r.append(reward)
+            s_new.append(states[next_board])
             if game_over:
                 break
             board = next_board
-    return ExperienceBatch.from_columns(states, actions, rewards, next_states)
+    return ExperienceBatch.from_codes(list(states), list(actions), s, a, s_new, r)
 
 
 @lru_cache(maxsize=1)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from replayq import (
     ControlParams,
+    EnvResponse,
+    Environment,
     ExperienceBatch,
     ExperienceTuple,
     estimate_mdp,
@@ -87,18 +89,46 @@ def test_batches_compare_by_their_rows():
         hash(ExperienceBatch(rows))
 
 
-def test_from_columns_checks_each_row_as_experience_tuple_does():
-    batch = ExperienceBatch.from_columns(["a", "b"], ["x", "x"], ["1.5", 2], ["b", "a"])
+def test_from_codes_checks_each_row_as_experience_tuple_does():
+    batch = ExperienceBatch.from_codes(["a", "b"], ["x"], [0, 1], [0, 0], [1, 0], ["1.5", 2], [0, 1])
     assert list(batch) == [ExperienceTuple("a", "x", 1.5, "b"), ExperienceTuple("b", "x", 2.0, "a")]
-    columns = (["a", "a"], ["x", "x"], [1.0, 2.0], ["b", "c,d"])
     with pytest.raises(ValueError, match=r"^at 1: next_state 'c,d' contains forbidden character ','$"):
-        ExperienceBatch.from_columns(*columns, where=lambda k: f"at {k}: ")
+        ExperienceBatch.from_codes(["a", "b", "c,d"], ["x"], [0, 0], [0, 0], [1, 2], [1.0, 2.0],
+                                   where=lambda k: f"at {k}: ")
     with pytest.raises(ValueError, match=r"^reward must be finite, got inf$"):
-        ExperienceBatch.from_columns(["a"], ["x"], [math.inf], ["b"])
+        ExperienceBatch.from_codes(["a", "b"], ["x"], [0], [0], [1], [math.inf])
     with pytest.raises(ValueError, match=r"^cannot parse reward None$"):
-        ExperienceBatch.from_columns(["a"], ["x"], [None], ["b"])
+        ExperienceBatch.from_codes(["a", "b"], ["x"], [0], [0], [1], [None])
     with pytest.raises(ValueError, match="equally long"):
-        ExperienceBatch.from_columns(["a", "b"], ["x"], [1.0], ["b"])
+        ExperienceBatch.from_codes(["a", "b"], ["x"], [0, 1], [0], [1, 0], [1.0, 2.0])
+
+
+def _faulty_environment(outcomes):
+    """An environment whose k-th step returns the k-th of `outcomes`, then ("s", 1.0)."""
+    steps = iter(outcomes)
+    return Environment("faulty", ("s",), ("go",), lambda s, a, rng: EnvResponse(*next(steps, ("s", 1.0))))
+
+
+@pytest.mark.parametrize("outcomes, message", [
+    ([(["x"], 1.0)], "next_state must be a non-empty string, got ['x']"),
+    ([("a,b", 1.0)], "next_state 'a,b' contains forbidden character ','"),
+    ([(None, 1.0)], "next_state must be a non-empty string, got None"),
+    ([("s", math.nan)], "reward must be finite, got nan"),
+    ([("s", None)], "cannot parse reward None"),
+    ([("s", math.inf)], "reward must be finite, got inf"),
+    # The first bad row is named, whatever is wrong with a later one.
+    ([("s", 1.0), ("a,b", 1.0), (["x"], 1.0)], "next_state 'a,b' contains forbidden character ','"),
+    ([("s", 1.0), ("s", math.nan), ({"x"}, 1.0)], "reward must be finite, got nan"),
+], ids=["unhashable", "forbidden-character", "none", "nan", "none-reward", "inf", "label-before-unhashable",
+        "reward-before-unhashable"])
+def test_sample_experience_refuses_a_faulty_environment_as_experience_tuple_does(outcomes, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        sample_experience(5, _faulty_environment(outcomes), seed=0)
+
+
+def test_sample_experience_takes_numeric_rewards_of_any_type():
+    env = _faulty_environment([("s", 2), ("s", "1.5")])
+    assert sample_experience(3, env, seed=0) == [ExperienceTuple("s", "go", r, "s") for r in (2.0, 1.5, 1.0)]
 
 
 @pytest.mark.parametrize("rows, message", [

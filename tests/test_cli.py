@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -97,6 +98,9 @@ def test_sample_epsilon_greedy_with_epsilon_zero_follows_the_model(tmp_path):
 def test_usage_errors_from_argparse(tmp_path, capsys):
     assert run("sample", "--env", "gridworld-2x2", "--n", "0", "--out", "x.csv") == 1
     assert run("sample", "--env", "gridworld-2x2", "--out", "x.csv") == 1
+    assert run("sample", "--env", "gridworld-2x2", "--n", "abc", "--out", "x.csv") == 1
+    for alpha in ("abc", "2"):
+        assert run("train", "--data", "x.csv", "--out", "m.json", "--alpha", alpha) == 1
     assert run("no-such-command") == 1
     assert run("--help") == 0
     capsys.readouterr()
@@ -243,6 +247,19 @@ def test_verify_rejects_gamma_one_as_a_usage_error(tmp_path, capsys):
     rc = run("verify", "--model", model, "--env", "gridworld-2x2", "--gamma", "1")
     assert rc == 1
     assert "--gamma must be below 1" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_gamma_too_close_to_one_before_sweeping(tmp_path, capsys):
+    # Value iteration at this gamma would run all its million sweeps and still not reach tol.
+    model = trained(tmp_path)
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc = run("verify", "--model", model, "--env", "gridworld-2x2", "--gamma", "0.99999")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --gamma 0.99999 is too close to 1 for verify: value iteration at gamma 0.99999 may need more than "
+        "1000000 sweeps to reach tol 1e-09\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.1"])

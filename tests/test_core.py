@@ -131,6 +131,8 @@ def test_greedy_action_breaks_ties_by_position():
     q.set("s1", "left", 3.0)
     q.set("s1", "right", 3.0)
     assert greedy_action(q, "s1") == "left"
+    # An unknown state reads as an all-zero row.
+    assert greedy_action(q, "s9") == "up"
 
 
 def test_greedy_action_requires_actions():
@@ -138,6 +140,9 @@ def test_greedy_action_requires_actions():
     q.add_state("s1")
     with pytest.raises(ValueError):
         greedy_action(q, "s1")
+    with pytest.raises(ValueError, match="^no actions defined$"):
+        policy_from_q(q)
+    assert policy_from_q(QTable()) == {}
 
 
 def test_model_policy_follows_its_q():

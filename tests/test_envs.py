@@ -1,6 +1,6 @@
 import pytest
 
-from replayq.core import ControlParams
+from replayq.core import ControlParams, QTable, RLModel
 from replayq.envs import (
     GRIDWORLD_ACTIONS,
     GRIDWORLD_STATES,
@@ -111,6 +111,11 @@ def test_sample_experience_validates_arguments():
         sample_experience(5, env, mode="sorted")
     with pytest.raises(ValueError, match="model"):
         sample_experience(5, env, mode="epsilon-greedy")
+    model = RLModel(QTable(), ControlParams())
+    with pytest.raises(ValueError, match="^control required for epsilon-greedy$"):
+        sample_experience(5, env, mode="epsilon-greedy", model=model)
+    with pytest.raises(ValueError, match="^no actions defined$"):
+        sample_experience(5, env, mode="epsilon-greedy", model=model, control=ControlParams())
 
 
 def test_epsilon_greedy_sampling_prefers_the_learned_action():

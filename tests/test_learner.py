@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from replayq import learner
 from replayq.core import ControlParams, ExperienceTuple, QTable, RLModel
 from replayq.learner import (
-    LEARNING_RULE,
     epsilon_greedy,
     learn,
     update_model,
@@ -136,7 +135,7 @@ def test_learn_model_shape():
         ExperienceTuple("s2", "down", -1.0, "s1"),
     ]
     model = learn(batch, CONTROL, iterations=3, seed=5)
-    assert model.learning_rule == LEARNING_RULE
+    assert model.learning_rule == RLModel.learning_rule == "experienceReplay"
     assert model.iterations_completed == 3
     assert len(model.reward_history) == 3
     assert all(r == pytest.approx(0.0) for r in model.reward_history)

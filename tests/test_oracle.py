@@ -88,6 +88,15 @@ def test_value_iteration_validates_gamma_and_tol():
         value_iteration(mdp, gamma=0.5, tol=math.nan, max_sweeps=10)
 
 
+def test_value_iteration_refuses_before_sweeping_when_its_bound_needs_more_sweeps_than_allowed():
+    # On one self-loop the bound is exact: sweep k changes Q by 2 * 0.9**k, below 1e-9 first at k = 204.
+    mdp = one_state_loop(1.0, 2.0)
+    assert value_iteration(mdp, gamma=0.9, max_sweeps=205).value("s", "a") == pytest.approx(20.0)
+    with pytest.raises(ValueError, match=r"^value iteration at gamma 0\.9 may need more than 204 sweeps to reach "
+                                         r"tol 1e-09$"):
+        value_iteration(mdp, gamma=0.9, max_sweeps=204)
+
+
 def test_value_iteration_stops_at_the_first_overflow():
     # 1e308 + 0.9 * 1e308 is inf on the second sweep; every later delta would be NaN.
     mdp = one_state_loop(1.0, 1e308)

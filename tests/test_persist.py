@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import replayq
 from replayq import learner, persist
 from replayq.cli import main
-from replayq.core import ControlParams, ExperienceBatch, ExperienceTuple, validate_label
+from replayq.core import ControlParams, ExperienceBatch, ExperienceTuple, QTable, RLModel, validate_label
 from replayq.envs import gridworld_environment, sample_experience
 from replayq.learner import learn
 from replayq.persist import (
@@ -324,6 +324,7 @@ def test_load_model_rejects_non_json(tmp_path):
     pytest.param('{"iterations_completed": 1' + "0" * 5_000 + "}", "integer string conversion", id="long-integer",
                  marks=pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5_000,
                                           reason="this Python converts 5,000-digit integers")),
+    pytest.param("[]", "expected an object", id="array"),
 ])
 def test_model_from_json_names_the_source_of_text_json_cannot_parse(text, message):
     with pytest.raises(ValueError, match=f"^model.json: not a valid model file: .*{message}"):
@@ -419,6 +420,12 @@ def test_summary_report_single_iteration_has_no_spread(tmp_path):
     assert total and total[0].split()[-1] == f"{model.reward_history[-1]:g}"
 
 
+def test_summary_report_of_an_empty_history_reads_na_for_every_statistic():
+    text = format_report(RLModel(QTable(), ControlParams()), "summary")
+    for label in ("Total reward (last iteration):", "Min:", "Max:", "Mean:", "Median:", "Std dev:"):
+        assert re.search(rf"^  {re.escape(label)} +NA$", text, re.M)
+
+
 def test_summary_report_multiple_iterations_has_statistics():
     model = trained_model(iterations=4)
     text = format_report(model, "summary")
@@ -458,6 +465,7 @@ def corrupted(change):
                      "policy['s1'] is 'left', but greedy_action(q, 's1') is 'down'", id="policy-not-greedy"),
         pytest.param(lambda d: d["q"].__setitem__("s9", [0.0] * 4), "q has an entry for 's9', which is not in states",
                      id="unlisted-q-state"),
+        pytest.param(lambda d: d.__setitem__("states", "s1"), "states and actions must be lists", id="string-states"),
         pytest.param(lambda d: d.__setitem__("reward_history", {}), "reward_history must be a list", id="object-history"),
         pytest.param(lambda d: d.__setitem__("reward_history", ""), "reward_history must be a list", id="string-history"),
         pytest.param(lambda d: d["policy"].pop("s2"), "policy has no entry for state 's2'", id="missing-policy-entry"),
