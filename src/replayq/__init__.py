@@ -13,7 +13,6 @@ from .core import (
     ExperienceTuple,
     QTable,
     RLModel,
-    greedy_action,
     policy_from_q,
 )
 from .envs import (
@@ -51,7 +50,6 @@ __all__ = [
     "epsilon_greedy",
     "estimate_mdp",
     "format_report",
-    "greedy_action",
     "gridworld_environment",
     "learn",
     "load_model",

@@ -98,7 +98,7 @@ class ExperienceBatch:
     def _from_rows(cls, rows: Iterable[tuple]) -> ExperienceBatch:
         """The batch of `(state, action, reward, next_state)` rows, labels coded as rows arrive.
 
-        The checks are from_codes'. A row with an unhashable label raises
+        The checks are _from_codes'. A row with an unhashable label raises
         ValueError as ExperienceTuple would, once the rows before it pass.
         """
         states, actions = _Codes(), _Codes()
@@ -107,19 +107,19 @@ class ExperienceBatch:
             try:  # state before next state, so state codes follow first appearance
                 codes = states[row[0]], actions[row[1]], states[row[3]]
             except TypeError:  # an unhashable label
-                cls.from_codes(list(states), list(actions), s, a, s_new, r)
+                cls._from_codes(list(states), list(actions), s, a, s_new, r)
                 ExperienceTuple(*row)
                 raise
             s.append(codes[0])
             a.append(codes[1])
             r.append(row[2])
             s_new.append(codes[2])
-        return cls.from_codes(list(states), list(actions), s, a, s_new, r)
+        return cls._from_codes(list(states), list(actions), s, a, s_new, r)
 
     @classmethod
-    def from_codes(cls, states: List[StateId], actions: List[ActionId], s: List[int], a: List[int],
-                   s_new: List[int], rewards: Sequence[float], r: Optional[List[int]] = None,
-                   where: Callable[[int], str] = lambda k: "") -> ExperienceBatch:
+    def _from_codes(cls, states: List[StateId], actions: List[ActionId], s: List[int], a: List[int],
+                    s_new: List[int], rewards: Sequence[float], r: Optional[List[int]] = None,
+                    where: Callable[[int], str] = lambda k: "") -> ExperienceBatch:
         """The batch of label tables and the code columns into them; the lists become the batch's own.
 
         `r` codes each row's reward into `rewards`, a table of distinct values
@@ -127,6 +127,8 @@ class ExperienceBatch:
         Each label and each entry of `rewards` is checked once, and only a
         fault walks the rows to name the first bad one, as ExperienceTuple
         would, the message prefixed by `where(k)` for its 0-based index `k`.
+        Codes are not range-checked and labels not checked for repeats: the
+        tables and codes must come from `_Codes`, as every builder's do.
         """
         if not len(s) == len(a) == len(s_new) == len(rewards if r is None else r):
             raise ValueError("code columns must be equally long")
@@ -266,30 +268,33 @@ class QTable:
         return f"QTable(states={len(self.state_index)}, actions={len(self.action_index)})"
 
 
-def greedy_action(q: QTable, state: StateId) -> ActionId:
-    """Best-valued action in `state`; ties break to the earliest action.
-
-    An unknown state reads as an all-zero row, so it resolves to the first
-    registered action.
-    """
-    actions = q.actions
-    if not actions:
-        raise ValueError("no actions defined")
-    i = q.state_index.get(state)
-    if i is None:
-        return actions[0]
-    row = q.rows[i]
-    # max() returns the first of equal maxima, and index() finds it first.
-    return actions[row.index(max(row))]
-
-
 def policy_from_q(q: QTable) -> Policy:
-    """Greedy policy over every registered state. Pure: `q` is not modified."""
+    """Greedy policy over every registered state: the argmax of each state's
+    row, ties broken to the earliest action. Pure: `q` is not modified."""
     actions = q.actions
     if not actions and q.rows:
         raise ValueError("no actions defined")
-    # greedy_action's rule, with the action list built once for the table.
+    # max() returns the first of equal maxima, and index() finds it first.
     return {s: actions[row.index(max(row))] for s, row in zip(q.state_index, q.rows)}
+
+
+def _epsilon_greedy(q: QTable, epsilon: float) -> Callable[[StateId, random.Random], ActionId]:
+    """`draw(state, rng)`: with probability `epsilon` a uniform pick over the full
+    action set, else the greedy action of `policy_from_q(q)`, built once here.
+    An unknown state reads as an all-zero row, so it takes the first action."""
+    if not (0.0 <= epsilon <= 1.0):
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    actions = q.actions
+    if not actions:
+        raise ValueError("no actions defined")
+    policy = policy_from_q(q)
+
+    def draw(state: StateId, rng: random.Random) -> ActionId:
+        if rng.random() < epsilon:
+            return rng.choice(actions)
+        return policy.get(state, actions[0])
+
+    return draw
 
 
 @dataclass

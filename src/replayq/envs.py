@@ -8,7 +8,7 @@ import random
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
-from .core import policy_from_q
+from .core import _epsilon_greedy
 from .oracle import ExplicitMDP, estimate_mdp
 from .tictactoe import tictactoe_environment
 
@@ -91,22 +91,13 @@ def sample_experience(
             raise ValueError("model required for epsilon-greedy")
         if control is None:
             raise ValueError("control required for epsilon-greedy")
-        # learner.epsilon_greedy's draws, with the greedy policy built once.
-        actions = model.q.actions
-        if not actions:
-            raise ValueError("no actions defined")
-        policy = policy_from_q(model.q)
+        draw = _epsilon_greedy(model.q, control.epsilon)
 
     def draws() -> Iterator[tuple]:
         rng = random.Random(seed)
         for _ in range(n):
             state = rng.choice(env.states)
-            if mode == "random":
-                action = rng.choice(env.actions)
-            elif rng.random() < control.epsilon:
-                action = rng.choice(actions)
-            else:
-                action = policy.get(state, actions[0])
+            action = rng.choice(env.actions) if mode == "random" else draw(state, rng)
             next_state, reward = env.step(state, action, rng)
             yield state, action, reward, next_state
 

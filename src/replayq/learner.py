@@ -17,7 +17,7 @@ from .core import (
     QTable,
     RLModel,
     StateId,
-    greedy_action,
+    _epsilon_greedy,
 )
 
 
@@ -138,12 +138,6 @@ def update_model(
 
 def epsilon_greedy(q: QTable, state: StateId, epsilon: float, rng: random.Random) -> ActionId:
     """With probability `epsilon` a uniform draw over the full action set
-    (the greedy action included), otherwise the greedy action."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    actions = q.actions
-    if not actions:
-        raise ValueError("no actions defined")
-    if rng.random() < epsilon:
-        return rng.choice(actions)
-    return greedy_action(q, state)
+    (the greedy action included), otherwise the greedy action. Each call
+    builds the whole greedy policy; `sample_experience` builds it once."""
+    return _epsilon_greedy(q, epsilon)(state, rng)

@@ -86,8 +86,8 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
     del codes
     # Rows before the first one the reader or the width check refused are
     # checked first, so the error names the first bad row.
-    batch = ExperienceBatch.from_codes(list(states), list(actions), s, a, s_new, list(rewards), r,
-                                       where=lambda k: f"{path}: row {k + 2}: ")
+    batch = ExperienceBatch._from_codes(list(states), list(actions), s, a, s_new, list(rewards), r,
+                                        where=lambda k: f"{path}: row {k + 2}: ")
     if fault is not None:
         raise ValueError(f"{path}: row {len(s) + 2 if header is not None else 1}: {fault}")
     return batch
@@ -257,7 +257,7 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
         # The policy is derived data; a stored one must be q's argmax.
         for s, best in policy_from_q(q).items():
             if policy[s] != best:
-                raise ValueError(f"policy[{s!r}] is {policy[s]!r}, but greedy_action(q, {s!r}) is {best!r}")
+                raise ValueError(f"policy[{s!r}] is {policy[s]!r}, but the argmax of q[{s!r}] is {best!r}")
         control, rule, history = doc["control"], doc["learning_rule"], doc["reward_history"]
         if not isinstance(control, dict):
             raise ValueError(f"control must be an object, got {control!r}")

@@ -140,7 +140,7 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
             if game_over:
                 break
             board = next_board
-    return ExperienceBatch.from_codes(list(states), list(actions), s, a, s_new, r)
+    return ExperienceBatch._from_codes(list(states), list(actions), s, a, s_new, r)
 
 
 @lru_cache(maxsize=1)

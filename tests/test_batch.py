@@ -90,17 +90,17 @@ def test_batches_compare_by_their_rows():
 
 
 def test_from_codes_checks_each_row_as_experience_tuple_does():
-    batch = ExperienceBatch.from_codes(["a", "b"], ["x"], [0, 1], [0, 0], [1, 0], ["1.5", 2], [0, 1])
+    batch = ExperienceBatch._from_codes(["a", "b"], ["x"], [0, 1], [0, 0], [1, 0], ["1.5", 2], [0, 1])
     assert list(batch) == [ExperienceTuple("a", "x", 1.5, "b"), ExperienceTuple("b", "x", 2.0, "a")]
     with pytest.raises(ValueError, match=r"^at 1: next_state 'c,d' contains forbidden character ','$"):
-        ExperienceBatch.from_codes(["a", "b", "c,d"], ["x"], [0, 0], [0, 0], [1, 2], [1.0, 2.0],
-                                   where=lambda k: f"at {k}: ")
+        ExperienceBatch._from_codes(["a", "b", "c,d"], ["x"], [0, 0], [0, 0], [1, 2], [1.0, 2.0],
+                                    where=lambda k: f"at {k}: ")
     with pytest.raises(ValueError, match=r"^reward must be finite, got inf$"):
-        ExperienceBatch.from_codes(["a", "b"], ["x"], [0], [0], [1], [math.inf])
+        ExperienceBatch._from_codes(["a", "b"], ["x"], [0], [0], [1], [math.inf])
     with pytest.raises(ValueError, match=r"^cannot parse reward None$"):
-        ExperienceBatch.from_codes(["a", "b"], ["x"], [0], [0], [1], [None])
+        ExperienceBatch._from_codes(["a", "b"], ["x"], [0], [0], [1], [None])
     with pytest.raises(ValueError, match="equally long"):
-        ExperienceBatch.from_codes(["a", "b"], ["x"], [0, 1], [0], [1, 0], [1.0, 2.0])
+        ExperienceBatch._from_codes(["a", "b"], ["x"], [0, 1], [0], [1, 0], [1.0, 2.0])
 
 
 def _faulty_environment(outcomes):

@@ -3,6 +3,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from replayq.cli import main
 from replayq.persist import load_model, read_experience
@@ -322,7 +324,7 @@ def test_predict_names_the_file_and_field_of_a_policy_that_is_not_greedy(tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert model in captured.err
-    assert "policy['s3'] is 'down', but greedy_action(q, 's3') is 'up'" in captured.err
+    assert "policy['s3'] is 'down', but the argmax of q['s3'] is 'up'" in captured.err
 
 
 def test_report_names_the_file_and_field_of_a_boolean_control_value(tmp_path, capsys):
@@ -353,3 +355,72 @@ def test_report_names_the_file_that_json_cannot_parse(tmp_path, capsys, text):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {model}: not a valid model file: ")
     assert captured.err.count("\n") == 1
+
+
+# --- any bytes as an input file: an exit code, never a traceback ----------------
+
+# Fragments that an edit splices into a valid file: JSON and CSV syntax, numbers
+# at and past float range, a long integer, and bytes that are not UTF-8.
+_FRAGMENTS = [b"[", b"]", b"{", b"}", b",", b":", b'"', b"\n", b"\r", b"null", b"true", b"NaN", b"-Infinity",
+              b"1e999", b"-1", b"1e308", b"0.5", b'"s1"', b'"up"', b"\xff", b"\xed\xa0\x80", b"9" * 5_000]
+
+
+@st.composite
+def _edited(draw, original):
+    """`original` with one to four slices replaced by random bytes or fragments."""
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 24)))
+        data[i:j] = draw(st.binary(max_size=8) | st.sampled_from(_FRAGMENTS))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A small gridworld experience file and the model trained on it."""
+    root = tmp_path_factory.mktemp("valid")
+    data, model = str(root / "exp.csv"), str(root / "model.json")
+    assert main(sample_args(data, n="20")) == 0
+    assert main(train_args(data, model, **{"--iter": "2"})) == 0
+    with open(data, "rb") as fh, open(model, "rb") as fm:
+        return data, fh.read(), fm.read()
+
+
+def _assert_fails_cleanly(rc, captured, path, unknown_states_allowed=False):
+    assert rc in (0, 2, 3)
+    if rc == 2 and not (unknown_states_allowed and captured.err == "" and "unknown-state" in captured.out):
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert path in captured.err
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
+@given(data=st.data())
+def test_any_model_file_ends_in_an_exit_code(tmp_path, capsys, valid_files, data):
+    csv_path, _, model_bytes = valid_files
+    raw = data.draw(st.binary(max_size=64) | _edited(model_bytes), label="model file")
+    path, out = str(tmp_path / "model.json"), str(tmp_path / "out.json")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    for argv in (["report", "--model", path, "--view", "table"],
+                 ["predict", "--model", path, "--states", "s1,s4"],
+                 ["verify", "--model", path, "--env", "gridworld-2x2"],
+                 train_args(csv_path, out, **{"--model": path, "--iter": "2"})):
+        capsys.readouterr()
+        rc = main(argv)
+        _assert_fails_cleanly(rc, capsys.readouterr(), path, unknown_states_allowed=argv[0] == "predict")
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
+@given(data=st.data())
+def test_any_experience_file_ends_in_an_exit_code(tmp_path, capsys, valid_files, data):
+    _, csv_bytes, _ = valid_files
+    raw = data.draw(st.binary(max_size=64) | _edited(csv_bytes), label="experience file")
+    path, out = str(tmp_path / "exp.csv"), str(tmp_path / "out.json")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    capsys.readouterr()
+    rc = main(train_args(path, out, **{"--iter": "2"}))
+    _assert_fails_cleanly(rc, capsys.readouterr(), path)

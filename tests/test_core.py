@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,9 +8,9 @@ from replayq.core import (
     ExperienceTuple,
     QTable,
     RLModel,
-    greedy_action,
     policy_from_q,
 )
+from replayq.learner import epsilon_greedy
 
 
 def test_experience_tuple_fields():
@@ -122,24 +123,24 @@ def test_qtable_equality_ignores_explicit_zeros():
     assert a != b
 
 
-def test_greedy_action_breaks_ties_by_position():
+def test_policy_from_q_breaks_ties_by_position():
     q = QTable()
     for a in ["up", "down", "left", "right"]:
         q.add_action(a)
     q.add_state("s1")
-    assert greedy_action(q, "s1") == "up"
+    assert policy_from_q(q) == {"s1": "up"}
     q.set("s1", "left", 3.0)
     q.set("s1", "right", 3.0)
-    assert greedy_action(q, "s1") == "left"
+    assert policy_from_q(q) == {"s1": "left"}
     # An unknown state reads as an all-zero row.
-    assert greedy_action(q, "s9") == "up"
+    assert epsilon_greedy(q, "s9", 0.0, random.Random(0)) == "up"
 
 
-def test_greedy_action_requires_actions():
+def test_greedy_rule_requires_actions():
     q = QTable()
     q.add_state("s1")
-    with pytest.raises(ValueError):
-        greedy_action(q, "s1")
+    with pytest.raises(ValueError, match="^no actions defined$"):
+        epsilon_greedy(q, "s1", 0.0, random.Random(0))
     with pytest.raises(ValueError, match="^no actions defined$"):
         policy_from_q(q)
     assert policy_from_q(QTable()) == {}

@@ -462,7 +462,7 @@ def corrupted(change):
         pytest.param(lambda d: d["reward_history"].append(math.nan), "reward_history[3]", id="nan-reward-history"),
         pytest.param(lambda d: d["policy"].__setitem__("s1", "jump"), "policy['s1'] is 'jump'", id="unknown-policy-action"),
         pytest.param(lambda d: d["policy"].__setitem__("s1", "left"),
-                     "policy['s1'] is 'left', but greedy_action(q, 's1') is 'down'", id="policy-not-greedy"),
+                     "policy['s1'] is 'left', but the argmax of q['s1'] is 'down'", id="policy-not-greedy"),
         pytest.param(lambda d: d["q"].__setitem__("s9", [0.0] * 4), "q has an entry for 's9', which is not in states",
                      id="unlisted-q-state"),
         pytest.param(lambda d: d.__setitem__("states", "s1"), "states and actions must be lists", id="string-states"),
