@@ -8,6 +8,7 @@ takes --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -214,6 +215,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Built on the first `main` call and reused: parsing leaves a parser unchanged,
+# and handlers look up the library's functions when they run.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="replayq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -273,9 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -5,10 +5,10 @@ built-in environments. The environment contract, `Environment` and
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
-from .core import _epsilon_greedy
+from .core import _Codes, _epsilon_greedy
 from .oracle import ExplicitMDP, estimate_mdp
 from .tictactoe import tictactoe_environment
 
@@ -32,19 +32,27 @@ _GRIDWORLD_MOVES = {
 }
 
 
+def _gridworld_response(state: StateId, action: ActionId) -> EnvResponse:
+    next_state = _GRIDWORLD_MOVES.get((state, action), state)
+    return EnvResponse(next_state, 10.0 if next_state == _GRIDWORLD_GOAL != state else -1.0)
+
+
+# Every (state, action) pair's response, built once, so a step is one lookup.
+_GRIDWORLD_STEPS = {(s, a): _gridworld_response(s, a) for s in GRIDWORLD_STATES for a in GRIDWORLD_ACTIONS}
+
+
 def gridworld_step(state: StateId, action: ActionId) -> EnvResponse:
     """Walled 2x2 maze: entering the goal cell s4 pays +10, any other move -1.
 
     Blocked moves self-loop, and s4 is absorbing (re-"entering" it from
     itself earns no bonus).
     """
-    if state not in GRIDWORLD_STATES:
-        raise ValueError(f"unknown state {state!r}")
-    if action not in GRIDWORLD_ACTIONS:
-        raise ValueError(f"unknown action {action!r}")
-    next_state = _GRIDWORLD_MOVES.get((state, action), state)
-    reward = 10.0 if next_state == _GRIDWORLD_GOAL and state != _GRIDWORLD_GOAL else -1.0
-    return EnvResponse(next_state, reward)
+    try:
+        return _GRIDWORLD_STEPS[state, action]
+    except (KeyError, TypeError):  # TypeError: an unhashable label, which is unknown too
+        if state not in GRIDWORLD_STATES:
+            raise ValueError(f"unknown state {state!r}") from None
+        raise ValueError(f"unknown action {action!r}") from None
 
 
 def gridworld_mdp() -> ExplicitMDP:
@@ -80,12 +88,15 @@ def sample_experience(
     Start states are drawn independently per tuple rather than chained along a
     trajectory. Mode "random" picks actions uniformly; "epsilon-greedy" picks
     them against the model's Q-table using `control.epsilon`. Fixing the seed
-    fixes the output exactly.
+    fixes the output exactly. Labels are coded into the batch's columns as
+    they are drawn; a bad row raises ValueError as ExperienceTuple would,
+    naming the first one.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if mode not in SAMPLE_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {SAMPLE_MODES}")
+    draw = None
     if mode == "epsilon-greedy":
         if model is None:
             raise ValueError("model required for epsilon-greedy")
@@ -93,15 +104,25 @@ def sample_experience(
             raise ValueError("control required for epsilon-greedy")
         draw = _epsilon_greedy(model.q, control.epsilon)
 
-    def draws() -> Iterator[tuple]:
-        rng = random.Random(seed)
-        for _ in range(n):
-            state = rng.choice(env.states)
-            action = rng.choice(env.actions) if mode == "random" else draw(state, rng)
-            next_state, reward = env.step(state, action, rng)
-            yield state, action, reward, next_state
-
-    return ExperienceBatch._from_rows(draws())
+    rng = random.Random(seed)
+    choice, step, env_states, env_actions = rng.choice, env.step, env.states, env.actions
+    states, actions = _Codes(), _Codes()
+    s, a, r, s_new = [], [], [], []
+    for _ in range(n):
+        state = choice(env_states)
+        action = choice(env_actions) if draw is None else draw(state, rng)
+        next_state, reward = step(state, action, rng)
+        try:  # state before next state, so state codes follow first appearance
+            codes = states[state], actions[action], states[next_state]
+        except TypeError:  # an unhashable label: name the first bad row as _from_rows does
+            ExperienceBatch._from_codes(list(states), list(actions), s, a, s_new, r)
+            ExperienceTuple(state, action, reward, next_state)
+            raise
+        s.append(codes[0])
+        a.append(codes[1])
+        r.append(reward)
+        s_new.append(codes[2])
+    return ExperienceBatch._from_codes(list(states), list(actions), s, a, s_new, r)
 
 
 # --- registry ----------------------------------------------------------------

@@ -17,7 +17,7 @@ import os
 import stat
 import statistics
 from dataclasses import fields
-from itertools import chain, islice
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from .core import ControlParams, ExperienceBatch, ExperienceTuple, QTable, RLModel, _Codes, policy_from_q

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from replayq import cli
 from replayq.cli import main
 from replayq.persist import load_model, read_experience
 
@@ -106,6 +107,48 @@ def test_usage_errors_from_argparse(tmp_path, capsys):
     assert run("no-such-command") == 1
     assert run("--help") == 0
     capsys.readouterr()
+
+
+# One process's commands in order: help, usage errors, and flags that a later
+# call of the same command leaves out, so a value carried over would show.
+SHARED_PARSER_CALLS = [
+    ["--help"],
+    ["sample", "--env", "gridworld-2x2", "--out", "x.csv"],
+    ["train", "--data", "x.csv", "--out", "m.json", "--alpha", "2"],
+    ["sample", "--env", "gridworld-2x2", "--n", "300", "--seed", "4", "--out", "exp.csv"],
+    ["train", "--data", "exp.csv", "--alpha", "0.3", "--gamma", "0.9", "--iter", "20", "--seed", "2",
+     "--out", "m1.json"],
+    ["sample", "--env", "gridworld-2x2", "--n", "200", "--mode", "epsilon-greedy", "--model", "m1.json",
+     "--epsilon", "0.5", "--seed", "5", "--out", "exp2.csv"],
+    ["sample", "--env", "gridworld-2x2", "--n", "200", "--seed", "6", "--out", "exp3.csv"],
+    ["train", "--data", "exp2.csv", "--model", "m1.json", "--out", "m2.json"],
+    ["train", "--data", "exp3.csv", "--out", "m3.json"],
+    ["train", "--help"],
+    ["predict", "--model", "m3.json", "--states", "s1,s9"],
+]
+
+
+def _run_calls(directory, monkeypatch, capsys):
+    monkeypatch.chdir(directory)
+    results = []
+    for argv in SHARED_PARSER_CALLS:
+        rc = main(argv)
+        results.append((rc, *capsys.readouterr()))
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return results, files
+
+
+def test_one_shared_parser_behaves_as_a_fresh_one_on_every_call(tmp_path, monkeypatch, capsys):
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    assert cli._build_parser() is cli._build_parser()
+    shared_out = _run_calls(shared, monkeypatch, capsys)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)  # a new parser per call
+    fresh_out = _run_calls(fresh, monkeypatch, capsys)
+    assert shared_out == fresh_out
+    assert [rc for rc, _, _ in shared_out[0]] == [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 2]
+    assert sorted(shared_out[1]) == ["exp.csv", "exp2.csv", "exp3.csv", "m1.json", "m2.json", "m3.json"]
 
 
 def test_train_writes_model_and_prints_summary(tmp_path, capsys):

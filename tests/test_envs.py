@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import pytest
 
 from replayq.core import ControlParams, QTable, RLModel
@@ -12,6 +15,7 @@ from replayq.envs import (
     sample_experience,
 )
 from replayq.learner import learn
+from replayq.tictactoe import tictactoe_environment, ttt_generate_games
 
 # Independently tabulated dynamics: the grid is s1 | s4 over s2 | s3 with a
 # wall between s1 and s4, so the only open passages are s1-s2, s2-s3, s3-s4.
@@ -41,11 +45,24 @@ def test_gridworld_step_matches_tabulated_dynamics(state, action):
     assert gridworld_step(state, action) == EXPECTED_STEPS[(state, action)]
 
 
+# (state, action, the ValueError's message): unhashable labels are unknown too.
+UNKNOWN_LABELS = [
+    ("s9", "up", "unknown state 's9'"),
+    ("s1", "jump", "unknown action 'jump'"),
+    ("s9", "jump", "unknown state 's9'"),
+    (["s1"], "up", "unknown state ['s1']"),
+    ("s1", {"up"}, "unknown action {'up'}"),
+    (["s1"], {"up"}, "unknown state ['s1']"),
+    (None, "up", "unknown state None"),
+]
+
+
 def test_gridworld_step_rejects_unknown_labels():
-    with pytest.raises(ValueError):
-        gridworld_step("s9", "up")
-    with pytest.raises(ValueError):
-        gridworld_step("s1", "jump")
+    env_step = gridworld_environment().step
+    for step in (gridworld_step, lambda s, a: env_step(s, a, None)):
+        for state, action, message in UNKNOWN_LABELS:
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                step(state, action)
 
 
 def test_gridworld_goal_is_absorbing_and_penalized():
@@ -130,3 +147,41 @@ def test_epsilon_greedy_sampling_prefers_the_learned_action():
     assert share_up > 0.8
     mean = sum(t.reward for t in batch) / len(batch)
     assert mean > 0.5
+
+
+# sha256 of seeded sampler batches, as drawn while the sampler still handed
+# each row to ExperienceBatch._from_rows and the gridworld computed each step.
+PINNED_SAMPLER_SHA256 = {
+    "tictactoe-random": "a9f8a33aa35b2a5339a750a2d0d615e760a4400ca68a2770a977ac47de9db48f",
+    "tictactoe-epsilon-greedy": "1db53ea8fbad0a0dc042efa6a40fa071779a7df35c4ef9c9639468e8eb1a5522",
+    "gridworld-epsilon-0": "aa0a86b4215cc15f567a56035a312434cf5de53a8ee5ac63ba38291320e81679",
+    "gridworld-epsilon-0.1": "04dc8d3df3290b6ae1e8cc56ce32b3027733f1a7dc04247ca11f9973f82067e4",
+    "gridworld-epsilon-1": "271a2c89efb66e525cce6253f2332096e8685d6514c282fea66d774885c6a967",
+}
+
+
+def _batch_digest(batch):
+    columns = (batch.states, batch.actions, batch.s, batch.a, batch.r, batch.s_new)
+    return hashlib.sha256(repr(columns).encode()).hexdigest()
+
+
+def test_seeded_sampler_batches_keep_their_columns():
+    ttt = tictactoe_environment()
+    control = ControlParams(alpha=0.2, gamma=0.99, epsilon=0.1)
+    ttt_model = learn(ttt_generate_games(300, seed=5), control, iterations=3, seed=1)
+    # A gridworld model that lacks s2 and s4 and lists its actions in another order than the environment.
+    q = QTable(["s3", "s1"], ["right", "up", "down", "left"])
+    q.set("s3", "up", 5.0)
+    q.set("s1", "down", 1.0)
+    q.set("s1", "left", 2.0)
+    grid_model = RLModel(q, ControlParams())
+    digests = {
+        "tictactoe-random": _batch_digest(sample_experience(3000, ttt, seed=21)),
+        "tictactoe-epsilon-greedy": _batch_digest(
+            sample_experience(3000, ttt, mode="epsilon-greedy", model=ttt_model, control=control, seed=22)),
+    }
+    for epsilon in (0.0, 0.1, 1.0):
+        batch = sample_experience(2000, gridworld_environment(), mode="epsilon-greedy", model=grid_model,
+                                  control=ControlParams(epsilon=epsilon), seed=23)
+        digests[f"gridworld-epsilon-{epsilon:g}"] = _batch_digest(batch)
+    assert digests == PINNED_SAMPLER_SHA256

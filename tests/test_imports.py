@@ -50,3 +50,23 @@ def test_the_package_import_graph_is_acyclic_and_imports_only_at_module_level():
     assert nested == {}, f"imports inside functions (file: lines) can hide an import cycle: {nested}"
     order = list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
     assert order.index("core") < order.index("tictactoe") < order.index("envs")
+
+
+def test_every_module_reads_every_name_it_imports():
+    # __init__.py imports names to re-export them, and a __future__ import binds no name to read.
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names = [
+            (alias.asname or alias.name.split(".")[0], node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        ]
+        lines = [f"{name} (line {line})" for name, line in names if name not in read]
+        if lines:
+            unused[path.name] = lines
+    assert unused == {}, f"imported names that the module never reads: {unused}"
