@@ -7,19 +7,20 @@ covers X's move and, if the game continues, the opponent's uniformly random
 reply. Rewards are +1/0/-1 for win/draw/loss, paid only on the transition
 that ends the game.
 
-The rules are evaluated once per board and cached: `_outcome` and `_settle`
-hold each board's result, and `_moves` each ongoing board's table of X moves
-with their after-states and B's replies, which generation, stepping and board
-enumeration all read. The caches are bounded by the 3^9 boards and by the
-reachable boards with X to move (`tictactoe_step` rejects any other board).
+The rules are evaluated once per board and cached. `_outcome` holds each
+board's result, which `ttt_winner` reads for any valid board, and `_settle`
+each board's (board, reward, game over) transition, so equal after-states
+share one tuple and one string; both are bounded by the 3^9 boards. `_table`
+maps every board reachable in legal play to X's moves on it, with their
+after-states and B's replies. Generation, stepping and board enumeration all
+read it, and `tictactoe_step` rejects any board it does not hold.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from types import MappingProxyType
-from typing import List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from .core import Environment, EnvResponse, ExperienceBatch, _Codes
 
@@ -83,7 +84,7 @@ def _place(board: str, cell: int, mark: str) -> str:
 
 _REWARD = {X_WINS: 1.0, DRAW: 0.0, B_WINS: -1.0, ONGOING: 0.0}
 _Transition = Tuple[str, float, bool]
-_Move = Tuple[str, float, bool, Tuple[_Transition, ...]]
+_Move = Tuple[int, str, float, bool, Tuple[_Transition, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -92,24 +93,34 @@ def _settle(board: str) -> _Transition:
     return board, _REWARD[outcome], outcome != ONGOING
 
 
-@lru_cache(maxsize=None)
-def _moves(board: str) -> Mapping[int, _Move]:
-    """X's legal moves on an ongoing board: cell (ascending) -> (after-state,
-    reward, game over, B's replies as (after-state, reward, game over)). B's
-    reply can never fill the board, so a draw only ever follows an X move."""
-    table = {}
-    for cell in legal_cells(board):
-        after_x, reward, game_over = _settle(_place(board, cell, "X"))
-        replies = () if game_over else tuple(_settle(_place(after_x, k, "B")) for k in legal_cells(after_x))
-        table[cell] = (after_x, reward, game_over, replies)
-    return MappingProxyType(table)
-
-
-def _after_state_step(move: _Move, rng: random.Random) -> _Transition:
-    """X makes `move`, an entry of `_moves`; unless that ends the game, B
-    replies uniformly at random. Returns (next board, reward for X, game over)."""
-    after_x, reward, game_over, replies = move
-    return (after_x, reward, True) if game_over else rng.choice(replies)
+@lru_cache(maxsize=1)
+def _table() -> Dict[str, Tuple[_Move, ...]]:
+    """Every board reachable in legal play -> X's moves on it, ascending by
+    cell: (cell, after-state, reward, game over, B's replies as (after-state,
+    reward, game over)). Boards with X to move come first, then the terminal
+    boards, which have no moves; each group is in discovery order. B's reply
+    can never fill the board, so a draw only ever follows an X move."""
+    table = {EMPTY_BOARD: ()}  # a board with X to move holds () until searched
+    terminals = {}
+    frontier = [EMPTY_BOARD]
+    while frontier:
+        board = frontier.pop()
+        moves = []
+        for cell in legal_cells(board):
+            after_x, reward, game_over = _settle(_place(board, cell, "X"))
+            replies = () if game_over else tuple(_settle(_place(after_x, k, "B")) for k in legal_cells(after_x))
+            moves.append((cell, after_x, reward, game_over, replies))
+            # A move that ends the game has no replies; its after-state is terminal.
+            for nxt, _, over in replies or [(after_x, reward, game_over)]:
+                if nxt not in table and nxt not in terminals:
+                    if over:
+                        terminals[nxt] = ()
+                    else:
+                        table[nxt] = ()
+                        frontier.append(nxt)
+        table[board] = tuple(moves)
+    table.update(terminals)
+    return table
 
 
 def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
@@ -121,17 +132,15 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
     if num_games < 1:
         raise ValueError(f"num_games must be >= 1, got {num_games}")
     rng = random.Random(seed)
-    options = {}  # board -> its `_moves` items, which X draws from in cell order
+    table = _table()
     states, actions = _Codes(), _Codes()
     s, a, r, s_new = [], [], [], []
     for _ in range(num_games):
         board = EMPTY_BOARD
         while True:
-            moves = options.get(board)
-            if moves is None:
-                moves = options[board] = tuple(_moves(board).items())
-            cell, move = rng.choice(moves)
-            next_board, reward, game_over = _after_state_step(move, rng)
+            cell, next_board, reward, game_over, replies = rng.choice(table[board])
+            if not game_over:
+                next_board, reward, game_over = rng.choice(replies)
             # State before next state, so state codes follow first appearance.
             s.append(states[board])
             a.append(actions[CELL_ACTIONS[cell]])
@@ -143,31 +152,10 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
     return ExperienceBatch._from_codes(list(states), list(actions), s, a, s_new, r)
 
 
-@lru_cache(maxsize=1)
 def reachable_boards() -> Tuple[str, ...]:
     """Boards reachable in legal play where X is to move, then every reachable
     terminal board, in discovery order."""
-    x_to_move = [EMPTY_BOARD]
-    terminals: List[str] = []
-    seen = {EMPTY_BOARD}
-    frontier = [EMPTY_BOARD]
-    while frontier:
-        for after_x, reward, game_over, replies in _moves(frontier.pop()).values():
-            # A move that ends the game has no replies; its after-state is terminal.
-            for board, _, over in replies or [(after_x, reward, game_over)]:
-                if board not in seen:
-                    seen.add(board)
-                    if over:
-                        terminals.append(board)
-                    else:
-                        x_to_move.append(board)
-                        frontier.append(board)
-    return tuple(x_to_move + terminals)
-
-
-@lru_cache(maxsize=1)
-def _reachable_set() -> frozenset:
-    return frozenset(reachable_boards())
+    return tuple(_table())
 
 
 def tictactoe_step(state: str, action: str, rng: random.Random) -> EnvResponse:
@@ -179,14 +167,19 @@ def tictactoe_step(state: str, action: str, rng: random.Random) -> EnvResponse:
     """
     if action not in CELL_ACTIONS:
         raise ValueError(f"unknown action {action!r}")
-    if state not in _reachable_set():
-        raise ValueError(f"unknown state {state!r}")
-    if _outcome(state) != ONGOING:
+    try:
+        moves = _table()[state]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown state {state!r}") from None
+    if not moves:
         return EnvResponse(state, 0.0)
     cell = int(action[1:]) - 1
     if state[cell] != ".":
         return EnvResponse(state, -1.0)
-    next_board, reward, _ = _after_state_step(_moves(state)[cell], rng)
+    # Moves are listed by ascending cell, one per empty cell.
+    _, next_board, reward, game_over, replies = moves[state.count(".", 0, cell)]
+    if not game_over:
+        next_board, reward, _ = rng.choice(replies)
     return EnvResponse(next_board, reward)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -8,6 +9,7 @@ from replayq.envs import EnvResponse
 from replayq.tictactoe import (
     CELL_ACTIONS,
     EMPTY_BOARD,
+    _table,
     legal_cells,
     reachable_boards,
     tictactoe_environment,
@@ -152,10 +154,32 @@ def test_step_plays_legal_moves():
 
 def test_step_validates_labels():
     rng = random.Random(0)
-    with pytest.raises(ValueError):
-        tictactoe_step(EMPTY_BOARD, "c10", rng)
-    with pytest.raises(ValueError):
-        tictactoe_step("not-a-board", "c1", rng)
+    cases = [
+        (EMPTY_BOARD, "c10", "unknown action 'c10'"),
+        (EMPTY_BOARD, {"c1"}, "unknown action {'c1'}"),
+        ("not-a-board", "c1", "unknown state 'not-a-board'"),
+        (["."] * 9, "c1", "unknown state ['.', '.', '.', '.', '.', '.', '.', '.', '.']"),
+        (None, "c1", "unknown state None"),
+        ("XX.......", "c3", "unknown state 'XX.......'"),  # X moved twice
+        ("B........", "c1", "unknown state 'B........'"),  # B moved first
+    ]
+    for state, action, message in cases:
+        # pytest.raises(ValueError) lets a TypeError or KeyError fail the test.
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            tictactoe_step(state, action, rng)
+
+
+def test_move_table_holds_one_object_per_distinct_board_and_reply():
+    # Equal after-states and replies are shared, which keeps the table's size
+    # near the number of distinct boards rather than the number of moves.
+    boards, replies = list(_table()), []
+    for moves in _table().values():
+        for _, after_x, _, _, move_replies in moves:
+            boards.append(after_x)
+            replies.extend(move_replies)
+            boards.extend(board for board, _, _ in move_replies)
+    for values in (boards, replies):
+        assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_environment_wiring():
