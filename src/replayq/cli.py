@@ -1,8 +1,8 @@
 """Command-line front end for sampling, training, prediction, and verification.
 
 Exit codes: 0 success, 1 usage errors, 2 data or model errors, 3 verification
-failures. Every command is reproducible from its flags; anything stochastic
-takes --seed.
+failures, 141 a reader that closed stdout early. Every command is
+reproducible from its flags; anything stochastic takes --seed.
 """
 
 from __future__ import annotations
@@ -286,6 +286,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader closed stdout, as `| head -1` does
+        try:
+            sys.stdout.close()  # drops what no one will read; a closed stream is not flushed at exit
+        except BrokenPipeError:
+            pass
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -7,13 +7,13 @@ covers X's move and, if the game continues, the opponent's uniformly random
 reply. Rewards are +1/0/-1 for win/draw/loss, paid only on the transition
 that ends the game.
 
-The rules are evaluated once per board and cached. `_outcome` holds each
-board's result, which `ttt_winner` reads for any valid board, and `_settle`
-each board's (board, reward, game over) transition, so equal after-states
-share one tuple and one string; both are bounded by the 3^9 boards. `_table`
-maps every board reachable in legal play to X's moves on it, with their
-after-states and B's replies. Generation, stepping and board enumeration all
-read it, and `tictactoe_step` rejects any board it does not hold.
+`_outcome` caches each board's result for `ttt_winner`, bounded by the 3^9
+boards. `_table`, built once per process, maps every board reachable in legal
+play to X's moves on it, with their after-states and B's replies. Its search
+settles each board once, in a dict freed after the build: equal boards share
+one string and one transition tuple, and each after-state's replies are listed
+once. Generation, stepping and board enumeration all read the table, and
+`tictactoe_step` rejects any board it does not hold.
 """
 
 from __future__ import annotations
@@ -82,15 +82,15 @@ def _place(board: str, cell: int, mark: str) -> str:
     return board[: cell] + mark + board[cell + 1 :]
 
 
-_REWARD = {X_WINS: 1.0, DRAW: 0.0, B_WINS: -1.0, ONGOING: 0.0}
 _Transition = Tuple[str, float, bool]
 _Move = Tuple[int, str, float, bool, Tuple[_Transition, ...]]
+# The lines through each cell. Play stops at the first line, so a mark can
+# only complete one of the lines through the cell it fills.
+_CELL_LINES = tuple(tuple(line for line in _LINES if cell in line) for cell in range(9))
 
 
-@lru_cache(maxsize=None)
-def _settle(board: str) -> _Transition:
-    outcome = _outcome(board)
-    return board, _REWARD[outcome], outcome != ONGOING
+def _completes_line(board: str, cell: int) -> bool:
+    return any(board[i] == board[j] == board[k] for i, j, k in _CELL_LINES[cell])
 
 
 @lru_cache(maxsize=1)
@@ -103,21 +103,36 @@ def _table() -> Dict[str, Tuple[_Move, ...]]:
     table = {EMPTY_BOARD: ()}  # a board with X to move holds () until searched
     terminals = {}
     frontier = [EMPTY_BOARD]
+    # X after-state -> (board, reward, game over, replies), reply board ->
+    # (board, reward, game over); X has one more mark than B only on the first.
+    settled = {}
     while frontier:
         board = frontier.pop()
         moves = []
         for cell in legal_cells(board):
-            after_x, reward, game_over = _settle(_place(board, cell, "X"))
-            replies = () if game_over else tuple(_settle(_place(after_x, k, "B")) for k in legal_cells(after_x))
-            moves.append((cell, after_x, reward, game_over, replies))
-            # A move that ends the game has no replies; its after-state is terminal.
-            for nxt, _, over in replies or [(after_x, reward, game_over)]:
-                if nxt not in table and nxt not in terminals:
-                    if over:
-                        terminals[nxt] = ()
-                    else:
-                        table[nxt] = ()
-                        frontier.append(nxt)
+            after_x = _place(board, cell, "X")
+            known = settled.get(after_x)
+            if known is None:
+                won = _completes_line(after_x, cell)
+                replies = []
+                if not won and "." in after_x:
+                    for k in legal_cells(after_x):
+                        after_b = _place(after_x, k, "B")
+                        reply = settled.get(after_b)
+                        if reply is None:
+                            lost = _completes_line(after_b, k)
+                            reply = settled[after_b] = (after_b, -1.0 if lost else 0.0, lost)
+                        replies.append(reply)
+                known = settled[after_x] = (after_x, 1.0 if won else 0.0, not replies, tuple(replies))
+                # A move that ends the game has no replies; its after-state is terminal.
+                for nxt, _, over in replies or [known[:3]]:
+                    if nxt not in table and nxt not in terminals:
+                        if over:
+                            terminals[nxt] = ()
+                        else:
+                            table[nxt] = ()
+                            frontier.append(nxt)
+            moves.append((cell, *known))
         table[board] = tuple(moves)
     table.update(terminals)
     return table

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -8,7 +11,8 @@ from hypothesis import strategies as st
 
 from replayq import cli
 from replayq.cli import main
-from replayq.persist import load_model, read_experience
+from replayq.core import ControlParams, QTable, RLModel
+from replayq.persist import load_model, read_experience, save_model
 
 
 def run(*args):
@@ -467,3 +471,21 @@ def test_any_experience_file_ends_in_an_exit_code(tmp_path, capsys, valid_files,
     capsys.readouterr()
     rc = main(train_args(path, out, **{"--iter": "2"}))
     _assert_fails_cleanly(rc, capsys.readouterr(), path)
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_141_and_no_error(tmp_path):
+    # About 480 KB of report, far beyond a 64 KB pipe buffer, so the write
+    # fails however quickly the reader closes.
+    model = tmp_path / "big.json"
+    q = QTable([f"state-{k:05d}" for k in range(10_000)], [f"a{k}" for k in range(1, 10)])
+    save_model(RLModel(q, ControlParams()), str(model))
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+        [sys.executable, "-m", "replayq.cli", "report", "--model", str(model), "--view", "table"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"State-action values\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141

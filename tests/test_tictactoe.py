@@ -276,3 +276,21 @@ def test_step_matches_the_reference_rules_on_every_board_and_action():
 
 def test_reachable_boards_match_the_reference_enumeration_in_order():
     assert reachable_boards() == ref_reachable_boards()
+
+
+def test_move_table_matches_the_reference_rules_on_every_move_and_reply():
+    for board, moves in _table().items():
+        if ref_winner(board) != "ongoing":
+            assert moves == ()
+            continue
+        assert [move[0] for move in moves] == legal_cells(board)
+        for cell, after_x, reward, game_over, replies in moves:
+            outcome = ref_winner(after_x)
+            assert after_x == ref_place(board, cell, "X")
+            assert (reward, game_over) == (1.0 if outcome == "X-wins" else 0.0, outcome != "ongoing")
+            expected = []
+            for k in [] if game_over else legal_cells(after_x):
+                after_b = ref_place(after_x, k, "B")
+                b_wins = ref_winner(after_b) == "B-wins"
+                expected.append((after_b, -1.0 if b_wins else 0.0, b_wins or "." not in after_b))
+            assert replies == tuple(expected)
