@@ -12,6 +12,7 @@ import functools
 import math
 import random
 import sys
+from dataclasses import fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .core import ControlParams, Environment
@@ -52,9 +53,16 @@ def _unit_float(text: str) -> float:
 
 
 def _add_control_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=_unit_float, default=ControlParams.alpha, help="learning rate in [0, 1]")
-    parser.add_argument("--gamma", type=_unit_float, default=ControlParams.gamma, help="discount factor in [0, 1]")
-    parser.add_argument("--epsilon", type=_unit_float, default=ControlParams.epsilon, help="exploration rate in [0, 1]")
+    parser.add_argument("--alpha", type=_unit_float, help="learning rate in [0, 1]")
+    parser.add_argument("--gamma", type=_unit_float, help="discount factor in [0, 1]")
+    parser.add_argument("--epsilon", type=_unit_float, help="exploration rate in [0, 1]")
+
+
+def _control(args: argparse.Namespace, base: Optional[ControlParams] = None) -> ControlParams:
+    """The control a command runs with: `base`, the control of the model the
+    command reads (the defaults without one), with each control flag given in its place."""
+    given = {f.name: value for f in fields(ControlParams) if (value := getattr(args, f.name, None)) is not None}
+    return replace(base or ControlParams(), **given)
 
 
 def _get_env(name: str) -> Environment:
@@ -72,7 +80,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if args.model is None:
             raise _UsageError("--model is required when --mode is epsilon-greedy")
         model = load_model(args.model)
-        control = ControlParams() if args.epsilon is None else ControlParams(epsilon=args.epsilon)
+        control = _control(args, model.control)
     else:
         for flag, value in (("--model", args.model), ("--epsilon", args.epsilon)):
             if value is not None:
@@ -86,8 +94,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     columns = {key: getattr(args, key) for key in DEFAULT_COLUMNS}
     batch = read_experience(args.data, columns)
-    control = ControlParams(alpha=args.alpha, gamma=args.gamma, epsilon=args.epsilon)
     prior = load_model(args.model) if args.model else None
+    control = _control(args, prior and prior.control)
     model = learn(batch, control, iterations=args.iter, seed=args.seed, prior=prior)
     save_model(model, args.out)
     print(format_report(model, "summary"))
@@ -172,7 +180,7 @@ def _write_curve_svg(rows: Sequence[Tuple[int, float]], path: str) -> None:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     env = _get_env(args.env)
-    control = ControlParams(alpha=args.alpha, gamma=args.gamma, epsilon=args.epsilon)
+    control = _control(args)
     rows = _curve_rows(env, control, rounds=args.rounds, n=args.n, seed=args.seed)
     lines = ["round,total_reward"] + [f"{r},{v!r}" for r, v in rows]
     write_text(args.out, "\n".join(lines) + "\n")
@@ -183,19 +191,23 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.gamma >= 1.0:
+    if args.gamma is not None and args.gamma >= 1.0:
         raise _UsageError(f"--gamma must be below 1 for verify, got {args.gamma:g}")
     if not 0.0 <= args.tol < math.inf:  # also refuses NaN
         raise _UsageError(f"--tol must be finite and >= 0, got {args.tol:g}")
     env = _get_env(args.env)
     model = load_model(args.model)
+    gamma = _control(args, model.control).gamma
+    source = "--gamma" if args.gamma is not None else f"{args.model}: gamma"
+    if gamma >= 1.0:  # only the model's can be: a given --gamma was refused above
+        raise _UsageError(f"{source} must be below 1 for verify, got {gamma:g}; pass --gamma")
     if env.exact_mdp is None:
         raise ValueError(f"environment {env.name!r} does not expose exact dynamics; cannot verify")
     mdp = env.exact_mdp()
     try:
-        q_star = value_iteration(mdp, gamma=args.gamma, tol=1e-9)
-    except ValueError as exc:  # a built-in MDP is well formed, so --gamma is too close to 1
-        raise _UsageError(f"--gamma {args.gamma:g} is too close to 1 for verify: {exc}") from None
+        q_star = value_iteration(mdp, gamma=gamma, tol=1e-9)
+    except ValueError as exc:  # a built-in MDP is well formed, so the discount is too close to 1
+        raise _UsageError(f"{source} {gamma:g} is too close to 1 for verify: {exc}") from None
     pairs, max_diff, compared, mismatched = compare_to_optimal(model.q, q_star)
 
     print(f"environment: {env.name}")
@@ -263,8 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare a model against exact environment dynamics")
     p.add_argument("--model", required=True)
     p.add_argument("--env", required=True)
-    p.add_argument("--gamma", type=_unit_float, default=ControlParams.gamma,
-                   help="discount in [0, 1) used for the exact solution")
+    p.add_argument("--gamma", type=_unit_float, help="discount in [0, 1) for the exact solution; default: the model's")
     p.add_argument("--tol", type=float, default=0.1, help="largest acceptable |Q - Q*|")
     p.set_defaults(handler=_cmd_verify)
 

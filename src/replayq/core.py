@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from .oracle import ExplicitMDP
@@ -88,33 +88,28 @@ class ExperienceBatch:
     __slots__ = ("states", "actions", "s", "a", "r", "s_new")
 
     def __init__(self, rows: Iterable[ExperienceTuple] = ()) -> None:
-        """The batch of `rows`; given a batch, one sharing its columns."""
-        if not isinstance(rows, ExperienceBatch):
-            rows = ExperienceBatch._from_rows(map(attrgetter("state", "action", "reward", "next_state"), rows))
-        for name in self.__slots__:
-            setattr(self, name, getattr(rows, name))
-
-    @classmethod
-    def _from_rows(cls, rows: Iterable[tuple]) -> ExperienceBatch:
-        """The batch of `(state, action, reward, next_state)` rows, labels coded as rows arrive.
+        """The batch of `rows`, labels coded as rows arrive; given a batch, one sharing its columns.
 
         The checks are _from_codes'. A row with an unhashable label raises
         ValueError as ExperienceTuple would, once the rows before it pass.
         """
-        states, actions = _Codes(), _Codes()
-        s, a, r, s_new = [], [], [], []
-        for row in rows:
-            try:  # state before next state, so state codes follow first appearance
-                codes = states[row[0]], actions[row[1]], states[row[3]]
-            except TypeError:  # an unhashable label
-                cls._from_codes(list(states), list(actions), s, a, s_new, r)
-                ExperienceTuple(*row)
-                raise
-            s.append(codes[0])
-            a.append(codes[1])
-            r.append(row[2])
-            s_new.append(codes[2])
-        return cls._from_codes(list(states), list(actions), s, a, s_new, r)
+        if not isinstance(rows, ExperienceBatch):
+            states, actions = _Codes(), _Codes()
+            s, a, r, s_new = [], [], [], []
+            for row in map(attrgetter("state", "action", "reward", "next_state"), rows):
+                try:  # state before next state, so state codes follow first appearance
+                    codes = states[row[0]], actions[row[1]], states[row[3]]
+                except TypeError:  # an unhashable label
+                    self._from_codes(list(states), list(actions), s, a, s_new, r)
+                    ExperienceTuple(*row)
+                    raise
+                s.append(codes[0])
+                a.append(codes[1])
+                r.append(row[2])
+                s_new.append(codes[2])
+            rows = self._from_codes(list(states), list(actions), s, a, s_new, r)
+        for name in self.__slots__:
+            setattr(self, name, getattr(rows, name))
 
     @classmethod
     def _from_codes(cls, states: List[StateId], actions: List[ActionId], s: List[int], a: List[int],
@@ -299,13 +294,18 @@ def _epsilon_greedy(q: QTable, epsilon: float) -> Callable[[StateId, random.Rand
 
 @dataclass
 class RLModel:
-    """Trained artifact: the Q-table and learning metadata."""
+    """Trained artifact: the Q-table, the control it was fitted with, and the
+    batch's reward total for each replay pass asked for."""
 
     q: QTable
     control: ControlParams
-    iterations_completed: int = 0
     reward_history: List[float] = field(default_factory=list)
-    learning_rule: str = "experienceReplay"
+    learning_rule: ClassVar[str] = "experienceReplay"  # the package's only rule
+
+    @property
+    def iterations_completed(self) -> int:
+        """The replay passes asked for: one reward total is recorded per pass."""
+        return len(self.reward_history)
 
     @property
     def policy(self) -> Policy:

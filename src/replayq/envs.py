@@ -114,7 +114,7 @@ def sample_experience(
         next_state, reward = step(state, action, rng)
         try:  # state before next state, so state codes follow first appearance
             codes = states[state], actions[action], states[next_state]
-        except TypeError:  # an unhashable label: name the first bad row as _from_rows does
+        except TypeError:  # an unhashable label: name the first bad row as ExperienceBatch(rows) does
             ExperienceBatch._from_codes(list(states), list(actions), s, a, s_new, r)
             ExperienceTuple(state, action, reward, next_state)
             raise

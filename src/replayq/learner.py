@@ -117,12 +117,7 @@ def learn(
         if not changed:
             break
 
-    return RLModel(
-        q=q,
-        control=control,
-        iterations_completed=prior.iterations_completed + iterations,
-        reward_history=history,
-    )
+    return RLModel(q=q, control=control, reward_history=history)
 
 
 def update_model(

@@ -264,20 +264,20 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
         for name in _CONTROL_FIELDS:
             if name not in control:
                 raise KeyError(f"control.{name}")
-        if not isinstance(rule, str):
-            raise ValueError(f"learning_rule must be a string, got {rule!r}")
         if not isinstance(history, list):
             raise ValueError(f"reward_history must be a list, got {history!r}")
         iterations = doc["iterations_completed"]
-        if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 0:
-            raise ValueError(f"iterations_completed must be a non-negative integer, got {iterations!r}")
         model = RLModel(
             q=q,
             control=ControlParams(**{k: _number(v, f"control.{k}") for k, v in control.items()}),
-            iterations_completed=iterations,
             reward_history=[_number(r, f"reward_history[{k}]") for k, r in enumerate(history)],
-            learning_rule=rule,
         )
+        # Both are derived: the pass count from the history, and the package has one rule.
+        if type(iterations) is not int or iterations != model.iterations_completed:
+            raise ValueError(f"iterations_completed must be {model.iterations_completed}, the number of "
+                             f"reward_history entries, got {iterations!r}")
+        if rule != model.learning_rule:
+            raise ValueError(f"learning_rule must be {model.learning_rule!r}, got {rule!r}")
     except KeyError as exc:
         raise ValueError(f"{source}: malformed model file: missing field {exc}") from None
     except (OverflowError, TypeError, ValueError) as exc:

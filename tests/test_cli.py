@@ -328,6 +328,82 @@ def test_verify_needs_exact_dynamics(tmp_path, capsys):
     assert "exact dynamics" in capsys.readouterr().err
 
 
+# --- a control flag left out takes the value of the model the command reads ----
+
+
+def test_verify_without_gamma_solves_at_the_models_discount(tmp_path, capsys):
+    exp, model = str(tmp_path / "exp.csv"), str(tmp_path / "model.json")
+    assert main(sample_args(exp, n="1000")) == 0
+    assert main(train_args(exp, model, **{"--gamma": "0.9", "--iter": "500"})) == 0
+    capsys.readouterr()
+    assert run("verify", "--model", model, "--env", "gridworld-2x2") == 0
+    default = capsys.readouterr().out
+    assert "verification passed" in default
+    assert run("verify", "--model", model, "--env", "gridworld-2x2", "--gamma", "0.9") == 0
+    assert capsys.readouterr().out == default
+    assert run("verify", "--model", model, "--env", "gridworld-2x2", "--gamma", "0.5") == 3
+
+
+def test_verify_refuses_a_model_gamma_of_one_naming_the_model(tmp_path, capsys):
+    exp, model = str(tmp_path / "exp.csv"), str(tmp_path / "model.json")
+    assert main(sample_args(exp)) == 0
+    assert main(train_args(exp, model, **{"--gamma": "1", "--iter": "5"})) == 0
+    capsys.readouterr()
+    assert run("verify", "--model", model, "--env", "gridworld-2x2") == 1
+    assert capsys.readouterr().err == f"error: {model}: gamma must be below 1 for verify, got 1; pass --gamma\n"
+    assert run("verify", "--model", model, "--env", "gridworld-2x2", "--gamma", "0.5", "--tol", "1e9") == 0
+    # A given --gamma of 1 is refused before the model is read.
+    assert run("verify", "--model", str(tmp_path / "missing.json"), "--env", "gridworld-2x2", "--gamma", "1") == 1
+    assert capsys.readouterr().err.endswith("error: --gamma must be below 1 for verify, got 1\n")
+
+
+def test_sample_without_epsilon_draws_at_the_models_epsilon(tmp_path):
+    exp, model = str(tmp_path / "exp.csv"), str(tmp_path / "model.json")
+    assert main(sample_args(exp)) == 0
+    assert main(train_args(exp, model, **{"--epsilon": "0.3"})) == 0
+    default, given = tmp_path / "default.csv", tmp_path / "given.csv"
+    assert main(sample_args(str(default)) + ["--mode", "epsilon-greedy", "--model", model]) == 0
+    assert main(sample_args(str(given)) + ["--mode", "epsilon-greedy", "--model", model, "--epsilon", "0.3"]) == 0
+    assert default.read_bytes() == given.read_bytes()
+
+
+def test_train_on_a_model_keeps_its_control_but_for_the_flags_given(tmp_path):
+    exp, model = str(tmp_path / "exp.csv"), str(tmp_path / "model.json")
+    assert main(sample_args(exp)) == 0
+    assert main(train_args(exp, model, **{"--alpha": "0.3", "--gamma": "0.9", "--epsilon": "0.2"})) == 0
+    kept, changed = str(tmp_path / "kept.json"), str(tmp_path / "changed.json")
+    assert run("train", "--data", exp, "--model", model, "--out", kept) == 0
+    assert load_model(kept).control == ControlParams(alpha=0.3, gamma=0.9, epsilon=0.2)
+    assert run("train", "--data", exp, "--model", model, "--gamma", "0.7", "--out", changed) == 0
+    assert load_model(changed).control == ControlParams(alpha=0.3, gamma=0.7, epsilon=0.2)
+    # Without a model the defaults fill in what is not given.
+    assert run("train", "--data", exp, "--alpha", "0.4", "--out", changed) == 0
+    assert load_model(changed).control == ControlParams(alpha=0.4)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("iterations_completed", 7, "iterations_completed must be 300, the number of reward_history entries, "
+                 "got 7", id="iterations-not-history-length"),
+    pytest.param("learning_rule", "SARSA", "learning_rule must be 'experienceReplay', got 'SARSA'", id="other-rule"),
+])
+def test_every_command_refuses_a_model_whose_facts_contradict(tmp_path, capsys, field, value, message):
+    model = trained(tmp_path)
+    with open(model) as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    exp, out = str(tmp_path / "exp.csv"), str(tmp_path / "out.json")
+    for argv in (["report", "--model", model], ["predict", "--model", model, "--states", "s1"],
+                 ["verify", "--model", model, "--env", "gridworld-2x2"],
+                 ["train", "--data", exp, "--model", model, "--out", out],
+                 sample_args(str(tmp_path / "x.csv")) + ["--mode", "epsilon-greedy", "--model", model]):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {model}: malformed model file: {message}\n"
+    assert not os.path.exists(out)
+
+
 def test_report_views(tmp_path, capsys):
     model = trained(tmp_path)
     assert run("report", "--model", model, "--view", "policy") == 0

@@ -150,7 +150,7 @@ def test_epsilon_greedy_sampling_prefers_the_learned_action():
 
 
 # sha256 of seeded sampler batches, as drawn while the sampler still handed
-# each row to ExperienceBatch._from_rows and the gridworld computed each step.
+# each row to ExperienceBatch(rows) and the gridworld computed each step.
 PINNED_SAMPLER_SHA256 = {
     "tictactoe-random": "a9f8a33aa35b2a5339a750a2d0d615e760a4400ca68a2770a977ac47de9db48f",
     "tictactoe-epsilon-greedy": "1db53ea8fbad0a0dc042efa6a40fa071779a7df35c4ef9c9639468e8eb1a5522",

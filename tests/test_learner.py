@@ -312,7 +312,7 @@ def ref_model(tab, control, iterations, history):
     q = QTable(states, actions)
     for (s, a), v in values.items():
         q.set(s, a, v)
-    return RLModel(q, control, iterations, list(history))
+    return RLModel(q, control, list(history))
 
 
 def ref_policy(tab):

@@ -354,17 +354,17 @@ values = st.integers(-10**6, 10**6).map(float) | st.floats(allow_nan=False, allo
 @settings(max_examples=150, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
 @given(states=st.lists(labels, unique=True, max_size=5), actions=st.lists(labels, unique=True, max_size=4),
-       data=st.data(), history=st.lists(values, max_size=3), rule=st.text(max_size=6),
-       iterations=st.integers(0, 10**12), control=st.builds(ControlParams, *[st.floats(0.0, 1.0)] * 3))
-@example(states=[], actions=[], data=None, history=[], rule="experienceReplay", iterations=0, control=CONTROL)
-def test_model_to_json_is_json_dumps_with_indent_two(states, actions, data, history, rule, iterations, control):
+       data=st.data(), history=st.lists(values, max_size=3),
+       control=st.builds(ControlParams, *[st.floats(0.0, 1.0)] * 3))
+@example(states=[], actions=[], data=None, history=[], control=CONTROL)
+def test_model_to_json_is_json_dumps_with_indent_two(states, actions, data, history, control):
     from replayq.core import QTable, RLModel
 
     assume(actions or not states)  # a table with states but no actions has no policy to write
     q = QTable(states, actions)
     for row in q.rows:
         row[:] = data.draw(st.lists(values, min_size=len(actions), max_size=len(actions)))
-    model = RLModel(q, control, iterations, history, rule)
+    model = RLModel(q, control, history)
     text = model_to_json(model)
     assert text == reference_model_json(model)
     assert model_to_json(model_from_json(text)) == text
@@ -476,8 +476,15 @@ def corrupted(change):
         pytest.param(lambda d: d.__setitem__("control", [0.1, 0.5, 0.1]), "control must be an object", id="control-list"),
         pytest.param(lambda d: d.__setitem__("control", {}), "missing field 'control.alpha'", id="empty-control"),
         pytest.param(lambda d: d["control"].pop("epsilon"), "missing field 'control.epsilon'", id="control-without-epsilon"),
-        pytest.param(lambda d: d.__setitem__("learning_rule", {"x": 1}), "learning_rule must be a string", id="object-rule"),
-        pytest.param(lambda d: d.__setitem__("learning_rule", None), "learning_rule must be a string", id="null-rule"),
+        pytest.param(lambda d: d.__setitem__("learning_rule", {"x": 1}), "learning_rule must be 'experienceReplay'",
+                     id="object-rule"),
+        pytest.param(lambda d: d.__setitem__("learning_rule", None), "learning_rule must be 'experienceReplay'",
+                     id="null-rule"),
+        pytest.param(lambda d: d.__setitem__("learning_rule", "SARSA"),
+                     "learning_rule must be 'experienceReplay', got 'SARSA'", id="other-rule"),
+        pytest.param(lambda d: d.__setitem__("iterations_completed", 7),
+                     "iterations_completed must be 3, the number of reward_history entries, got 7",
+                     id="iterations-not-history-length"),
     ],
 )
 def test_model_from_json_rejects_values_it_would_not_write(change, field):
