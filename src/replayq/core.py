@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:
     from .oracle import ExplicitMDP
@@ -95,56 +95,54 @@ class ExperienceBatch:
         """
         if not isinstance(rows, ExperienceBatch):
             states, actions = _Codes(), _Codes()
-            s, a, r, s_new = [], [], [], []
+            codes = []
             for row in map(attrgetter("state", "action", "reward", "next_state"), rows):
                 try:  # state before next state, so state codes follow first appearance
-                    codes = states[row[0]], actions[row[1]], states[row[3]]
+                    codes += states[row[0]], actions[row[1]], row[2], states[row[3]]
                 except TypeError:  # an unhashable label
-                    self._from_codes(list(states), list(actions), s, a, s_new, r)
+                    self._from_codes(states, actions, codes)
                     ExperienceTuple(*row)
                     raise
-                s.append(codes[0])
-                a.append(codes[1])
-                r.append(row[2])
-                s_new.append(codes[2])
-            rows = self._from_codes(list(states), list(actions), s, a, s_new, r)
+            rows = self._from_codes(states, actions, codes)
         for name in self.__slots__:
             setattr(self, name, getattr(rows, name))
 
     @classmethod
-    def _from_codes(cls, states: List[StateId], actions: List[ActionId], s: List[int], a: List[int],
-                    s_new: List[int], rewards: Sequence[float], r: Optional[List[int]] = None,
-                    where: Callable[[int], str] = lambda k: "") -> ExperienceBatch:
-        """The batch of label tables and the code columns into them; the lists become the batch's own.
+    def _from_codes(cls, states: Iterable[StateId], actions: Iterable[ActionId], codes: List,
+                    rewards: Optional[Iterable] = None, where: Callable[[int], str] = lambda k: "") -> ExperienceBatch:
+        """The batch of label tables and `codes`, four per row (s, a, r, s_new), cut here into columns.
 
-        `r` codes each row's reward into `rewards`, a table of distinct values
-        that may be numeric text; without `r`, `rewards` holds one per row.
-        Each label and each entry of `rewards` is checked once, and only a
-        fault walks the rows to name the first bad one, as ExperienceTuple
-        would, the message prefixed by `where(k)` for its 0-based index `k`.
-        Codes are not range-checked and labels not checked for repeats: the
-        tables and codes must come from `_Codes`, as every builder's do.
+        `codes` is emptied, so no builder holds both forms; builders grow one
+        list because four grown side by side fragmented the heap by ~8 MB at
+        100k games. With `rewards`, a table of distinct values that may be
+        numeric text, the r entries code into it; without, they are the rewards.
+        Each label and reward value is checked once; only a fault walks the rows
+        to name the first bad one, as ExperienceTuple would, the message
+        prefixed by `where(k)` for its 0-based index `k`. Codes are not
+        range-checked nor labels checked for repeats: both come from `_Codes`.
         """
-        if not len(s) == len(a) == len(s_new) == len(rewards if r is None else r):
-            raise ValueError("code columns must be equally long")
+        s, a, r, s_new = (codes[c::4] for c in range(4))
+        codes.clear()
+        states, actions = list(states), list(actions)
+        table = r if rewards is None else list(rewards)
         try:
-            values = list(map(float, rewards))
+            values = list(map(float, table))
             for label in chain(states, actions):
                 validate_label(label)
             valid = all(map(math.isfinite, values))
         except (TypeError, ValueError):
             valid = False
         if not valid:
-            tables = (states, actions, rewards, states)
-            codes = (s, a, range(len(s)) if r is None else r, s_new)
-            for k, row in enumerate(zip(*(map(t.__getitem__, c) for t, c in zip(tables, codes)))):
+            tables = (states, actions, table, states)
+            columns = (s, a, range(len(s)) if rewards is None else r, s_new)
+            for k, row in enumerate(zip(*(map(t.__getitem__, c) for t, c in zip(tables, columns)))):
                 try:
                     ExperienceTuple(*row)
                 except ValueError as exc:
                     raise ValueError(f"{where(k)}{exc}") from None
         batch = cls.__new__(cls)
         batch.states, batch.actions, batch.s, batch.a, batch.s_new = states, actions, s, a, s_new
-        batch.r = values if r is None else list(map(values.__getitem__, r))
+        batch.r = values if rewards is None else list(map(values.__getitem__, r))
         return batch
 
     def __len__(self) -> int:

@@ -86,11 +86,11 @@ def sample_experience(
     """Draw `n` one-step transitions, each starting from a uniformly random state.
 
     Start states are drawn independently per tuple rather than chained along a
-    trajectory. Mode "random" picks actions uniformly; "epsilon-greedy" picks
-    them against the model's Q-table using `control.epsilon`. Fixing the seed
-    fixes the output exactly. Labels are coded into the batch's columns as
-    they are drawn; a bad row raises ValueError as ExperienceTuple would,
-    naming the first one.
+    trajectory. Mode "random" picks actions uniformly; "epsilon-greedy", the
+    only mode that takes `model` and `control`, picks them against the model's
+    Q-table using `control.epsilon`. Fixing the seed fixes the output exactly.
+    Labels are coded into the batch as they are drawn; a bad row raises
+    ValueError as ExperienceTuple would, naming the first one.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -103,26 +103,24 @@ def sample_experience(
         if control is None:
             raise ValueError("control required for epsilon-greedy")
         draw = _epsilon_greedy(model.q, control.epsilon)
+    elif model is not None or control is not None:
+        raise ValueError("model and control are taken only in epsilon-greedy mode")
 
     rng = random.Random(seed)
     choice, step, env_states, env_actions = rng.choice, env.step, env.states, env.actions
     states, actions = _Codes(), _Codes()
-    s, a, r, s_new = [], [], [], []
+    codes = []
     for _ in range(n):
         state = choice(env_states)
         action = choice(env_actions) if draw is None else draw(state, rng)
         next_state, reward = step(state, action, rng)
         try:  # state before next state, so state codes follow first appearance
-            codes = states[state], actions[action], states[next_state]
+            codes += states[state], actions[action], reward, states[next_state]
         except TypeError:  # an unhashable label: name the first bad row as ExperienceBatch(rows) does
-            ExperienceBatch._from_codes(list(states), list(actions), s, a, s_new, r)
+            ExperienceBatch._from_codes(states, actions, codes)
             ExperienceTuple(state, action, reward, next_state)
             raise
-        s.append(codes[0])
-        a.append(codes[1])
-        r.append(reward)
-        s_new.append(codes[2])
-    return ExperienceBatch._from_codes(list(states), list(actions), s, a, s_new, r)
+    return ExperienceBatch._from_codes(states, actions, codes)
 
 
 # --- registry ----------------------------------------------------------------

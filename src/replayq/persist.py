@@ -52,7 +52,7 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
 
     header, fault = None, None
     states, actions, rewards = _Codes(), _Codes(), _Codes()
-    codes = []  # four per row: s, a, r, s_new
+    codes = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -80,16 +80,11 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
-    # One list cut into columns at the end: four lists grown side by side
-    # fragmented the heap, adding ~8 MB of RSS at 100k games.
-    s, a, r, s_new = (codes[c::4] for c in range(4))
-    del codes
     # Rows before the first one the reader or the width check refused are
     # checked first, so the error names the first bad row.
-    batch = ExperienceBatch._from_codes(list(states), list(actions), s, a, s_new, list(rewards), r,
-                                        where=lambda k: f"{path}: row {k + 2}: ")
+    batch = ExperienceBatch._from_codes(states, actions, codes, rewards, where=lambda k: f"{path}: row {k + 2}: ")
     if fault is not None:
-        raise ValueError(f"{path}: row {len(s) + 2 if header is not None else 1}: {fault}")
+        raise ValueError(f"{path}: row {len(batch) + 2 if header is not None else 1}: {fault}")
     return batch
 
 

@@ -149,7 +149,7 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
     rng = random.Random(seed)
     table = _table()
     states, actions = _Codes(), _Codes()
-    s, a, r, s_new = [], [], [], []
+    codes = []
     for _ in range(num_games):
         board = EMPTY_BOARD
         while True:
@@ -157,14 +157,11 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
             if not game_over:
                 next_board, reward, game_over = rng.choice(replies)
             # State before next state, so state codes follow first appearance.
-            s.append(states[board])
-            a.append(actions[CELL_ACTIONS[cell]])
-            r.append(reward)
-            s_new.append(states[next_board])
+            codes += states[board], actions[CELL_ACTIONS[cell]], reward, states[next_board]
             if game_over:
                 break
             board = next_board
-    return ExperienceBatch._from_codes(list(states), list(actions), s, a, s_new, r)
+    return ExperienceBatch._from_codes(states, actions, codes)
 
 
 def reachable_boards() -> Tuple[str, ...]:

@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -90,17 +91,16 @@ def test_batches_compare_by_their_rows():
 
 
 def test_from_codes_checks_each_row_as_experience_tuple_does():
-    batch = ExperienceBatch._from_codes(["a", "b"], ["x"], [0, 1], [0, 0], [1, 0], ["1.5", 2], [0, 1])
+    codes = [0, 0, 0, 1, 1, 0, 1, 0]  # four per row: s, a, r, s_new; r codes into the reward table
+    batch = ExperienceBatch._from_codes(["a", "b"], ["x"], codes, ["1.5", 2])
     assert list(batch) == [ExperienceTuple("a", "x", 1.5, "b"), ExperienceTuple("b", "x", 2.0, "a")]
+    assert codes == []
     with pytest.raises(ValueError, match=r"^at 1: next_state 'c,d' contains forbidden character ','$"):
-        ExperienceBatch._from_codes(["a", "b", "c,d"], ["x"], [0, 0], [0, 0], [1, 2], [1.0, 2.0],
-                                    where=lambda k: f"at {k}: ")
+        ExperienceBatch._from_codes(["a", "b", "c,d"], ["x"], [0, 0, 1.0, 1, 0, 0, 2.0, 2], where=lambda k: f"at {k}: ")
     with pytest.raises(ValueError, match=r"^reward must be finite, got inf$"):
-        ExperienceBatch._from_codes(["a", "b"], ["x"], [0], [0], [1], [math.inf])
+        ExperienceBatch._from_codes(["a", "b"], ["x"], [0, 0, math.inf, 1])
     with pytest.raises(ValueError, match=r"^cannot parse reward None$"):
-        ExperienceBatch._from_codes(["a", "b"], ["x"], [0], [0], [1], [None])
-    with pytest.raises(ValueError, match="equally long"):
-        ExperienceBatch._from_codes(["a", "b"], ["x"], [0, 1], [0], [1, 0], [1.0, 2.0])
+        ExperienceBatch._from_codes(["a", "b"], ["x"], [0, 0, None, 1])
 
 
 def _faulty_environment(outcomes):
@@ -109,21 +109,37 @@ def _faulty_environment(outcomes):
     return Environment("faulty", ("s",), ("go",), lambda s, a, rng: EnvResponse(*next(steps, ("s", 1.0))))
 
 
-@pytest.mark.parametrize("outcomes, message", [
-    ([(["x"], 1.0)], "next_state must be a non-empty string, got ['x']"),
-    ([("a,b", 1.0)], "next_state 'a,b' contains forbidden character ','"),
-    ([(None, 1.0)], "next_state must be a non-empty string, got None"),
-    ([("s", math.nan)], "reward must be finite, got nan"),
-    ([("s", None)], "cannot parse reward None"),
-    ([("s", math.inf)], "reward must be finite, got inf"),
+def _sampled(outcomes):
+    return sample_experience(5, _faulty_environment(outcomes), seed=0)
+
+
+def _from_rows(outcomes):
+    """The five rows `_sampled` draws, as duck-typed rows given to ExperienceBatch."""
+    steps = outcomes + [("s", 1.0)] * (5 - len(outcomes))
+    return ExperienceBatch([SimpleNamespace(state="s", action="go", reward=r, next_state=s2) for s2, r in steps])
+
+
+FAULTY_OUTCOMES = [  # (id, the environment's outcomes, the ValueError's message)
+    ("unhashable", [(["x"], 1.0)], "next_state must be a non-empty string, got ['x']"),
+    ("forbidden-character", [("a,b", 1.0)], "next_state 'a,b' contains forbidden character ','"),
+    ("none", [(None, 1.0)], "next_state must be a non-empty string, got None"),
+    ("nan", [("s", math.nan)], "reward must be finite, got nan"),
+    ("none-reward", [("s", None)], "cannot parse reward None"),
+    ("inf", [("s", math.inf)], "reward must be finite, got inf"),
     # The first bad row is named, whatever is wrong with a later one.
-    ([("s", 1.0), ("a,b", 1.0), (["x"], 1.0)], "next_state 'a,b' contains forbidden character ','"),
-    ([("s", 1.0), ("s", math.nan), ({"x"}, 1.0)], "reward must be finite, got nan"),
-], ids=["unhashable", "forbidden-character", "none", "nan", "none-reward", "inf", "label-before-unhashable",
-        "reward-before-unhashable"])
-def test_sample_experience_refuses_a_faulty_environment_as_experience_tuple_does(outcomes, message):
+    ("label-before-unhashable", [("s", 1.0), ("a,b", 1.0), (["x"], 1.0)],
+     "next_state 'a,b' contains forbidden character ','"),
+    ("reward-before-unhashable", [("s", 1.0), ("s", math.nan), ({"x"}, 1.0)], "reward must be finite, got nan"),
+]
+
+
+# Sampling's cases keep their plain ids; ExperienceBatch(rows)'s are prefixed "rows-".
+@pytest.mark.parametrize("build, outcomes, message", [
+    pytest.param(build, outcomes, message, id=prefix + case)
+    for prefix, build in (("", _sampled), ("rows-", _from_rows)) for case, outcomes, message in FAULTY_OUTCOMES])
+def test_sample_experience_refuses_a_faulty_environment_as_experience_tuple_does(build, outcomes, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        sample_experience(5, _faulty_environment(outcomes), seed=0)
+        build(outcomes)
 
 
 def test_sample_experience_takes_numeric_rewards_of_any_type():

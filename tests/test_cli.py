@@ -81,12 +81,7 @@ def test_sample_takes_an_epsilon_only_in_epsilon_greedy_mode(tmp_path, capsys):
     assert main(sample_args(str(out)) + ["--mode", "random", "--epsilon", "0.7"]) == 1
     assert "--epsilon" in capsys.readouterr().err
     assert not out.exists()
-    # In epsilon-greedy mode an omitted --epsilon is ControlParams' default.
-    model = trained(tmp_path)
-    default, given = tmp_path / "default.csv", tmp_path / "given.csv"
-    assert main(sample_args(str(default)) + ["--mode", "epsilon-greedy", "--model", model]) == 0
-    assert main(sample_args(str(given)) + ["--mode", "epsilon-greedy", "--model", model, "--epsilon", "0.1"]) == 0
-    assert default.read_bytes() == given.read_bytes()
+
 
 @pytest.mark.parametrize("flag", ["--alpha", "--gamma"])
 def test_sample_takes_no_learning_rates(tmp_path, capsys, flag):

@@ -133,6 +133,11 @@ def test_sample_experience_validates_arguments():
         sample_experience(5, env, mode="epsilon-greedy", model=model)
     with pytest.raises(ValueError, match="^no actions defined$"):
         sample_experience(5, env, mode="epsilon-greedy", model=model, control=ControlParams())
+    # Random mode reads neither, so passing one is a mistake, not a request.
+    with pytest.raises(ValueError, match="^model and control are taken only in epsilon-greedy mode$"):
+        sample_experience(5, env, model=model)
+    with pytest.raises(ValueError, match="^model and control are taken only in epsilon-greedy mode$"):
+        sample_experience(5, env, control=ControlParams(epsilon=0.0))
 
 
 def test_epsilon_greedy_sampling_prefers_the_learned_action():

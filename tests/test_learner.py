@@ -307,7 +307,7 @@ def ref_learn(batch, control, iterations, seed, prior=None):
     return tab
 
 
-def ref_model(tab, control, iterations, history):
+def ref_model(tab, control, history):
     states, actions, values = tab
     q = QTable(states, actions)
     for (s, a), v in values.items():
@@ -322,8 +322,8 @@ def ref_policy(tab):
     return {s: actions[rows[s].index(max(rows[s]))] for s in states}
 
 
-def assert_matches_reference(model, tab, control, iterations, history):
-    assert model_to_json(model) == model_to_json(ref_model(tab, control, iterations, history))
+def assert_matches_reference(model, tab, control, history):
+    assert model_to_json(model) == model_to_json(ref_model(tab, control, history))
     assert model.policy == ref_policy(tab)
 
 
@@ -361,7 +361,7 @@ def test_interned_learner_matches_reference(pair, control, iterations, seed, wit
     first = learn(batch, control, iterations=iterations, seed=seed)
     ref = ref_learn(batch, control, iterations, seed)
     history = [math.fsum(t.reward for t in batch)] * iterations
-    assert_matches_reference(first, ref, control, iterations, history)
+    assert_matches_reference(first, ref, control, history)
     if not with_prior:
         return
 
@@ -369,7 +369,7 @@ def test_interned_learner_matches_reference(pair, control, iterations, seed, wit
     second = update_model(first, more, control, iterations=iterations, seed=seed + 1)
     ref2 = ref_learn(more, control, iterations, seed + 1, prior=ref)
     history += [math.fsum(t.reward for t in more)] * iterations
-    assert_matches_reference(second, ref2, control, 2 * iterations, history)
+    assert_matches_reference(second, ref2, control, history)
     assert model_to_json(learn(more, control, iterations, seed + 1, prior=first)) == model_to_json(second)
     assert model_to_json(first) == prior_text
 
@@ -398,9 +398,9 @@ def test_replay_that_stops_at_its_fixed_point_equals_every_pass(pair, control, i
     first = learn(batch, control, iterations=iterations, seed=seed)
     ref = ref_learn(batch, control, iterations, seed)
     history = [math.fsum(t.reward for t in batch)] * iterations
-    assert_matches_reference(first, ref, control, iterations, history)
+    assert_matches_reference(first, ref, control, history)
     # Continuing from a fixed point may stop after the first pass.
     second = learn(more, control, iterations=iterations, seed=seed + 1, prior=first)
     ref2 = ref_learn(more, control, iterations, seed + 1, prior=ref)
     history += [math.fsum(t.reward for t in more)] * iterations
-    assert_matches_reference(second, ref2, control, 2 * iterations, history)
+    assert_matches_reference(second, ref2, control, history)
