@@ -103,18 +103,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
     names = [s for s in args.states.split(",") if s]
-    policy = model.policy
-    missing = False
+    if not names:
+        raise _UsageError(f"--states lists no state, got {args.states!r}")
+    policy = load_model(args.model).policy
     for s in names:
-        action = policy.get(s)
-        if action is None:
-            print(f"{s},unknown-state")
-            missing = True
-        else:
-            print(f"{s},{action}")
-    return EXIT_DATA if missing else EXIT_OK
+        print(f"{s},{policy.get(s, 'unknown-state')}")
+    return EXIT_OK if all(s in policy for s in names) else EXIT_DATA
 
 
 def _curve_rows(env: Environment, control: ControlParams, rounds: int, n: int, seed: int) -> List[Tuple[int, float]]:

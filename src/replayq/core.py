@@ -5,6 +5,7 @@ policies, and the environment contract."""
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -165,7 +166,7 @@ class ExperienceBatch:
 @dataclass(frozen=True)
 class ControlParams:
     """Learner hyperparameters: learning rate `alpha`, discount factor
-    `gamma`, and exploration rate `epsilon`, each bounded to [0, 1]."""
+    `gamma`, and exploration rate `epsilon`, each stored as a float in [0, 1]."""
 
     alpha: float = 0.1
     gamma: float = 0.5
@@ -174,8 +175,10 @@ class ControlParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{f.name} must lie in [0, 1], got {value}")
+            # bool is an int subclass, but True is no rate
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{f.name} must lie in [0, 1], got {value!r}")
+            object.__setattr__(self, f.name, float(value))
 
 
 class QTable:

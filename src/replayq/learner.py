@@ -21,13 +21,15 @@ from .core import (
 )
 
 
-def _backup(items: Iterable[tuple], rows: List[List[float]], v: List[float], alpha: float, gamma: float) -> bool:
+def _backup(items: Iterable[tuple], rows: List[List[float]], v: List[float], alpha: float, gamma: float,
+            states: List[StateId], actions: List[ActionId]) -> bool:
     """The TD update, applied in place to each `(s, a, r, s_new)` item in turn;
     returns whether any update changed a value.
 
-    `s` and `s_new` index `rows`, and `a` a column. `v` caches each row's
-    maximum for the target: `v[s] == max(rows[s])` holds before and after
-    every update, and a row is scanned only when its maximum was lowered.
+    `s` and `s_new` index `rows` and `states`, and `a` a column and `actions`.
+    `v` caches each row's maximum for the target: `v[s] == max(rows[s])` holds
+    before and after every update, and a row is scanned only when its maximum
+    was lowered. A value that is not finite raises ValueError before it is stored.
     """
     changed = False
     for s, a, reward, s_new in items:
@@ -35,6 +37,8 @@ def _backup(items: Iterable[tuple], rows: List[List[float]], v: List[float], alp
         current = row[a]
         updated = current + alpha * (reward + gamma * v[s_new] - current)
         if updated != current:
+            if not math.isfinite(updated):
+                raise ValueError(f"value for ({states[s]!r}, {actions[a]!r}) must be finite, got {updated!r}")
             changed = True
             row[a] = updated
             if updated > v[s]:
@@ -42,14 +46,6 @@ def _backup(items: Iterable[tuple], rows: List[List[float]], v: List[float], alp
             elif current == v[s]:
                 v[s] = max(row)
     return changed
-
-
-def _check_finite(q: QTable, states: Iterable[StateId]) -> None:
-    """Raise on a non-finite value in the rows of `states`, the rows updates write."""
-    for s in states:
-        for a, value in zip(q.action_index, q.rows[q.state_index[s]]):
-            if not math.isfinite(value):
-                raise ValueError(f"value for ({s!r}, {a!r}) must be finite, got {value!r}")
 
 
 def _reward_total(rewards: List[float]) -> float:
@@ -87,7 +83,9 @@ def learn(
     cover every pass asked for.
 
     Deterministic: identical (batch, control, iterations, seed, prior) inputs
-    produce an identical model.
+    produce an identical model. Every refusal is a ValueError; an update whose
+    value is not finite is refused before it is stored, naming the first such
+    (state, action) pair in replay order.
     """
     batch = ExperienceBatch(batch)
     if not batch:
@@ -105,16 +103,13 @@ def learn(
     # Items of codes and a reward hold no container, so the cyclic collector untracks them.
     items = list(zip(batch.s, map(columns.__getitem__, batch.a), batch.r, batch.s_new))
     v = list(map(max, rows))
-    touched = [batch.states[s] for s in dict.fromkeys(batch.s)]
     history = list(prior.reward_history) + [_reward_total(batch.r)] * iterations
     rng = random.Random(seed)
     for _ in range(iterations):
         # Shuffling a list as long as the batch draws the same permutation.
         order = items[:]
         rng.shuffle(order)
-        changed = _backup(order, rows, v, control.alpha, control.gamma)
-        _check_finite(q, touched)
-        if not changed:
+        if not _backup(order, rows, v, control.alpha, control.gamma, batch.states, q.actions):
             break
 
     return RLModel(q=q, control=control, reward_history=history)

@@ -12,6 +12,7 @@ import numpy as np
 from .core import ActionId, ExperienceBatch, ExperienceTuple, QTable, StateId, policy_from_q
 
 _ROW_SUM_TOL = 1e-9
+_MAX_SWEEPS = 1_000_000
 
 # Optimal values closer than this count as a tie: any of the tied actions is optimal.
 POLICY_TIE_MARGIN = 1e-9
@@ -91,7 +92,7 @@ def _check_stochastic(mdp: ExplicitMDP) -> None:
         )
 
 
-def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweeps: int = 1_000_000) -> QTable:
+def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable:
     """Solve for the optimal state-action values of an explicit MDP.
 
     Sweeps synchronous backups from a zero table until successive iterates
@@ -99,7 +100,8 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
     of the returned table by `gamma * tol`. Each backup costs time linear in
     the number of transitions. Sweep `k` changes the table by at most
     `gamma**k * max|E[r]|`; when that bound does not fall below `tol` within
-    `max_sweeps` sweeps, ValueError is raised before the first one.
+    a million sweeps, the call is refused before the first one. Every refusal
+    is a ValueError, also of iterates that rounding keeps from settling.
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
@@ -109,9 +111,9 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
 
     q = np.zeros((len(mdp.states), len(mdp.actions)))
     expected_reward = np.bincount(mdp.pair, weights=mdp.probability * mdp.step_reward, minlength=q.size)
-    if float(np.abs(expected_reward).max(initial=0.0)) * gamma ** max(max_sweeps - 1, 0) >= tol:
-        raise ValueError(f"value iteration at gamma {gamma} may need more than {max_sweeps} sweeps to reach tol {tol}")
-    for _ in range(max_sweeps):
+    if float(np.abs(expected_reward).max(initial=0.0)) * gamma ** (_MAX_SWEEPS - 1) >= tol:
+        raise ValueError(f"value iteration at gamma {gamma} may need more than {_MAX_SWEEPS} sweeps to reach tol {tol}")
+    for _ in range(_MAX_SWEEPS):
         v = q.max(axis=1)
         backed_up = np.bincount(mdp.pair, weights=mdp.probability * v[mdp.next_state], minlength=q.size)
         q_next = (expected_reward + gamma * backed_up).reshape(q.shape)
@@ -122,7 +124,7 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9, max_sweep
         if delta < tol:
             break
     else:
-        raise RuntimeError(f"value iteration did not converge within {max_sweeps} sweeps")
+        raise ValueError(f"value iteration did not converge within {_MAX_SWEEPS} sweeps")
 
     table = QTable(states=mdp.states, actions=mdp.actions)
     table.rows = q.tolist()

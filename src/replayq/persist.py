@@ -314,9 +314,19 @@ def _summary_report(model: RLModel) -> str:
     if history:
         total = _fmt(history[-1])
         lo, hi = _fmt(min(history)), _fmt(max(history))
-        mean = _fmt(statistics.fmean(history))
-        median = _fmt(statistics.median(history))
-        spread = _fmt(statistics.stdev(history)) if len(history) >= 2 else NOT_AVAILABLE
+        try:  # finite entries can overflow a float sum; statistics.mean sums exactly
+            mean = statistics.fmean(history)
+        except OverflowError:
+            mean = statistics.mean(history)
+        median = statistics.median(history)
+        if math.isinf(median):  # the middle pair's sum overflowed
+            median = statistics.mean([statistics.median_low(history), statistics.median_high(history)])
+        mean, median, spread = _fmt(mean), _fmt(median), NOT_AVAILABLE
+        if len(history) >= 2:
+            try:
+                spread = _fmt(statistics.stdev(history))
+            except OverflowError:  # beyond the float range, or before Python 3.11 its square is: scale into range
+                spread = _fmt(statistics.stdev([math.ldexp(r, -600) for r in history]) * 2.0**600)
     else:
         total = lo = hi = mean = median = spread = NOT_AVAILABLE
     pairs = [
@@ -333,15 +343,8 @@ def _summary_report(model: RLModel) -> str:
         ("Median", median),
         ("Std dev", spread),
     ]
-    lines = ["Model summary"]
-    for label, value in pairs:
-        if not label:
-            lines.append("")
-        elif not value:
-            lines.append(label)
-        else:
-            lines.append(f"  {label + ':':<32}{value}")
-    return "\n".join(lines)
+    # A pair without a value is a heading, or with no label either a blank line.
+    return "\n".join(["Model summary"] + [f"  {label + ':':<32}{value}" if value else label for label, value in pairs])
 
 
 _REPORTS = {"policy": _policy_report, "table": _table_report, "summary": _summary_report}

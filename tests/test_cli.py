@@ -175,6 +175,23 @@ def test_train_refuses_a_batch_whose_reward_total_overflows(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_train_and_report_summarize_a_history_whose_float_sums_overflow(tmp_path, capsys):
+    # The first history is [1e308, 1e308]; the second [1.7e308, -1.7e308], whose deviation is beyond the float range.
+    for name, reward in (("one.csv", "1e308"), ("two.csv", "1.7e308"), ("three.csv", "-1.7e308")):
+        (tmp_path / name).write_text(f"State,Action,Reward,NextState\ns1,up,{reward},s1\n")
+    m, m1, m2 = (str(tmp_path / name) for name in ("m.json", "m1.json", "m2.json"))
+    assert main(train_args(str(tmp_path / "one.csv"), m, **{"--iter": "2"})) == 0
+    assert main(train_args(str(tmp_path / "two.csv"), m1, **{"--iter": "1"})) == 0
+    assert main(train_args(str(tmp_path / "three.csv"), m2, **{"--iter": "1", "--model": m1})) == 0
+    capsys.readouterr()
+    for path, (mean, median, spread) in ((m, ("1e+308", "1e+308", "0")), (m2, ("0", "0", "inf"))):
+        assert run("report", "--model", path) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-3:] == [f"  {'Mean:':<32}{mean}", f"  {'Median:':<32}{median}",
+                                                  f"  {'Std dev:':<32}{spread}"]
+
+
 def test_train_refuses_a_header_that_names_a_used_column_twice(tmp_path, capsys):
     data = tmp_path / "exp.csv"
     data.write_text("State,Action,Reward,NextState,State\ns1,up,-1.0,s1,s2\n")
@@ -235,9 +252,12 @@ def test_predict_flags_unknown_states(tmp_path, capsys):
 
 def test_predict_empty_state_list(tmp_path, capsys):
     model = trained(tmp_path)
-    capsys.readouterr()
-    assert run("predict", "--model", model, "--states", "") == 0
-    assert capsys.readouterr().out == ""
+    for states in ("", ",", ",,"):
+        capsys.readouterr()
+        assert run("predict", "--model", model, "--states", states) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --states lists no state, got {states!r}\n"
 
 
 def test_curve_writes_rounds_and_plot(tmp_path, capsys):

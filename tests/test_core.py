@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -49,6 +51,18 @@ def test_control_params_defaults():
 def test_control_params_bounds(field, value):
     with pytest.raises(ValueError):
         ControlParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["alpha", "gamma", "epsilon"])
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_control_params_refuse_values_that_are_not_real_numbers(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 1\], got {re.escape(repr(value))}$"):
+        ControlParams(**{field: value})
+
+
+def test_control_params_store_floats():
+    c = ControlParams(alpha=1, gamma=0, epsilon=Fraction(1, 4))
+    assert [(type(v), v) for v in vars(c).values()] == [(float, 1.0), (float, 0.0), (float, 0.25)]
 
 
 def test_qtable_reads_zero_for_unknown_pairs():

@@ -250,6 +250,20 @@ def test_learn_rejects_values_that_overflow():
         learn(batch, control, prior=model)
 
 
+def test_learn_names_the_first_overflow_in_replay_order():
+    # Both pairs overflow in the first pass over the prior; seed 1 replays s2 before s1, the table's first row.
+    batch = [ExperienceTuple("s1", "up", 1e308, "s1"), ExperienceTuple("s2", "up", -1e308, "s2")]
+    control = ControlParams(alpha=1.0, gamma=1.0)
+    prior = learn(batch, control)
+    order = [0, 1]
+    random.Random(1).shuffle(order)
+    assert order == [1, 0] and prior.q.states == ["s1", "s2"]
+    with pytest.raises(ValueError, match=r"^value for \('s2', 'up'\) must be finite, got -inf$"):
+        learn(batch, control, seed=1, prior=prior)
+    with pytest.raises(ValueError, match=r"^value for \('s1', 'up'\) must be finite, got inf$"):
+        learn(batch, control, seed=0, prior=prior)
+
+
 def test_learn_refuses_a_batch_whose_reward_total_overflows():
     control = ControlParams(alpha=0.5, gamma=0.5)
     for sign in (1.0, -1.0):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from replayq import oracle
 from replayq.core import ExperienceTuple, QTable
 from replayq.envs import gridworld_mdp
 from replayq.oracle import POLICY_TIE_MARGIN, ExplicitMDP, compare_to_optimal, estimate_mdp, value_iteration
@@ -85,23 +86,36 @@ def test_value_iteration_validates_gamma_and_tol():
         value_iteration(mdp, gamma=0.5, tol=0.0)
     # No delta is ever below NaN, so an unchecked NaN would run every sweep.
     with pytest.raises(ValueError, match="tol must be positive"):
-        value_iteration(mdp, gamma=0.5, tol=math.nan, max_sweeps=10)
+        value_iteration(mdp, gamma=0.5, tol=math.nan)
 
 
-def test_value_iteration_refuses_before_sweeping_when_its_bound_needs_more_sweeps_than_allowed():
+def test_value_iteration_refuses_before_sweeping_when_its_bound_needs_more_sweeps_than_allowed(monkeypatch):
     # On one self-loop the bound is exact: sweep k changes Q by 2 * 0.9**k, below 1e-9 first at k = 204.
     mdp = one_state_loop(1.0, 2.0)
-    assert value_iteration(mdp, gamma=0.9, max_sweeps=205).value("s", "a") == pytest.approx(20.0)
+    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 205)
+    assert value_iteration(mdp, gamma=0.9).value("s", "a") == pytest.approx(20.0)
+    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 204)
     with pytest.raises(ValueError, match=r"^value iteration at gamma 0\.9 may need more than 204 sweeps to reach "
                                          r"tol 1e-09$"):
-        value_iteration(mdp, gamma=0.9, max_sweeps=204)
+        value_iteration(mdp, gamma=0.9)
+
+
+def test_value_iteration_refuses_iterates_that_never_settle(monkeypatch):
+    # a -> b -> a with rewards +-1e8: Q* is +-2e8/3, where floats lie 7.5e-9 apart, more than tol, and from
+    # the 54th sweep on the iterates alternate between two tables one unit in the last place apart.
+    mdp = ExplicitMDP(states=["a", "b"], actions=["go"], pair=[0, 1], next_state=[1, 0], probability=[1.0, 1.0],
+                      step_reward=[1e8, -1e8])
+    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 200)
+    with pytest.raises(ValueError, match=r"^value iteration did not converge within 200 sweeps$"):
+        value_iteration(mdp, gamma=0.5)
+    assert value_iteration(mdp, gamma=0.5, tol=1e-6).value("a", "go") == pytest.approx(2e8 / 3)
 
 
 def test_value_iteration_stops_at_the_first_overflow():
     # 1e308 + 0.9 * 1e308 is inf on the second sweep; every later delta would be NaN.
     mdp = one_state_loop(1.0, 1e308)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="state-action values must be finite"):
-        value_iteration(mdp, gamma=0.9, max_sweeps=20_000)
+        value_iteration(mdp, gamma=0.9)
 
 
 def test_value_iteration_rejects_non_stochastic_rows():

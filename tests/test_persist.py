@@ -506,6 +506,15 @@ def test_model_from_json_keeps_control_values_as_floats():
     assert all(type(v) is float for v in vars(loaded.control).values())
 
 
+def test_a_model_trained_with_int_valued_controls_re_saves_byte_for_byte(tmp_path):
+    batch = sample_experience(200, gridworld_environment(), seed=8)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(learn(batch, ControlParams(alpha=1, gamma=0, epsilon=1), seed=8), str(first))
+    save_model(load_model(str(first)), str(second))
+    assert first.read_bytes() == second.read_bytes()
+    assert '"alpha": 1.0,\n    "gamma": 0.0,\n    "epsilon": 1.0\n' in first.read_text()
+
+
 # --- write_text: the one writer of every output file ------------------------
 
 
