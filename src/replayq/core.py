@@ -9,7 +9,7 @@ import numbers
 import random
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -272,6 +272,51 @@ def policy_from_q(q: QTable) -> Policy:
         raise ValueError("no actions defined")
     # max() returns the first of equal maxima, and index() finds it first.
     return {s: actions[row.index(max(row))] for s, row in zip(q.state_index, q.rows)}
+
+
+def _count(name: str, value: int) -> int:
+    """`value` as an int of at least 1: anything with `__index__` but a bool,
+    as ControlParams refuses a bool rate. Every refusal is a ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    try:
+        value = index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in [0, n), for n >= 1, drawn as `random.Random.choice` draws
+    its index: redraw `getrandbits(n.bit_length())` until the value is below n.
+
+    Pass only the `getrandbits` of a plain `random.Random`: CPython draws by
+    `getrandbits` only in a class that does not override `random()` alone, so a
+    subclass that does draws differently. n = 0 would loop forever.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
+    """Shuffle `x` in place exactly as `random.Random.shuffle` does, leaving the
+    generator in the same state, under `_below`'s rule on `getrandbits`.
+
+    Fisher–Yates from the end: position i swaps with `_below(getrandbits, i + 1)`,
+    drawn inline, without a call per element.
+    """
+    for k in range(len(x).bit_length(), 1, -1):
+        # Every i whose i + 1 has k bits, from the top down, draws k bits at a time.
+        for i in reversed(range((1 << (k - 1)) - 1, min(len(x), (1 << k) - 1))):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
 
 
 def _epsilon_greedy(q: QTable, epsilon: float) -> Callable[[StateId, random.Random], ActionId]:

@@ -8,7 +8,7 @@ import random
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
-from .core import _Codes, _epsilon_greedy
+from .core import _below, _Codes, _count, _epsilon_greedy
 from .oracle import ExplicitMDP, estimate_mdp
 from .tictactoe import tictactoe_environment
 
@@ -88,12 +88,19 @@ def sample_experience(
     Start states are drawn independently per tuple rather than chained along a
     trajectory. Mode "random" picks actions uniformly; "epsilon-greedy", the
     only mode that takes `model` and `control`, picks them against the model's
-    Q-table using `control.epsilon`. Fixing the seed fixes the output exactly.
-    Labels are coded into the batch as they are drawn; a bad row raises
-    ValueError as ExperienceTuple would, naming the first one.
+    Q-table using `control.epsilon`. Fixing the seed fixes the output exactly:
+    one `random.Random(seed)` makes every draw in turn, the state as
+    `choice(env.states)`, a random-mode action as `choice(env.actions)`, then
+    whatever the ε-greedy draw and `env.step` take from it.
+    `n` is an integer of at least 1, a bool is not, and an environment with no
+    states or no actions is refused. Labels are coded into the batch as they
+    are drawn; a bad row raises ValueError as ExperienceTuple would, naming the
+    first one.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _count("n", n)
+    for field, labels in (("states", env.states), ("actions", env.actions)):
+        if not labels:
+            raise ValueError(f"environment {env.name!r} has no {field}")
     if mode not in SAMPLE_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {SAMPLE_MODES}")
     draw = None
@@ -107,12 +114,13 @@ def sample_experience(
         raise ValueError("model and control are taken only in epsilon-greedy mode")
 
     rng = random.Random(seed)
-    choice, step, env_states, env_actions = rng.choice, env.step, env.states, env.actions
+    getrandbits, step, env_states, env_actions = rng.getrandbits, env.step, env.states, env.actions
+    num_states, num_actions = len(env_states), len(env_actions)
     states, actions = _Codes(), _Codes()
     codes = []
     for _ in range(n):
-        state = choice(env_states)
-        action = choice(env_actions) if draw is None else draw(state, rng)
+        state = env_states[_below(getrandbits, num_states)]
+        action = env_actions[_below(getrandbits, num_actions)] if draw is None else draw(state, rng)
         next_state, reward = step(state, action, rng)
         try:  # state before next state, so state codes follow first appearance
             codes += states[state], actions[action], reward, states[next_state]

@@ -17,7 +17,9 @@ from .core import (
     QTable,
     RLModel,
     StateId,
+    _count,
     _epsilon_greedy,
+    _shuffle,
 )
 
 
@@ -83,15 +85,17 @@ def learn(
     cover every pass asked for.
 
     Deterministic: identical (batch, control, iterations, seed, prior) inputs
-    produce an identical model. Every refusal is a ValueError; an update whose
+    produce an identical model. Each pass replays a copy of the batch's rows,
+    in batch order, shuffled as `shuffle` of one `random.Random(seed)` would.
+    `iterations` is an integer of at least 1, a bool is not, and it is checked
+    before the batch is read. Every refusal is a ValueError; an update whose
     value is not finite is refused before it is stored, naming the first such
     (state, action) pair in replay order.
     """
+    iterations = _count("iterations", iterations)
     batch = ExperienceBatch(batch)
     if not batch:
         raise ValueError("no training data")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
 
     if prior is None:
         prior = RLModel(QTable(), control)
@@ -104,11 +108,11 @@ def learn(
     items = list(zip(batch.s, map(columns.__getitem__, batch.a), batch.r, batch.s_new))
     v = list(map(max, rows))
     history = list(prior.reward_history) + [_reward_total(batch.r)] * iterations
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     for _ in range(iterations):
         # Shuffling a list as long as the batch draws the same permutation.
         order = items[:]
-        rng.shuffle(order)
+        _shuffle(order, getrandbits)
         if not _backup(order, rows, v, control.alpha, control.gamma, batch.states, q.actions):
             break
 

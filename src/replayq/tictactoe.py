@@ -22,7 +22,7 @@ import random
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .core import Environment, EnvResponse, ExperienceBatch, _Codes
+from .core import Environment, EnvResponse, ExperienceBatch, _below, _Codes, _count
 
 EMPTY_BOARD = "........."
 CELL_ACTIONS = tuple(f"c{k}" for k in range(1, 10))
@@ -142,20 +142,24 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
     """Simulate uniformly random games into a batch of one row per X move.
 
     Each row records the board X saw, the cell it marked, and the after-state
-    including the opponent's reply. Fixing the seed fixes the output.
+    including the opponent's reply. Fixing the seed fixes the output: one
+    `random.Random(seed)` draws each move as `choice` over the board's moves in
+    ascending cell order, then, unless the move ends the game, B's reply as
+    `choice` over the after-state's replies in ascending cell order.
+    `num_games` is an integer of at least 1, a bool is not.
     """
-    if num_games < 1:
-        raise ValueError(f"num_games must be >= 1, got {num_games}")
-    rng = random.Random(seed)
+    num_games = _count("num_games", num_games)
+    getrandbits = random.Random(seed).getrandbits
     table = _table()
     states, actions = _Codes(), _Codes()
     codes = []
     for _ in range(num_games):
         board = EMPTY_BOARD
         while True:
-            cell, next_board, reward, game_over, replies = rng.choice(table[board])
+            moves = table[board]
+            cell, next_board, reward, game_over, replies = moves[_below(getrandbits, len(moves))]
             if not game_over:
-                next_board, reward, game_over = rng.choice(replies)
+                next_board, reward, game_over = replies[_below(getrandbits, len(replies))]
             # State before next state, so state codes follow first appearance.
             codes += states[board], actions[CELL_ACTIONS[cell]], reward, states[next_board]
             if game_over:

@@ -4,12 +4,16 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from replayq.core import (
     ControlParams,
     ExperienceTuple,
     QTable,
     RLModel,
+    _below,
+    _shuffle,
     policy_from_q,
 )
 from replayq.learner import epsilon_greedy
@@ -199,3 +203,42 @@ def test_policy_from_q_is_pure():
     snapshot = q.copy()
     assert policy_from_q(q) == policy_from_q(q)
     assert q == snapshot
+
+
+# --- the package's own draws equal random.Random's ----------------------------
+#
+# Seeded batches, CSVs and models depend on these draws matching CPython's
+# shuffle and choice bit for bit; a change to CPython's _randbelow fails here.
+
+# 0, 1, 2, then 2**k - 1, 2**k and 2**k + 1 up to 4097: every width change.
+EDGE_LENGTHS = sorted({0, 1, 2} | {2**k + d for k in range(1, 13) for d in (-1, 0, 1)})
+LENGTHS = st.sampled_from(EDGE_LENGTHS) | st.integers(0, 3000)
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@pytest.mark.parametrize("n", EDGE_LENGTHS)
+def test_shuffle_equals_random_shuffle_at_every_width_change(n):
+    ours, theirs = random.Random(n), random.Random(n)
+    x, y = list(range(n)), list(range(n))
+    _shuffle(x, ours.getrandbits)
+    theirs.shuffle(y)
+    assert x == y and ours.getstate() == theirs.getstate()
+
+
+@given(n=LENGTHS, seed=SEEDS, passes=st.integers(1, 3))
+def test_shuffle_equals_random_shuffle(n, seed, passes):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    x, y = list(range(n)), list(range(n))
+    for _ in range(passes):
+        _shuffle(x, ours.getrandbits)
+        theirs.shuffle(y)
+        assert x == y
+    assert ours.getstate() == theirs.getstate()
+
+
+@given(n=LENGTHS.filter(bool), seed=SEEDS, draws=st.integers(1, 20))
+def test_below_draws_the_index_that_choice_draws(n, seed, draws):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    x = [f"v{i}" for i in range(n)]
+    assert [x[_below(ours.getrandbits, n)] for _ in range(draws)] == [theirs.choice(x) for _ in range(draws)]
+    assert ours.getstate() == theirs.getstate()

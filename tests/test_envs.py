@@ -1,12 +1,14 @@
 import hashlib
 import re
 
+import numpy as np
 import pytest
 
-from replayq.core import ControlParams, QTable, RLModel
+from replayq.core import ControlParams, Environment, EnvResponse, QTable, RLModel
 from replayq.envs import (
     GRIDWORLD_ACTIONS,
     GRIDWORLD_STATES,
+    SAMPLE_MODES,
     environment_names,
     gridworld_environment,
     gridworld_mdp,
@@ -138,6 +140,30 @@ def test_sample_experience_validates_arguments():
         sample_experience(5, env, model=model)
     with pytest.raises(ValueError, match="^model and control are taken only in epsilon-greedy mode$"):
         sample_experience(5, env, control=ControlParams(epsilon=0.0))
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "5", None, -1])
+def test_sample_experience_refuses_counts_that_are_not_positive_integers(n):
+    with pytest.raises(ValueError, match="^n must be"):
+        sample_experience(n, gridworld_environment())
+
+
+def test_sample_experience_takes_any_integer_count():
+    env = gridworld_environment()
+    assert sample_experience(np.int64(5), env, seed=3) == sample_experience(5, env, seed=3)
+
+
+@pytest.mark.parametrize("mode", SAMPLE_MODES)
+def test_sample_experience_refuses_an_environment_with_no_states_or_actions(mode):
+    def step(s, a, rng):
+        return EnvResponse(s, 0.0)
+
+    q = QTable(["s"], ["a"])
+    kwargs = {} if mode == "random" else {"model": RLModel(q, ControlParams()), "control": ControlParams()}
+    for env, field in ((Environment("bare", (), ("a",), step), "states"),
+                       (Environment("bare", ("s",), (), step), "actions")):
+        with pytest.raises(ValueError, match=f"^environment 'bare' has no {field}$"):
+            sample_experience(5, env, mode=mode, **kwargs)
 
 
 def test_epsilon_greedy_sampling_prefers_the_learned_action():

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -127,6 +128,21 @@ def test_learn_rejects_non_positive_iterations():
     batch = [ExperienceTuple("s1", "up", 1.0, "s1")]
     with pytest.raises(ValueError):
         learn(batch, CONTROL, iterations=0)
+
+
+@pytest.mark.parametrize("iterations", [True, False, 2.0, "2", None])
+def test_learn_refuses_iterations_that_are_not_integers_before_reading_the_batch(iterations):
+    def unread():
+        raise AssertionError("the batch was read")
+        yield
+
+    with pytest.raises(ValueError, match="^iterations must be an integer >= 1, got "):
+        learn(unread(), CONTROL, iterations=iterations)
+
+
+def test_learn_takes_any_integer_iteration_count():
+    batch = [ExperienceTuple("s1", "up", 1.0, "s2"), ExperienceTuple("s2", "up", 2.0, "s1")]
+    assert learn(batch, CONTROL, iterations=np.int64(3)) == learn(batch, CONTROL, iterations=3)
 
 
 def test_learn_model_shape():

@@ -58,6 +58,9 @@ def test_legal_cells_lists_open_positions():
 def test_generate_games_validates_count():
     with pytest.raises(ValueError):
         ttt_generate_games(0)
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(ValueError, match="^num_games must be an integer >= 1, got "):
+            ttt_generate_games(bad)
 
 
 def test_generate_games_is_seeded():
