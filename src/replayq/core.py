@@ -163,6 +163,14 @@ class ExperienceBatch:
         return list(self) == other if isinstance(other, list) else NotImplemented
 
 
+def _rate(name: str, value: float) -> float:
+    """`value` as a float in [0, 1]; a bool is refused, as `_count` refuses one."""
+    # bool is an int subclass, but True is no rate
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ControlParams:
     """Learner hyperparameters: learning rate `alpha`, discount factor
@@ -174,11 +182,7 @@ class ControlParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an int subclass, but True is no rate
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{f.name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, f.name, float(value))
+            object.__setattr__(self, f.name, _rate(f.name, getattr(self, f.name)))
 
 
 class QTable:
@@ -212,7 +216,10 @@ class QTable:
 
     def add_state(self, state: StateId) -> int:
         """Register a state and return its row; re-registering is a no-op."""
-        i = self.state_index.get(state)
+        try:
+            i = self.state_index.get(state)
+        except TypeError:  # an unhashable label, refused below as any non-string is
+            i = None
         if i is None:
             validate_label(state, "state")
             i = self.state_index[state] = len(self.rows)
@@ -221,7 +228,10 @@ class QTable:
 
     def add_action(self, action: ActionId) -> int:
         """Register an action and return its column, widening every row when new."""
-        j = self.action_index.get(action)
+        try:
+            j = self.action_index.get(action)
+        except TypeError:  # an unhashable label, refused below as any non-string is
+            j = None
         if j is None:
             validate_label(action, "action")
             j = self.action_index[action] = len(self.action_index)
@@ -319,23 +329,19 @@ def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
             x[i], x[j] = x[j], x[i]
 
 
-def _epsilon_greedy(q: QTable, epsilon: float) -> Callable[[StateId, random.Random], ActionId]:
-    """`draw(state, rng)`: with probability `epsilon` a uniform pick over the full
-    action set, else the greedy action of `policy_from_q(q)`, built once here.
-    An unknown state reads as an all-zero row, so it takes the first action."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+def _epsilon_greedy(q: QTable, epsilon: float) -> Tuple[float, List[ActionId], Policy]:
+    """`(epsilon, actions, policy)` for ε-greedy draws against `q`: `epsilon` as a
+    checked float, the full action set, and `policy_from_q(q)`, built once here.
+
+    A draw takes a uniform pick over `actions` with probability `epsilon`, else
+    `policy.get(state, actions[0])`: an unknown state reads as an all-zero row,
+    so it takes the first action.
+    """
+    epsilon = _rate("epsilon", epsilon)
     actions = q.actions
     if not actions:
         raise ValueError("no actions defined")
-    policy = policy_from_q(q)
-
-    def draw(state: StateId, rng: random.Random) -> ActionId:
-        if rng.random() < epsilon:
-            return rng.choice(actions)
-        return policy.get(state, actions[0])
-
-    return draw
+    return epsilon, actions, policy_from_q(q)
 
 
 @dataclass

@@ -8,7 +8,7 @@ import random
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
-from .core import _below, _Codes, _count, _epsilon_greedy
+from .core import _Codes, _count, _epsilon_greedy, validate_label
 from .oracle import ExplicitMDP, estimate_mdp
 from .tictactoe import tictactoe_environment
 
@@ -41,11 +41,11 @@ def _gridworld_response(state: StateId, action: ActionId) -> EnvResponse:
 _GRIDWORLD_STEPS = {(s, a): _gridworld_response(s, a) for s in GRIDWORLD_STATES for a in GRIDWORLD_ACTIONS}
 
 
-def gridworld_step(state: StateId, action: ActionId) -> EnvResponse:
+def gridworld_step(state: StateId, action: ActionId, rng: Optional[random.Random] = None) -> EnvResponse:
     """Walled 2x2 maze: entering the goal cell s4 pays +10, any other move -1.
 
     Blocked moves self-loop, and s4 is absorbing (re-"entering" it from
-    itself earns no bonus).
+    itself earns no bonus). The maze is deterministic, so `rng` is not read.
     """
     try:
         return _GRIDWORLD_STEPS[state, action]
@@ -67,7 +67,7 @@ def gridworld_environment() -> Environment:
         name="gridworld-2x2",
         states=GRIDWORLD_STATES,
         actions=GRIDWORLD_ACTIONS,
-        step=lambda s, a, rng: gridworld_step(s, a),
+        step=gridworld_step,
         exact_mdp=gridworld_mdp,
     )
 
@@ -89,9 +89,10 @@ def sample_experience(
     trajectory. Mode "random" picks actions uniformly; "epsilon-greedy", the
     only mode that takes `model` and `control`, picks them against the model's
     Q-table using `control.epsilon`. Fixing the seed fixes the output exactly:
-    one `random.Random(seed)` makes every draw in turn, the state as
-    `choice(env.states)`, a random-mode action as `choice(env.actions)`, then
-    whatever the ε-greedy draw and `env.step` take from it.
+    one `random.Random(seed)` makes every draw in turn: the state as
+    `choice(env.states)`; a random-mode action as `choice(env.actions)`, an
+    ε-greedy one as `random()` and, when that falls below ε, `choice` of the
+    model's actions; then whatever `env.step` takes from it.
     `n` is an integer of at least 1, a bool is not, and an environment with no
     states or no actions is refused. Labels are coded into the batch as they
     are drawn; a bad row raises ValueError as ExperienceTuple would, naming the
@@ -103,24 +104,41 @@ def sample_experience(
             raise ValueError(f"environment {env.name!r} has no {field}")
     if mode not in SAMPLE_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {SAMPLE_MODES}")
-    draw = None
+    picks, greedy = env.actions, None  # random mode: every action is a uniform pick
     if mode == "epsilon-greedy":
         if model is None:
             raise ValueError("model required for epsilon-greedy")
         if control is None:
             raise ValueError("control required for epsilon-greedy")
-        draw = _epsilon_greedy(model.q, control.epsilon)
+        epsilon, picks, policy = _epsilon_greedy(model.q, control.epsilon)
+        greedy, first = policy.get, picks[0]
     elif model is not None or control is not None:
         raise ValueError("model and control are taken only in epsilon-greedy mode")
 
     rng = random.Random(seed)
-    getrandbits, step, env_states, env_actions = rng.getrandbits, env.step, env.states, env.actions
-    num_states, num_actions = len(env_states), len(env_actions)
+    getrandbits, random_, step, env_states = rng.getrandbits, rng.random, env.step, env.states
+    num_states, num_picks = len(env_states), len(picks)
+    state_bits, pick_bits = num_states.bit_length(), num_picks.bit_length()
     states, actions = _Codes(), _Codes()
     codes = []
     for _ in range(n):
-        state = env_states[_below(getrandbits, num_states)]
-        action = env_actions[_below(getrandbits, num_actions)] if draw is None else draw(state, rng)
+        # Each uniform pick redraws under _below's rule, written inline.
+        i = getrandbits(state_bits)
+        while i >= num_states:
+            i = getrandbits(state_bits)
+        state = env_states[i]
+        if greedy is None or random_() < epsilon:
+            i = getrandbits(pick_bits)
+            while i >= num_picks:
+                i = getrandbits(pick_bits)
+            action = picks[i]
+        else:
+            try:
+                action = greedy(state, first)
+            except TypeError:  # an unhashable state: refused as the codes below refuse it
+                ExperienceBatch._from_codes(states, actions, codes)
+                validate_label(state, "state")
+                raise
         next_state, reward = step(state, action, rng)
         try:  # state before next state, so state codes follow first appearance
             codes += states[state], actions[action], reward, states[next_state]

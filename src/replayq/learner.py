@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import tee
 from typing import Iterable, List, Optional
 
 from .core import (
@@ -84,9 +85,12 @@ def learn(
     change nothing either. The reward history and the iteration count still
     cover every pass asked for.
 
+    Replay holds one `(s, a, r, s_new)` tuple of codes and a reward per
+    distinct row, and a list as long as the batch that refers to them, so
+    repeated rows cost one reference each; the batch's columns stay as given.
     Deterministic: identical (batch, control, iterations, seed, prior) inputs
-    produce an identical model. Each pass replays a copy of the batch's rows,
-    in batch order, shuffled as `shuffle` of one `random.Random(seed)` would.
+    produce an identical model. Each pass replays a copy of that list, in
+    batch order, shuffled as `shuffle` of one `random.Random(seed)` would.
     `iterations` is an integer of at least 1, a bool is not, and it is checked
     before the batch is read. Every refusal is a ValueError; an update whose
     value is not finite is refused before it is stored, naming the first such
@@ -103,10 +107,18 @@ def learn(
     # Each batch label maps to its column or row once. Actions register first,
     # so new rows are made at full width and the row references stay valid.
     columns = [q.add_action(label) for label in batch.actions]
-    rows = [q.rows[q.add_state(label)] for label in batch.states]
-    # Items of codes and a reward hold no container, so the cyclic collector untracks them.
-    items = list(zip(batch.s, map(columns.__getitem__, batch.a), batch.r, batch.s_new))
-    v = list(map(max, rows))
+    known = len(q.rows)
+    indices = [q.add_state(label) for label in batch.states]
+    rows = list(map(q.rows.__getitem__, indices))
+    # A state new to the table has an all-zero row, so its maximum is 0.0.
+    v = [max(q.rows[i]) if i < known else 0.0 for i in indices]
+    # One item per distinct row, shared by its repeats, through a dict dropped
+    # once built. Rows that compare equal make equal updates: rewards of 0.0
+    # and -0.0 too, as a zero's sign never reaches a stored value. Items of
+    # codes and a reward hold no container, so the cyclic collector untracks them.
+    shared = {}
+    items = list(map(shared.setdefault, *tee(zip(batch.s, map(columns.__getitem__, batch.a), batch.r, batch.s_new))))
+    del shared
     history = list(prior.reward_history) + [_reward_total(batch.r)] * iterations
     getrandbits = random.Random(seed).getrandbits
     for _ in range(iterations):
@@ -132,6 +144,10 @@ def update_model(
 
 def epsilon_greedy(q: QTable, state: StateId, epsilon: float, rng: random.Random) -> ActionId:
     """With probability `epsilon` a uniform draw over the full action set
-    (the greedy action included), otherwise the greedy action. Each call
-    builds the whole greedy policy; `sample_experience` builds it once."""
-    return _epsilon_greedy(q, epsilon)(state, rng)
+    (the greedy action included), otherwise the greedy action, drawn by
+    `rng.random` and `rng.choice`. Each call builds the whole greedy policy;
+    `sample_experience` builds it once."""
+    epsilon, actions, policy = _epsilon_greedy(q, epsilon)
+    if rng.random() < epsilon:
+        return rng.choice(actions)
+    return policy.get(state, actions[0])

@@ -102,6 +102,24 @@ def test_qtable_rejects_repeated_labels(states, actions):
         QTable(states=states, actions=actions)
 
 
+# Each call meets an unhashable label; the message is validate_label's.
+UNHASHABLE_LABELS = [
+    pytest.param(lambda: QTable(states=[["x"]]), "state must be a non-empty string, got ['x']", id="init-state"),
+    pytest.param(lambda: QTable(actions=[{"a"}]), "action must be a non-empty string, got {'a'}", id="init-action"),
+    pytest.param(lambda: QTable().add_state(["x"]), "state must be a non-empty string, got ['x']", id="add-state"),
+    pytest.param(lambda: QTable().add_action({"a"}), "action must be a non-empty string, got {'a'}", id="add-action"),
+    pytest.param(lambda: QTable().set(["x"], "up", 1.0), "state must be a non-empty string, got ['x']", id="set-state"),
+    pytest.param(lambda: QTable().set("s1", {"a"}, 1.0), "action must be a non-empty string, got {'a'}",
+                 id="set-action"),
+]
+
+
+@pytest.mark.parametrize("call,message", UNHASHABLE_LABELS)
+def test_qtable_refuses_unhashable_labels_as_it_refuses_any_non_string(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
+
+
 def test_qtable_rows_widen_with_new_actions():
     q = QTable(states=["s1", "s2"], actions=["up"])
     q.set("s2", "up", 2.0)
@@ -162,6 +180,15 @@ def test_greedy_rule_requires_actions():
     with pytest.raises(ValueError, match="^no actions defined$"):
         policy_from_q(q)
     assert policy_from_q(QTable()) == {}
+
+
+@pytest.mark.parametrize("epsilon", [True, False, "0.5", None, 1.5, math.nan])
+def test_epsilon_greedy_refuses_what_control_params_refuses(epsilon):
+    q = QTable(["s"], ["a", "b"])
+    with pytest.raises(ValueError, match=rf"^epsilon must lie in \[0, 1\], got {re.escape(repr(epsilon))}$"):
+        epsilon_greedy(q, "s", epsilon, random.Random(0))
+    with pytest.raises(ValueError, match=rf"^epsilon must lie in \[0, 1\], got {re.escape(repr(epsilon))}$"):
+        ControlParams(epsilon=epsilon)
 
 
 def test_model_policy_follows_its_q():

@@ -1,10 +1,13 @@
 import hashlib
+import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from replayq.core import ControlParams, Environment, EnvResponse, QTable, RLModel
+from replayq.core import ControlParams, Environment, EnvResponse, ExperienceTuple, QTable, RLModel, policy_from_q
 from replayq.envs import (
     GRIDWORLD_ACTIONS,
     GRIDWORLD_STATES,
@@ -164,6 +167,88 @@ def test_sample_experience_refuses_an_environment_with_no_states_or_actions(mode
                        (Environment("bare", ("s",), (), step), "actions")):
         with pytest.raises(ValueError, match=f"^environment 'bare' has no {field}$"):
             sample_experience(5, env, mode=mode, **kwargs)
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.0, 1.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_experience_refuses_an_unhashable_state_alike_in_both_modes(epsilon, seed):
+    def step(s, a, rng):
+        return EnvResponse("s", 0.0)
+
+    env = Environment("lists", ("a,b", ["s"]), ("a",), step)
+    kwargs = {}
+    if epsilon is not None:  # at epsilon 0 the greedy lookup meets the state first
+        kwargs = {"mode": "epsilon-greedy", "model": RLModel(QTable(["s"], ["a"]), ControlParams()),
+                  "control": ControlParams(epsilon=epsilon)}
+    # The first bad row is named, whichever state is drawn first.
+    if random.Random(seed).choice(env.states) == "a,b":
+        message = "state 'a,b' contains forbidden character ','"
+    else:
+        message = "state must be a non-empty string, got ['s']"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        sample_experience(5, env, seed=seed, **kwargs)
+
+
+def ref_sample(n, env, mode, model, control, seed):
+    """The rows sample_experience draws, and its generator's final state, made
+    with `choice` and `random` of one random.Random(seed)."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        state = rng.choice(env.states)
+        if mode == "random":
+            action = rng.choice(env.actions)
+        elif rng.random() < control.epsilon:
+            action = rng.choice(model.q.actions)
+        else:
+            action = policy_from_q(model.q).get(state, model.q.actions[0])
+        next_state, reward = env.step(state, action, rng)
+        rows.append(ExperienceTuple(state, action, reward, next_state))
+    return rows, rng.getstate()
+
+
+@st.composite
+def sampler_cases(draw):
+    """A small environment whose steps may draw from the generator, and a model
+    that may lack some of its states and lists its actions in any order."""
+    labels = st.text(alphabet="abxy", min_size=1, max_size=2)
+    states = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
+    actions = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    # Each pair steps to a fixed response, or draws its next state or its reward.
+    dynamics = {(s, a): (draw(st.sampled_from(["fixed", "next", "reward"])), draw(st.sampled_from(states)),
+                         draw(st.sampled_from([-1.0, 0.0, 10.0]))) for s in states for a in actions}
+    generators = []
+
+    def step(s, a, rng):
+        generators.append(rng)
+        kind, next_state, reward = dynamics[s, a]
+        if kind == "next":
+            next_state = rng.choice(states)
+        elif kind == "reward":
+            reward = rng.random()
+        return EnvResponse(next_state, reward)
+
+    q = QTable(draw(st.lists(st.sampled_from(states), unique=True)), draw(st.permutations(actions)))
+    for s in q.states:
+        for a in q.actions:
+            q.set(s, a, draw(st.sampled_from([-1.0, 0.0, 1.0])))  # ties are common
+    return Environment("drawn", tuple(states), tuple(actions), step), RLModel(q, ControlParams()), generators
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sampler_cases(), mode=st.sampled_from(SAMPLE_MODES), n=st.integers(1, 60),
+       epsilon=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_experience_draws_as_choice_and_random_of_one_generator(case, mode, n, epsilon, seed):
+    env, model, generators = case
+    kwargs = {}
+    if mode == "epsilon-greedy":
+        kwargs = {"model": model, "control": ControlParams(epsilon=epsilon)}
+    batch = sample_experience(n, env, mode=mode, seed=seed, **kwargs)
+    state = generators[-1].getstate()
+    rows, ref_state = ref_sample(n, env, mode, model, kwargs.get("control"), seed)
+    assert batch == rows
+    assert state == ref_state
 
 
 def test_epsilon_greedy_sampling_prefers_the_learned_action():

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from replayq.learner import (
     update_model,
 )
 from replayq.persist import model_to_json
+from replayq.tictactoe import ttt_generate_games
 
 CONTROL = ControlParams(alpha=0.1, gamma=0.5, epsilon=0.1)
 
@@ -256,6 +258,52 @@ def test_replay_items_are_untracked_by_the_cyclic_collector(monkeypatch):
     assert not any(map(gc.is_tracked, captured))
 
 
+def test_replay_holds_one_item_per_distinct_row(monkeypatch):
+    captured = []
+    backup = learner._backup
+
+    def capture(items, *args):
+        captured.append(items)
+        return backup(items, *args)
+
+    monkeypatch.setattr(learner, "_backup", capture)
+    batch = [ExperienceTuple(f"s{k % 5}", f"a{k % 3}", float(k % 2), f"s{(k + 1) % 5}") for k in range(60)]
+    learn(batch, CONTROL, iterations=1)
+    [items] = captured
+    assert len(items) == 60
+    assert len(set(items)) == len(set(map(id, items))) == len(set(batch)) == 30
+
+
+def test_one_replay_pass_over_20k_games_peaks_under_5_mb():
+    # One item per distinct row: 83,390 rows hold 19,809 distinct ones. With
+    # an item per row the peak was 7.8 MB.
+    games = ttt_generate_games(20_000, seed=42)
+    tracemalloc.start()
+    try:
+        learn(games, ControlParams(alpha=0.2, gamma=0.9), iterations=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+@pytest.mark.parametrize("prior_zero", [None, 0.0, -0.0])
+def test_rows_that_differ_in_a_zero_reward_sign_learn_as_the_reference_does(prior_zero):
+    # 0.0 == -0.0, so such rows share one item, whichever sign came first.
+    zeros = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0]
+    batch = [ExperienceTuple("s1", "up", r, "s2" if k % 3 else "s1") for k, r in enumerate(zeros)]
+    batch += [ExperienceTuple("s2", "up", -1.0, "s1"), ExperienceTuple("s2", "down", -0.0, "s2")]
+    control = ControlParams(alpha=0.5, gamma=0.5)
+    prior = ref_prior = None
+    if prior_zero is not None:
+        ref_prior = (["s1", "s2"], ["up", "down"], {(s, a): prior_zero for s in ("s1", "s2") for a in ("up", "down")})
+        prior = ref_model(ref_prior, control, [])
+    for seed in range(4):
+        model = learn(batch, control, iterations=3, seed=seed, prior=prior)
+        ref = ref_learn(batch, control, 3, seed, prior=ref_prior)
+        assert_matches_reference(model, ref, control, [math.fsum(t.reward for t in batch)] * 3)
+
+
 def test_learn_rejects_values_that_overflow():
     batch = [ExperienceTuple("s1", "up", 1e308, "s1")]
     control = ControlParams(alpha=1.0, gamma=1.0)
@@ -362,7 +410,7 @@ labels = st.text(alphabet="abxy", min_size=1, max_size=2)
 # lower a row's maximum, common; small label sets make self-loops common.
 rates = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
 controls = st.builds(ControlParams, alpha=rates, gamma=rates)
-rewards = st.floats(-1e3, 1e3) | st.sampled_from([-1.0, 0.0, 1.0])
+rewards = st.floats(-1e3, 1e3) | st.sampled_from([-1.0, -0.0, 0.0, 1.0])
 
 
 @st.composite
