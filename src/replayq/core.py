@@ -190,8 +190,9 @@ class QTable:
 
     `rows` holds one dense row per state, one value per action; `state_index`
     and `action_index` number the labels in first-registration order, which
-    is the tie-breaking rule for greedy lookups. Reading an unknown pair
-    yields 0.0 and never materializes an entry.
+    is the tie-breaking rule for greedy lookups. Reading an unknown pair,
+    unhashable labels included, yields 0.0 and never materializes an entry;
+    registering a bad label raises ValueError.
     """
 
     __slots__ = ("state_index", "action_index", "rows")
@@ -242,7 +243,7 @@ class QTable:
     def value(self, state: StateId, action: ActionId) -> float:
         try:
             return self.rows[self.state_index[state]][self.action_index[action]]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label, which is unknown too
             return 0.0
 
     def set(self, state: StateId, action: ActionId, value: float) -> None:
@@ -335,7 +336,7 @@ def _epsilon_greedy(q: QTable, epsilon: float) -> Tuple[float, List[ActionId], P
 
     A draw takes a uniform pick over `actions` with probability `epsilon`, else
     `policy.get(state, actions[0])`: an unknown state reads as an all-zero row,
-    so it takes the first action.
+    so it takes the first action; callers catch an unhashable one's TypeError.
     """
     epsilon = _rate("epsilon", epsilon)
     actions = q.actions

@@ -8,7 +8,7 @@ import random
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
-from .core import _Codes, _count, _epsilon_greedy, validate_label
+from .core import _Codes, _count, _epsilon_greedy
 from .oracle import ExplicitMDP, estimate_mdp
 from .tictactoe import tictactoe_environment
 
@@ -56,10 +56,9 @@ def gridworld_step(state: StateId, action: ActionId, rng: Optional[random.Random
 
 
 def gridworld_mdp() -> ExplicitMDP:
-    """The gridworld's exact dynamics: it is deterministic, so one step from
-    every (state, action) pair estimates them exactly."""
-    steps = [(s, a, gridworld_step(s, a)) for s in GRIDWORLD_STATES for a in GRIDWORLD_ACTIONS]
-    return estimate_mdp([ExperienceTuple(s, a, reward, next_state) for s, a, (next_state, reward) in steps])
+    """The gridworld's exact dynamics: it is deterministic, so its table of
+    one step from every (state, action) pair estimates them exactly."""
+    return estimate_mdp([ExperienceTuple(s, a, reward, s2) for (s, a), (s2, reward) in _GRIDWORLD_STEPS.items()])
 
 
 def gridworld_environment() -> Environment:
@@ -92,11 +91,11 @@ def sample_experience(
     one `random.Random(seed)` makes every draw in turn: the state as
     `choice(env.states)`; a random-mode action as `choice(env.actions)`, an
     ε-greedy one as `random()` and, when that falls below ε, `choice` of the
-    model's actions; then whatever `env.step` takes from it.
-    `n` is an integer of at least 1, a bool is not, and an environment with no
-    states or no actions is refused. Labels are coded into the batch as they
-    are drawn; a bad row raises ValueError as ExperienceTuple would, naming the
-    first one.
+    model's actions (the first for a state the table lacks, even unhashable);
+    then whatever `env.step` takes from it. `n` is an integer of at least 1,
+    a bool is not, and an environment with no states or no actions is refused.
+    Labels are coded into the batch as they are drawn; in either mode a bad
+    row raises ValueError as ExperienceTuple would, naming the first one.
     """
     n = _count("n", n)
     for field, labels in (("states", env.states), ("actions", env.actions)):
@@ -135,10 +134,8 @@ def sample_experience(
         else:
             try:
                 action = greedy(state, first)
-            except TypeError:  # an unhashable state: refused as the codes below refuse it
-                ExperienceBatch._from_codes(states, actions, codes)
-                validate_label(state, "state")
-                raise
+            except TypeError:  # an unhashable state is unknown too; its row's coding refuses it
+                action = first
         next_state, reward = step(state, action, rng)
         try:  # state before next state, so state codes follow first appearance
             codes += states[state], actions[action], reward, states[next_state]
@@ -164,7 +161,8 @@ def environment_names() -> Tuple[str, ...]:
 
 def make_environment(name: str) -> Environment:
     """Build a built-in environment by its registered name."""
-    factory = _ENVIRONMENTS.get(name)
-    if factory is None:
-        raise ValueError(f"unknown environment {name!r}; known environments: {', '.join(_ENVIRONMENTS)}")
+    try:
+        factory = _ENVIRONMENTS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name, which is unknown too
+        raise ValueError(f"unknown environment {name!r}; known environments: {', '.join(_ENVIRONMENTS)}") from None
     return factory()

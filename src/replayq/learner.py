@@ -145,9 +145,13 @@ def update_model(
 def epsilon_greedy(q: QTable, state: StateId, epsilon: float, rng: random.Random) -> ActionId:
     """With probability `epsilon` a uniform draw over the full action set
     (the greedy action included), otherwise the greedy action, drawn by
-    `rng.random` and `rng.choice`. Each call builds the whole greedy policy;
-    `sample_experience` builds it once."""
+    `rng.random` and `rng.choice`; a state `q` does not hold, unhashable
+    states included, has the first action as its greedy one. Each call
+    builds the whole greedy policy; `sample_experience` builds it once."""
     epsilon, actions, policy = _epsilon_greedy(q, epsilon)
     if rng.random() < epsilon:
         return rng.choice(actions)
-    return policy.get(state, actions[0])
+    try:
+        return policy.get(state, actions[0])
+    except TypeError:  # an unhashable state, which is unknown too
+        return actions[0]

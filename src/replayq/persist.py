@@ -357,6 +357,8 @@ def format_report(model: RLModel, verbosity: str = "summary") -> str:
     Identical models produce identical text. The summary's standard deviation
     reads "NA" when fewer than two iterations exist.
     """
-    if verbosity not in _REPORTS:
-        raise ValueError(f"unknown verbosity {verbosity!r}; expected one of {REPORT_VIEWS}")
-    return _REPORTS[verbosity](model)
+    try:
+        report = _REPORTS[verbosity]
+    except (KeyError, TypeError):  # TypeError: an unhashable name, which is unknown too
+        raise ValueError(f"unknown verbosity {verbosity!r}; expected one of {REPORT_VIEWS}") from None
+    return report(model)

@@ -12,8 +12,8 @@ boards. `_table`, built once per process, maps every board reachable in legal
 play to X's moves on it, with their after-states and B's replies. Its search
 settles each board once, in a dict freed after the build: equal boards share
 one string and one transition tuple, and each after-state's replies are listed
-once. Generation, stepping and board enumeration all read the table, and
-`tictactoe_step` rejects any board it does not hold.
+once. Generation and stepping read the table, `tictactoe_step` rejects any
+board it does not hold, and the environment lists its keys as its states.
 """
 
 from __future__ import annotations
@@ -168,12 +168,6 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
     return ExperienceBatch._from_codes(states, actions, codes)
 
 
-def reachable_boards() -> Tuple[str, ...]:
-    """Boards reachable in legal play where X is to move, then every reachable
-    terminal board, in discovery order."""
-    return tuple(_table())
-
-
 def tictactoe_step(state: str, action: str, rng: random.Random) -> EnvResponse:
     """After-state dynamics for one X move.
 
@@ -202,7 +196,7 @@ def tictactoe_step(state: str, action: str, rng: random.Random) -> EnvResponse:
 def tictactoe_environment() -> Environment:
     return Environment(
         name="tictactoe",
-        states=reachable_boards(),
+        states=tuple(_table()),
         actions=CELL_ACTIONS,
         step=tictactoe_step,
     )

@@ -2,13 +2,17 @@ import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from replayq.core import (
     ControlParams,
+    Environment,
+    EnvResponse,
+    ExperienceBatch,
     ExperienceTuple,
     QTable,
     RLModel,
@@ -16,7 +20,11 @@ from replayq.core import (
     _shuffle,
     policy_from_q,
 )
-from replayq.learner import epsilon_greedy
+from replayq.envs import gridworld_step, make_environment, sample_experience
+from replayq.learner import epsilon_greedy, learn
+from replayq.oracle import estimate_mdp
+from replayq.persist import format_report
+from replayq.tictactoe import EMPTY_BOARD, tictactoe_step, ttt_winner
 
 
 def test_experience_tuple_fields():
@@ -118,6 +126,71 @@ UNHASHABLE_LABELS = [
 def test_qtable_refuses_unhashable_labels_as_it_refuses_any_non_string(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
+
+
+# Keys no table holds: unhashable values, hashable non-strings, and strings
+# validate_label refuses (131,073 characters is one more than a field may hold).
+UNKNOWN_KEYS = st.one_of(
+    st.lists(st.text(max_size=3), max_size=3),
+    st.sets(st.text(max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+    st.integers(),
+    st.none(),
+    st.tuples(st.text(max_size=3), st.integers()),
+    st.sampled_from(["", "a,b", "\n", '"', "\ud800", "s" * 131_073]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=UNKNOWN_KEYS)
+def test_every_keyed_lookup_refuses_or_defaults_a_key_no_table_holds(key):
+    q = QTable(["s"], ["a", "b"])
+    q.set("s", "b", 1.0)
+    model = RLModel(q, ControlParams())
+    rows = [SimpleNamespace(**{**dict(state="s", action="a", reward=0.0, next_state="s"), field: key})
+            for field in ("state", "action", "next_state")]
+    env = Environment("key", (key,), ("a",), lambda s, a, rng: EnvResponse(s, 0.0))
+    greedy = {"mode": "epsilon-greedy", "model": model, "control": ControlParams(epsilon=0.0)}
+    # (lookup, call, documented default); a lookup with no default must raise ValueError.
+    calls = [
+        ("QTable", lambda: QTable(states=[key]), None),
+        ("QTable", lambda: QTable(actions=[key]), None),
+        ("add_state", lambda: QTable().add_state(key), None),
+        ("add_action", lambda: QTable().add_action(key), None),
+        ("set", lambda: QTable().set(key, "a", 1.0), None),
+        ("set", lambda: QTable().set("s", key, 1.0), None),
+        ("value", lambda: q.value(key, "b"), 0.0),
+        ("value", lambda: q.value("s", key), 0.0),
+        ("epsilon_greedy", lambda: epsilon_greedy(q, key, 0.0, random.Random(0)), "a"),
+        ("make_environment", lambda: make_environment(key), None),
+        ("format_report", lambda: format_report(model, key), None),
+        ("gridworld_step", lambda: gridworld_step(key, "up"), None),
+        ("gridworld_step", lambda: gridworld_step("s1", key), None),
+        ("tictactoe_step", lambda: tictactoe_step(key, "c1", random.Random(0)), None),
+        ("tictactoe_step", lambda: tictactoe_step(EMPTY_BOARD, key, random.Random(0)), None),
+        ("ttt_winner", lambda: ttt_winner(key), None),
+        ("sample_experience", lambda: sample_experience(3, env), None),
+        ("sample_experience", lambda: sample_experience(3, env, **greedy), None),
+    ]
+    for row in rows:
+        calls += [
+            ("ExperienceTuple", lambda row=row: ExperienceTuple(**vars(row)), None),
+            ("ExperienceBatch", lambda row=row: ExperienceBatch([row]), None),
+            ("learn", lambda row=row: learn([row], ControlParams()), None),
+            ("estimate_mdp", lambda row=row: estimate_mdp([row]), None),
+        ]
+    leaks = []
+    for name, call, default in calls:
+        try:
+            result = call()
+        except ValueError:
+            continue
+        except (TypeError, KeyError) as exc:
+            leaks.append(f"{name} raised {exc!r}")
+            continue
+        if default is None or result != default:
+            leaks.append(f"{name} returned {result!r}")
+    assert not leaks, "\n".join(leaks)
 
 
 def test_qtable_rows_widen_with_new_actions():

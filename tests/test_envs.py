@@ -177,7 +177,7 @@ def test_sample_experience_refuses_an_unhashable_state_alike_in_both_modes(epsil
 
     env = Environment("lists", ("a,b", ["s"]), ("a",), step)
     kwargs = {}
-    if epsilon is not None:  # at epsilon 0 the greedy lookup meets the state first
+    if epsilon is not None:  # at epsilon 0 the greedy branch takes the first action, then the row is coded
         kwargs = {"mode": "epsilon-greedy", "model": RLModel(QTable(["s"], ["a"]), ControlParams()),
                   "control": ControlParams(epsilon=epsilon)}
     # The first bad row is named, whichever state is drawn first.

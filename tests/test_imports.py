@@ -70,3 +70,11 @@ def test_every_module_reads_every_name_it_imports():
         if lines:
             unused[path.name] = lines
     assert unused == {}, f"imported names that the module never reads: {unused}"
+
+
+def test_all_lists_each_name_the_package_imports_once():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert len(replayq.__all__) == len(set(replayq.__all__))
+    assert set(replayq.__all__) == imported

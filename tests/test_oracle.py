@@ -417,9 +417,15 @@ def test_estimate_mdp_matches_a_per_tuple_loop_bit_for_bit():
 
 # sha256 of estimate_mdp on a seeded tic-tac-toe batch, as built while batches
 # were still lists of ExperienceTuple; "labels" is the JSON of [states, actions].
+# The transition list's four arrays were pinned later, from the same estimate,
+# so the dense views' entries can go without pinning the MDP again.
 PINNED_TTT_MDP_SHA256 = {
     "transition": "770a4971b68f583466fcda632dd8922c5968a0b111a0660cfd89680bebfe2000",
     "reward": "bf49c711ff9dac9acc20fe393bad8a3c1daa85bbc21d7dd1e87188e8201fad99",
+    "pair": "a488e0ad1566737381569cc2db01b8608701fd0bd176abd7c6fbe45d09db9962",
+    "next_state": "519ddcbf1c194325bb9f7fdac1d03981d48d7cfe5ad64c37ac6413cb3a76c476",
+    "probability": "d3ccff64245d86548c9c567e73335c167031060ce527aa56ba0aa920ff15be2e",
+    "step_reward": "a884084a5fb9103a103cc20baf0b82af3dee7478a5e95f97d1c36481f7513ef1",
     "coverage": "db24c8527d20b6c1a0d136d8276d6c1edefff2e460114a2b205583400ac9aa92",
     "labels": "279a9bfa41a0d76bdbdef2aebfcc75a43b7d5bce325e2344bcc22d6462471d26",
 }
@@ -430,6 +436,7 @@ def test_seeded_tictactoe_estimate_keeps_its_bytes():
     parts = {
         "transition": mdp.transition.tobytes(),
         "reward": mdp.reward.tobytes(),
+        **{name: getattr(mdp, name).tobytes() for name in ("pair", "next_state", "probability", "step_reward")},
         "coverage": mdp.coverage.tobytes(),
         "labels": json.dumps([mdp.states, mdp.actions]).encode(),
     }

@@ -11,7 +11,6 @@ from replayq.tictactoe import (
     EMPTY_BOARD,
     _table,
     legal_cells,
-    reachable_boards,
     tictactoe_environment,
     tictactoe_step,
     ttt_generate_games,
@@ -123,7 +122,7 @@ def test_win_rates_are_near_the_random_play_odds():
 
 
 def test_reachable_boards_structure():
-    boards = reachable_boards()
+    boards = tictactoe_environment().states
     assert boards[0] == EMPTY_BOARD
     assert len(boards) == len(set(boards))
     for b in boards:
@@ -278,7 +277,7 @@ def test_step_matches_the_reference_rules_on_every_board_and_action():
 
 
 def test_reachable_boards_match_the_reference_enumeration_in_order():
-    assert reachable_boards() == ref_reachable_boards()
+    assert tictactoe_environment().states == ref_reachable_boards()
 
 
 def test_move_table_matches_the_reference_rules_on_every_move_and_reply():
