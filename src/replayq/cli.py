@@ -13,9 +13,9 @@ import math
 import random
 import sys
 from dataclasses import fields, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .core import ControlParams, Environment
+from .core import ControlParams, Environment, _count, _rate
 from .envs import SAMPLE_MODES, make_environment, sample_experience
 from .learner import learn, update_model
 from .oracle import compare_to_optimal, value_iteration
@@ -32,30 +32,21 @@ class _UsageError(Exception):
     """Bad flag combinations that argparse alone cannot catch."""
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _unit_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {value}")
-    return value
+def _flag(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse type that parses a flag's text with `convert`, the library's
+    rule for the value, and refuses with that rule's ValueError message."""
+    def parse(text: str) -> object:
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _add_control_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=_unit_float, help="learning rate in [0, 1]")
-    parser.add_argument("--gamma", type=_unit_float, help="discount factor in [0, 1]")
-    parser.add_argument("--epsilon", type=_unit_float, help="exploration rate in [0, 1]")
+    parser.add_argument("--alpha", type=_flag(lambda t: _rate("alpha", float(t))), help="learning rate in [0, 1]")
+    parser.add_argument("--gamma", type=_flag(lambda t: _rate("gamma", float(t))), help="discount factor in [0, 1]")
+    parser.add_argument("--epsilon", type=_flag(lambda t: _rate("epsilon", float(t))), help="exploration rate in [0, 1]")
 
 
 def _control(args: argparse.Namespace, base: Optional[ControlParams] = None) -> ControlParams:
@@ -65,15 +56,7 @@ def _control(args: argparse.Namespace, base: Optional[ControlParams] = None) -> 
     return replace(base or ControlParams(), **given)
 
 
-def _get_env(name: str) -> Environment:
-    try:
-        return make_environment(name)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _cmd_sample(args: argparse.Namespace) -> int:
-    env = _get_env(args.env)
     model = None
     control = None
     if args.mode == "epsilon-greedy":
@@ -85,9 +68,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         for flag, value in (("--model", args.model), ("--epsilon", args.epsilon)):
             if value is not None:
                 raise _UsageError(f"{flag} is taken only when --mode is epsilon-greedy")
-    batch = sample_experience(args.n, env, mode=args.mode, model=model, control=control, seed=args.seed)
+    batch = sample_experience(args.n, args.env, mode=args.mode, model=model, control=control, seed=args.seed)
     write_experience(batch, args.out)
-    print(f"wrote {len(batch)} tuples from {env.name} to {args.out}")
+    print(f"wrote {len(batch)} tuples from {args.env.name} to {args.out}")
     return EXIT_OK
 
 
@@ -174,14 +157,13 @@ def _write_curve_svg(rows: Sequence[Tuple[int, float]], path: str) -> None:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    env = _get_env(args.env)
     control = _control(args)
-    rows = _curve_rows(env, control, rounds=args.rounds, n=args.n, seed=args.seed)
+    rows = _curve_rows(args.env, control, rounds=args.rounds, n=args.n, seed=args.seed)
     lines = ["round,total_reward"] + [f"{r},{v!r}" for r, v in rows]
     write_text(args.out, "\n".join(lines) + "\n")
     if args.plot:
         _write_curve_svg(rows, args.plot)
-    print(f"ran {len(rows)} rounds on {env.name}; first {rows[0][1]:g}, last {rows[-1][1]:g}")
+    print(f"ran {len(rows)} rounds on {args.env.name}; first {rows[0][1]:g}, last {rows[-1][1]:g}")
     return EXIT_OK
 
 
@@ -190,22 +172,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _UsageError(f"--gamma must be below 1 for verify, got {args.gamma:g}")
     if not 0.0 <= args.tol < math.inf:  # also refuses NaN
         raise _UsageError(f"--tol must be finite and >= 0, got {args.tol:g}")
-    env = _get_env(args.env)
     model = load_model(args.model)
     gamma = _control(args, model.control).gamma
     source = "--gamma" if args.gamma is not None else f"{args.model}: gamma"
     if gamma >= 1.0:  # only the model's can be: a given --gamma was refused above
         raise _UsageError(f"{source} must be below 1 for verify, got {gamma:g}; pass --gamma")
-    if env.exact_mdp is None:
-        raise ValueError(f"environment {env.name!r} does not expose exact dynamics; cannot verify")
-    mdp = env.exact_mdp()
+    if args.env.exact_mdp is None:
+        raise ValueError(f"environment {args.env.name!r} does not expose exact dynamics; cannot verify")
+    mdp = args.env.exact_mdp()
     try:
         q_star = value_iteration(mdp, gamma=gamma, tol=1e-9)
     except ValueError as exc:  # a built-in MDP is well formed, so the discount is too close to 1
         raise _UsageError(f"{source} {gamma:g} is too close to 1 for verify: {exc}") from None
     pairs, max_diff, compared, mismatched = compare_to_optimal(model.q, q_star)
 
-    print(f"environment: {env.name}")
+    print(f"environment: {args.env.name}")
     print(f"covered pairs: {pairs}")
     print(f"max |Q - Q*|: {max_diff:.9g} (tolerance {args.tol:g})")
     print(f"policy agreement: {compared - mismatched}/{compared} tie-free states")
@@ -223,18 +204,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 # Built on the first `main` call and reused: parsing leaves a parser unchanged,
-# and handlers look up the library's functions when they run.
+# and handlers and flag types look up the library's functions when they run.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="replayq", description=__doc__.splitlines()[0])
+    # A lambda, not make_environment itself: the cached parser must call whatever
+    # function this module binds at parse time, as a wrapper put in its place.
+    env = _flag(lambda t: make_environment(t))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="generate experience tuples from an environment")
-    p.add_argument("--env", required=True, help="environment name")
-    p.add_argument("--n", type=_positive_int, required=True, help="number of tuples")
+    p.add_argument("--env", type=env, required=True, help="environment name")
+    p.add_argument("--n", type=_flag(lambda t: _count("n", int(t))), required=True, help="number of tuples")
     p.add_argument("--mode", choices=SAMPLE_MODES, default="random")
     p.add_argument("--model", help="model file, required for epsilon-greedy mode")
-    p.add_argument("--epsilon", type=_unit_float, help="exploration rate in [0, 1]")
+    p.add_argument("--epsilon", type=_flag(lambda t: _rate("epsilon", float(t))), help="exploration rate in [0, 1]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output experience file")
     p.set_defaults(handler=_cmd_sample)
@@ -246,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", default=DEFAULT_COLUMNS["r"], help="reward column name")
     p.add_argument("--s-new", default=DEFAULT_COLUMNS["s_new"], help="next-state column name")
     _add_control_flags(p)
-    p.add_argument("--iter", type=_positive_int, default=1, help="replay passes over the batch")
+    p.add_argument("--iter", type=_flag(lambda t: _count("iter", int(t))), default=1, help="replay passes over the batch")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", help="existing model to update instead of starting fresh")
     p.add_argument("--out", required=True, help="output model file")
@@ -258,9 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("curve", help="alternate sampling and learning, writing reward per round")
-    p.add_argument("--env", required=True)
-    p.add_argument("--rounds", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True, help="tuples sampled per round")
+    p.add_argument("--env", type=env, required=True)
+    p.add_argument("--rounds", type=_flag(lambda t: _count("rounds", int(t))), required=True)
+    p.add_argument("--n", type=_flag(lambda t: _count("n", int(t))), required=True, help="tuples sampled per round")
     _add_control_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output file of round,total_reward rows")
@@ -269,8 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compare a model against exact environment dynamics")
     p.add_argument("--model", required=True)
-    p.add_argument("--env", required=True)
-    p.add_argument("--gamma", type=_unit_float, help="discount in [0, 1) for the exact solution; default: the model's")
+    p.add_argument("--env", type=env, required=True)
+    p.add_argument("--gamma", type=_flag(lambda t: _rate("gamma", float(t))),
+                   help="discount in [0, 1) for the exact solution; default: the model's")
     p.add_argument("--tol", type=float, default=0.1, help="largest acceptable |Q - Q*|")
     p.set_defaults(handler=_cmd_verify)
 

@@ -60,6 +60,8 @@ class ExperienceTuple:
         validate_label(self.next_state, "next_state")
         try:
             reward = float(self.reward)
+        except OverflowError:  # an int or Fraction beyond floats: the infinity it rounds to, as "1e400" is
+            reward = math.inf if self.reward > 0 else -math.inf
         except (TypeError, ValueError):
             raise ValueError(f"cannot parse reward {self.reward!r}") from None
         if not math.isfinite(reward):
@@ -131,7 +133,7 @@ class ExperienceBatch:
             for label in chain(states, actions):
                 validate_label(label)
             valid = all(map(math.isfinite, values))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:
             tables = (states, actions, table, states)
@@ -248,7 +250,10 @@ class QTable:
 
     def set(self, state: StateId, action: ActionId, value: float) -> None:
         """Store a value, registering the state and action if new."""
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # refused below as the infinity it rounds to, as ExperienceTuple refuses it
+            value = math.inf if value > 0 else -math.inf
         if not math.isfinite(value):
             raise ValueError(f"value for ({state!r}, {action!r}) must be finite, got {value!r}")
         i = self.add_state(state)

@@ -26,9 +26,9 @@ class ExplicitMDP:
     index `pair[i] % len(actions)` to `next_state[i]` with `probability[i]`
     and reward `step_reward[i]`. Keys `(pair, next_state)` strictly increase,
     so sums over a (state, action) row add its entries in next-state order.
-    `coverage[s, a]` is False for pairs never observed when the model was
-    estimated from data (each holds one zero-reward self-loop); it is None
-    for a model given directly. `transition` and `reward` are dense
+    `coverage`, a bool `(S, A)` array, is False at pairs never observed when
+    the model was estimated from data (each holds one zero-reward self-loop);
+    it is None for a model given directly. `transition` and `reward` are dense
     `(S, A, S)` views, built on each access.
 
     Frozen, so no field can be reassigned past the constructor's checks.
@@ -45,8 +45,13 @@ class ExplicitMDP:
 
     def __post_init__(self) -> None:
         n_states, n_pairs = len(self.states), len(self.states) * len(self.actions)
+        if not n_pairs:
+            raise ValueError(f"{'actions' if n_states else 'states'} must not be empty")
         for name, dtype in (("pair", np.intp), ("next_state", np.intp), ("probability", float), ("step_reward", float)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            column = np.asarray(getattr(self, name))
+            if dtype is np.intp and column.size and column.dtype.kind not in "iu":  # a cast would truncate 0.7 to 0
+                raise ValueError(f"{name} indices must be integers, got dtype {column.dtype}")
+            object.__setattr__(self, name, np.asarray(column, dtype=dtype))
         shapes = [x.shape for x in (self.pair, self.next_state, self.probability, self.step_reward)]
         if len(set(shapes)) > 1 or self.pair.ndim != 1:
             raise ValueError(f"transition arrays must be 1-d and of equal length, got shapes {shapes}")
@@ -57,6 +62,10 @@ class ExplicitMDP:
             raise ValueError("transitions must be in strictly increasing (pair, next_state) order")
         if not np.isfinite(self.step_reward).all():
             raise ValueError("rewards must be finite")
+        coverage = None if self.coverage is None else np.asarray(self.coverage)
+        if coverage is not None and (coverage.dtype != bool or coverage.shape != (n_states, len(self.actions))):
+            raise ValueError(f"coverage must be None or a bool array of shape {(n_states, len(self.actions))}")
+        object.__setattr__(self, "coverage", coverage)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExplicitMDP):

@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +16,7 @@ from replayq import (
     Environment,
     ExperienceBatch,
     ExperienceTuple,
+    QTable,
     estimate_mdp,
     gridworld_environment,
     learn,
@@ -140,6 +142,23 @@ FAULTY_OUTCOMES = [  # (id, the environment's outcomes, the ValueError's message
 def test_sample_experience_refuses_a_faulty_environment_as_experience_tuple_does(build, outcomes, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         build(outcomes)
+
+
+# Each call given a number too large for a float, and the message that refuses it as the infinity it rounds to.
+BEYOND_FLOATS = [
+    pytest.param(lambda r: ExperienceTuple("s", "a", r, "s"), "reward must be finite, got {}", id="experience-tuple"),
+    pytest.param(lambda r: _sampled([("s", 1.0), ("s", r)]), "reward must be finite, got {}", id="sample-experience"),
+    pytest.param(lambda r: _from_rows([("s", 1.0), ("s", r)]), "reward must be finite, got {}", id="batch-rows"),
+    pytest.param(lambda r: QTable().set("s", "a", r), "value for ('s', 'a') must be finite, got {}", id="qtable-set"),
+]
+
+
+@pytest.mark.parametrize("call, message", BEYOND_FLOATS)
+@pytest.mark.parametrize("number, rounded", [(10**400, "inf"), (Fraction(10**400), "inf"), (-(10**400), "-inf")],
+                         ids=["int", "fraction", "negative-int"])
+def test_a_number_beyond_the_float_range_is_refused_with_value_error(call, message, number, rounded):
+    with pytest.raises(ValueError, match="^" + re.escape(message.format(rounded)) + "$"):
+        call(number)
 
 
 def test_sample_experience_takes_numeric_rewards_of_any_type():

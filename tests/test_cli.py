@@ -108,6 +108,44 @@ def test_usage_errors_from_argparse(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, flag, message", [
+    pytest.param(["sample", "--env", "gridworld-2x2", "--n", "0", "--out", "x.csv"], "--n", "n must be >= 1, got 0",
+                 id="sample-n"),
+    pytest.param(["train", "--data", "x.csv", "--iter", "0", "--out", "m.json"], "--iter", "iter must be >= 1, got 0",
+                 id="train-iter"),
+    pytest.param(["curve", "--env", "gridworld-2x2", "--rounds", "0", "--n", "5", "--out", "c.csv"], "--rounds",
+                 "rounds must be >= 1, got 0", id="curve-rounds"),
+    pytest.param(["train", "--data", "x.csv", "--alpha", "2", "--out", "m.json"], "--alpha",
+                 "alpha must lie in [0, 1], got 2.0", id="train-alpha"),
+    pytest.param(["sample", "--env", "gridworld-2x2", "--n", "5", "--mode", "epsilon-greedy", "--epsilon", "-1",
+                  "--out", "x.csv"], "--epsilon", "epsilon must lie in [0, 1], got -1.0", id="sample-epsilon"),
+    pytest.param(["verify", "--model", "m.json", "--env", "gridworld-2x2", "--gamma", "1.5"], "--gamma",
+                 "gamma must lie in [0, 1], got 1.5", id="verify-gamma"),
+    pytest.param(["sample", "--env", "nope", "--n", "5", "--out", "x.csv"], "--env",
+                 "unknown environment 'nope'; known environments: gridworld-2x2, tictactoe", id="sample-env"),
+])
+def test_a_bad_flag_value_exits_1_with_the_librarys_message(tmp_path, monkeypatch, capsys, argv, flag, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_cached_parser_calls_the_make_environment_bound_at_parse_time(tmp_path, monkeypatch, capsys):
+    assert main(["--help"]) == 0  # the cached parser now exists
+    seen = []
+    make_environment = cli.make_environment
+
+    def recording(name):
+        seen.append(name)
+        return make_environment(name)
+
+    monkeypatch.setattr(cli, "make_environment", recording)
+    assert main(sample_args(str(tmp_path / "x.csv"))) == 0
+    assert seen == ["gridworld-2x2"]
+    capsys.readouterr()
+
+
 # One process's commands in order: help, usage errors, and flags that a later
 # call of the same command leaves out, so a value carried over would show.
 SHARED_PARSER_CALLS = [

@@ -275,12 +275,32 @@ VALID = {"pair": [0, 1], "next_state": [1, 1], "probability": [1.0, 1.0], "step_
         pytest.param({"pair": [1, 1]}, "strictly increasing", id="duplicate"),
         pytest.param({"step_reward": [0.0, math.nan]}, "rewards must be finite", id="nan-reward"),
         pytest.param({"step_reward": [math.inf, 0.0]}, "rewards must be finite", id="inf-reward"),
+        # A cast to int would truncate each of these to a valid index.
+        pytest.param({"pair": [0.7, 1]}, "pair indices must be integers, got dtype float64", id="fractional-pair"),
+        pytest.param({"next_state": [1.5, 1]}, "next_state indices must be integers", id="fractional-next-state"),
+        pytest.param({"pair": [False, True]}, "pair indices must be integers, got dtype bool", id="boolean-pair"),
+        pytest.param({"coverage": np.ones((5, 5), dtype=bool)}, "coverage must be None or a bool array of shape (2, 1)",
+                     id="coverage-shape"),
+        pytest.param({"coverage": np.ones((2, 1))}, "coverage must be None or a bool array", id="coverage-dtype"),
     ],
 )
 def test_explicit_mdp_checks_its_transition_list(columns, message):
     ExplicitMDP(states=["a", "b"], actions=["x"], **VALID)
     with pytest.raises(ValueError, match=re.escape(message)):
         ExplicitMDP(states=["a", "b"], actions=["x"], **{**VALID, **columns})
+
+
+def test_explicit_mdp_stores_coverage_as_a_bool_array():
+    mdp = ExplicitMDP(states=["a", "b"], actions=["x"], coverage=[[True], [False]], **VALID)
+    assert isinstance(mdp.coverage, np.ndarray) and mdp.coverage.dtype == bool
+    assert mdp.coverage.tolist() == [[True], [False]]
+
+
+@pytest.mark.parametrize("states, actions, field", [([], ["x"], "states"), (["a"], [], "actions"), ([], [], "states")],
+                         ids=["no-states", "no-actions", "neither"])
+def test_explicit_mdp_refuses_an_empty_state_or_action_list(states, actions, field):
+    with pytest.raises(ValueError, match=f"^{field} must not be empty$"):
+        ExplicitMDP(states=states, actions=actions, pair=[], next_state=[], probability=[], step_reward=[])
 
 
 def test_explicit_mdps_compare_by_their_fields():
