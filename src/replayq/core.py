@@ -8,7 +8,6 @@ import math
 import numbers
 import random
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from operator import attrgetter, index
 from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -42,6 +41,29 @@ def validate_label(name: str, kind: str = "label") -> str:
         except UnicodeEncodeError:
             raise ValueError(f"{kind} {name!r} is not valid Unicode text") from None
     return name
+
+
+def _validate_labels(labels: List, kind: str = "label") -> List:
+    """Check a whole label list, refusing what `validate_label` refuses and a repeated label.
+
+    The list is checked at once, through its joined text; only a fault walks
+    it, to raise `validate_label`'s message, or QTable's for a repeat, at the
+    first bad label. Returns `labels`.
+    """
+    try:
+        text = "".join(labels)  # a TypeError unless every label is a string
+        text.isascii() or text.encode("utf-8")  # Python pairs no surrogates, so joining mends none
+        valid = (all(labels) and max(map(len, labels), default=0) <= _MAX_LABEL_LENGTH
+                 and not any(ch in text for ch in _FORBIDDEN_CHARS) and len(set(labels)) == len(labels))
+    except (TypeError, UnicodeEncodeError):
+        valid = False
+    if not valid:
+        seen = set()
+        for label in labels:
+            if validate_label(label, kind) in seen:
+                raise ValueError(f"{kind} {label!r} is listed more than once")
+            seen.add(label)
+    return labels
 
 
 @dataclass(frozen=True)
@@ -122,7 +144,7 @@ class ExperienceBatch:
         Each label and reward value is checked once; only a fault walks the rows
         to name the first bad one, as ExperienceTuple would, the message
         prefixed by `where(k)` for its 0-based index `k`. Codes are not
-        range-checked nor labels checked for repeats: both come from `_Codes`.
+        range-checked nor a repeated label refused: both come from `_Codes`.
         """
         s, a, r, s_new = (codes[c::4] for c in range(4))
         codes.clear()
@@ -130,8 +152,8 @@ class ExperienceBatch:
         table = r if rewards is None else list(rewards)
         try:
             values = list(map(float, table))
-            for label in chain(states, actions):
-                validate_label(label)
+            _validate_labels(states)
+            _validate_labels(actions)
             valid = all(map(math.isfinite, values))
         except (TypeError, ValueError, OverflowError):
             valid = False
@@ -200,14 +222,21 @@ class QTable:
     __slots__ = ("state_index", "action_index", "rows")
 
     def __init__(self, states: Iterable[StateId] = (), actions: Iterable[ActionId] = ()) -> None:
-        self.state_index: Dict[StateId, int] = {}
-        self.action_index: Dict[ActionId, int] = {}
-        self.rows: List[List[float]] = []
-        # Actions first, so rows are created at full width.
-        for kind, labels, add in (("action", actions, self.add_action), ("state", states, self.add_state)):
-            for k, label in enumerate(labels):
-                if add(label) != k:
-                    raise ValueError(f"{kind} {label!r} is listed more than once")
+        actions = _validate_labels(list(actions), "action")  # actions are checked first
+        states = _validate_labels(list(states), "state")
+        self.state_index: Dict[StateId, int] = dict(zip(states, range(len(states))))
+        self.action_index: Dict[ActionId, int] = dict(zip(actions, range(len(actions))))
+        self.rows: List[List[float]] = [[0.0] * len(actions) for _ in states]
+
+    @classmethod
+    def _of(cls, states: List[StateId], actions: List[ActionId], rows: List[List[float]]) -> QTable:
+        """The table holding `rows`, one per state, built in one step over label
+        lists that `_validate_labels` passes; nothing is checked or copied here."""
+        q = cls.__new__(cls)
+        q.state_index = dict(zip(states, range(len(states))))
+        q.action_index = dict(zip(actions, range(len(actions))))
+        q.rows = rows
+        return q
 
     @property
     def states(self) -> List[StateId]:

@@ -73,8 +73,10 @@ def learn(
     """Train a model by replaying `batch` for `iterations` passes.
 
     Without `prior` the table starts fresh over the states and actions seen in
-    the batch (next-states included). With `prior` its table is extended with
-    any newly observed states/actions and training continues from its values;
+    the batch (next-states included), built in one step from the batch's
+    label tables, which are checked already; its rows and columns number the
+    labels as the batch does. With `prior` its table is extended with any
+    newly observed states/actions and training continues from its values;
     reward history and the iteration count accumulate across calls. Every
     label of the batch is registered before the first update, and `prior` is
     never modified: `learn([t], control, prior=m)` is one TD update of `m.q`.
@@ -102,24 +104,28 @@ def learn(
         raise ValueError("no training data")
 
     if prior is None:
-        prior = RLModel(QTable(), control)
-    q = prior.q.copy()
-    # Each batch label maps to its column or row once. Actions register first,
-    # so new rows are made at full width and the row references stay valid.
-    columns = [q.add_action(label) for label in batch.actions]
-    known = len(q.rows)
-    indices = [q.add_state(label) for label in batch.states]
-    rows = list(map(q.rows.__getitem__, indices))
-    # A state new to the table has an all-zero row, so its maximum is 0.0.
-    v = [max(q.rows[i]) if i < known else 0.0 for i in indices]
+        # The batch's label tables are checked and distinct, and number the new table as they number the batch.
+        q = QTable._of(batch.states, batch.actions, [[0.0] * len(batch.actions) for _ in batch.states])
+        a, rows, v, history = batch.a, q.rows, [0.0] * len(q.rows), []
+    else:
+        q = prior.q.copy()
+        # Each batch label maps to its column or row once. Actions register first,
+        # so new rows are made at full width and the row references stay valid.
+        columns = [q.add_action(label) for label in batch.actions]
+        known = len(q.rows)
+        indices = [q.add_state(label) for label in batch.states]
+        rows = list(map(q.rows.__getitem__, indices))
+        # A state new to the table has an all-zero row, so its maximum is 0.0.
+        v = [max(q.rows[i]) if i < known else 0.0 for i in indices]
+        a, history = map(columns.__getitem__, batch.a), list(prior.reward_history)
     # One item per distinct row, shared by its repeats, through a dict dropped
     # once built. Rows that compare equal make equal updates: rewards of 0.0
     # and -0.0 too, as a zero's sign never reaches a stored value. Items of
     # codes and a reward hold no container, so the cyclic collector untracks them.
     shared = {}
-    items = list(map(shared.setdefault, *tee(zip(batch.s, map(columns.__getitem__, batch.a), batch.r, batch.s_new))))
+    items = list(map(shared.setdefault, *tee(zip(batch.s, a, batch.r, batch.s_new))))
     del shared
-    history = list(prior.reward_history) + [_reward_total(batch.r)] * iterations
+    history += [_reward_total(batch.r)] * iterations
     getrandbits = random.Random(seed).getrandbits
     for _ in range(iterations):
         # Shuffling a list as long as the batch draws the same permutation.

@@ -9,7 +9,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import ActionId, ExperienceBatch, ExperienceTuple, QTable, StateId, policy_from_q
+from .core import ActionId, ExperienceBatch, ExperienceTuple, QTable, StateId, _validate_labels, policy_from_q
 
 _ROW_SUM_TOL = 1e-9
 _MAX_SWEEPS = 1_000_000
@@ -29,7 +29,9 @@ class ExplicitMDP:
     `coverage`, a bool `(S, A)` array, is False at pairs never observed when
     the model was estimated from data (each holds one zero-reward self-loop);
     it is None for a model given directly. `transition` and `reward` are dense
-    `(S, A, S)` views, built on each access.
+    `(S, A, S)` views, built on each access. `states` and `actions` are checked
+    as QTable checks its labels; `probability` and `step_reward` must hold
+    real numbers, so text and bools are refused, not read as 1.0.
 
     Frozen, so no field can be reassigned past the constructor's checks.
     Two MDPs are equal when all their fields are; an MDP is not hashable.
@@ -47,10 +49,16 @@ class ExplicitMDP:
         n_states, n_pairs = len(self.states), len(self.states) * len(self.actions)
         if not n_pairs:
             raise ValueError(f"{'actions' if n_states else 'states'} must not be empty")
-        for name, dtype in (("pair", np.intp), ("next_state", np.intp), ("probability", float), ("step_reward", float)):
+        _validate_labels(self.states, "state")
+        _validate_labels(self.actions, "action")
+        for name, dtype, kinds, rule in (("pair", np.intp, "iu", "indices must be integers"),
+                                         ("next_state", np.intp, "iu", "indices must be integers"),
+                                         ("probability", float, "iuf", "must be real numbers"),
+                                         ("step_reward", float, "iuf", "must be real numbers")):
             column = np.asarray(getattr(self, name))
-            if dtype is np.intp and column.size and column.dtype.kind not in "iu":  # a cast would truncate 0.7 to 0
-                raise ValueError(f"{name} indices must be integers, got dtype {column.dtype}")
+            # A cast would truncate 0.7 to an index 0, and read '1.0' or True as 1.0.
+            if column.size and column.dtype.kind not in kinds:
+                raise ValueError(f"{name} {rule}, got dtype {column.dtype}")
             object.__setattr__(self, name, np.asarray(column, dtype=dtype))
         shapes = [x.shape for x in (self.pair, self.next_state, self.probability, self.step_reward)]
         if len(set(shapes)) > 1 or self.pair.ndim != 1:
@@ -111,6 +119,11 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
     `gamma**k * max|E[r]|`; when that bound does not fall below `tol` within
     a million sweeps, the call is refused before the first one. Every refusal
     is a ValueError, also of iterates that rounding keeps from settling.
+
+    The values are held action-major, one row per action, so each sweep's
+    per-state maximum reduces contiguous rows. Q* is the same bit for bit as
+    a state-major sweep's: the maximum is exact, and each pair's entries are
+    still added in transition-list order. The table is built in one step.
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
@@ -118,13 +131,15 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
         raise ValueError(f"tol must be positive, got {tol}")
     _check_stochastic(mdp)
 
-    q = np.zeros((len(mdp.states), len(mdp.actions)))
-    expected_reward = np.bincount(mdp.pair, weights=mdp.probability * mdp.step_reward, minlength=q.size)
+    n_states, n_actions = len(mdp.states), len(mdp.actions)
+    q = np.zeros((n_actions, n_states))
+    pair = mdp.pair % n_actions * n_states + mdp.pair // n_actions  # (s, a) -> a * S + s
+    expected_reward = np.bincount(pair, weights=mdp.probability * mdp.step_reward, minlength=q.size)
     if float(np.abs(expected_reward).max(initial=0.0)) * gamma ** (_MAX_SWEEPS - 1) >= tol:
         raise ValueError(f"value iteration at gamma {gamma} may need more than {_MAX_SWEEPS} sweeps to reach tol {tol}")
     for _ in range(_MAX_SWEEPS):
-        v = q.max(axis=1)
-        backed_up = np.bincount(mdp.pair, weights=mdp.probability * v[mdp.next_state], minlength=q.size)
+        v = q.max(axis=0)
+        backed_up = np.bincount(pair, weights=mdp.probability * v[mdp.next_state], minlength=q.size)
         q_next = (expected_reward + gamma * backed_up).reshape(q.shape)
         delta = float(np.abs(q_next - q).max())
         q = q_next
@@ -135,9 +150,8 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
     else:
         raise ValueError(f"value iteration did not converge within {_MAX_SWEEPS} sweeps")
 
-    table = QTable(states=mdp.states, actions=mdp.actions)
-    table.rows = q.tolist()
-    return table
+    actions = _validate_labels(mdp.actions, "action")  # actions first, as QTable checks them
+    return QTable._of(_validate_labels(mdp.states, "state"), actions, q.T.tolist())
 
 
 def estimate_mdp(batch: Iterable[ExperienceTuple]) -> ExplicitMDP:
@@ -151,7 +165,7 @@ def estimate_mdp(batch: Iterable[ExperienceTuple]) -> ExplicitMDP:
     batch = ExperienceBatch(batch)
     if not batch:
         raise ValueError("empty batch")
-    s, a, s2 = np.array(batch.s), np.array(batch.a), np.array(batch.s_new)
+    s, a, s2 = (np.fromiter(c, dtype=np.intp, count=len(c)) for c in (batch.s, batch.a, batch.s_new))
     n_s, n_a = len(batch.states), len(batch.actions)
 
     # One entry per distinct (s, a, s2) cell; bincount adds repeats in batch order.
@@ -164,7 +178,7 @@ def estimate_mdp(batch: Iterable[ExperienceTuple]) -> ExplicitMDP:
     keys = np.concatenate([cells, loops * n_s + loops // n_a])
     probability = np.concatenate([counts / totals[cells // n_s], np.ones(len(loops))])
     step_reward = np.concatenate([np.bincount(inverse, weights=batch.r) / counts, np.zeros(len(loops))])
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")  # two sorted runs; the keys are distinct, so any sort gives this order
     return ExplicitMDP(
         states=list(batch.states), actions=list(batch.actions), pair=keys[order] // n_s,
         next_state=keys[order] % n_s, probability=probability[order], step_reward=step_reward[order],

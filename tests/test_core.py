@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from replayq.core import (
@@ -17,8 +17,11 @@ from replayq.core import (
     QTable,
     RLModel,
     _below,
+    _FORBIDDEN_CHARS,
     _shuffle,
+    _validate_labels,
     policy_from_q,
+    validate_label,
 )
 from replayq.envs import gridworld_step, make_environment, sample_experience
 from replayq.learner import epsilon_greedy, learn
@@ -108,6 +111,44 @@ def test_qtable_preserves_first_appearance_order():
 def test_qtable_rejects_repeated_labels(states, actions):
     with pytest.raises(ValueError, match="listed more than once"):
         QTable(states=states, actions=actions)
+
+
+def _label_by_label(labels, kind):
+    """The rule for a label list, one label at a time: validate_label, then QTable's refusal of a repeat."""
+    seen = []
+    for label in labels:
+        validate_label(label, kind)
+        if label in seen:
+            raise ValueError(f"{kind} {label!r} is listed more than once")
+        seen.append(label)
+
+
+def _refusal(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Labels validate_label accepts and refuses, from a pool small enough to repeat:
+# each forbidden character, the empty string, non-strings, an unhashable list,
+# the longest readable label and one past it, and lone surrogates, among them a
+# high one ending a label and a low one starting the next.
+LIST_LABELS = st.one_of(
+    st.sampled_from(["a", "b", "é", "x" * 131_072, "x" * 131_073, "", None, 7, ("a",), "\ud800", "a\ud800", "\udc00b"]
+                    + [f"a{ch}b" for ch in _FORBIDDEN_CHARS]),
+    st.lists(st.text(max_size=2), max_size=2),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(labels=["a\ud800", "\udc00b"], kind="state")  # joined, the two halves still refuse
+@example(labels=["a", "b", "a"], kind="action")
+@given(labels=st.lists(LIST_LABELS, max_size=6), kind=st.sampled_from(["state", "action", "label"]))
+def test_the_label_list_rule_refuses_what_validate_label_refuses_label_by_label(labels, kind):
+    assert _refusal(lambda: _validate_labels(labels, kind)) == _refusal(lambda: _label_by_label(labels, kind))
 
 
 # Each call meets an unhashable label; the message is validate_label's.

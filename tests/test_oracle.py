@@ -279,6 +279,17 @@ VALID = {"pair": [0, 1], "next_state": [1, 1], "probability": [1.0, 1.0], "step_
         pytest.param({"pair": [0.7, 1]}, "pair indices must be integers, got dtype float64", id="fractional-pair"),
         pytest.param({"next_state": [1.5, 1]}, "next_state indices must be integers", id="fractional-next-state"),
         pytest.param({"pair": [False, True]}, "pair indices must be integers, got dtype bool", id="boolean-pair"),
+        # A cast to float would read each of these as a probability or reward.
+        pytest.param({"probability": ["1.0", "1.0"]}, "probability must be real numbers, got dtype <U3",
+                     id="text-probability"),
+        pytest.param({"step_reward": [True, False]}, "step_reward must be real numbers, got dtype bool",
+                     id="boolean-reward"),
+        pytest.param({"step_reward": np.array([0.0, 0.0], dtype=object)}, "step_reward must be real numbers, got "
+                     "dtype object", id="object-reward"),
+        # Labels are checked as QTable checks them.
+        pytest.param({"states": ["a", "a"]}, "state 'a' is listed more than once", id="repeated-state"),
+        pytest.param({"states": ["a,b", "b"]}, "state 'a,b' contains forbidden character ','", id="forbidden-character"),
+        pytest.param({"actions": ["x", "x"]}, "action 'x' is listed more than once", id="repeated-action"),
         pytest.param({"coverage": np.ones((5, 5), dtype=bool)}, "coverage must be None or a bool array of shape (2, 1)",
                      id="coverage-shape"),
         pytest.param({"coverage": np.ones((2, 1))}, "coverage must be None or a bool array", id="coverage-dtype"),
@@ -287,7 +298,7 @@ VALID = {"pair": [0, 1], "next_state": [1, 1], "probability": [1.0, 1.0], "step_
 def test_explicit_mdp_checks_its_transition_list(columns, message):
     ExplicitMDP(states=["a", "b"], actions=["x"], **VALID)
     with pytest.raises(ValueError, match=re.escape(message)):
-        ExplicitMDP(states=["a", "b"], actions=["x"], **{**VALID, **columns})
+        ExplicitMDP(**{"states": ["a", "b"], "actions": ["x"], **VALID, **columns})
 
 
 def test_explicit_mdp_stores_coverage_as_a_bool_array():
@@ -461,6 +472,25 @@ def test_seeded_tictactoe_estimate_keeps_its_bytes():
         "labels": json.dumps([mdp.states, mdp.actions]).encode(),
     }
     assert {name: hashlib.sha256(data).hexdigest() for name, data in parts.items()} == PINNED_TTT_MDP_SHA256
+
+
+# sha256 of value_iteration's Q* rows, as solved while the values were held
+# state-major, one row per state: "tictactoe" is the estimate above.
+PINNED_Q_STAR_SHA256 = {
+    "tictactoe 0.99": "797d19a1f4ae81a2c3cc84464c32087474f8e6fac363b0bf87934c4c82bee4fd",
+    "gridworld 0.5": "f856c943d1f39148383331378a5b00481b55370c5a78f141054121b694595020",
+    "gridworld 0.9": "4d69923587cbd831bded36aa514a548841658ecc27f65e7cb3d1e71009f1c5be",
+    "gridworld 0.999": "b75e14937a01f7d94ad5cb61b9b1393bb6670fe0b709e161388abd20ef7fe274",
+}
+
+
+def test_value_iteration_keeps_its_bytes():
+    mdps = {"tictactoe": estimate_mdp(ttt_generate_games(500, seed=1)), "gridworld": gridworld_mdp()}
+    digests = {}
+    for key in PINNED_Q_STAR_SHA256:
+        name, gamma = key.split()
+        digests[key] = hashlib.sha256(np.array(value_iteration(mdps[name], float(gamma)).rows).tobytes()).hexdigest()
+    assert digests == PINNED_Q_STAR_SHA256
 
 
 def table(rows, actions=("go", "stay")):
