@@ -20,7 +20,8 @@ from dataclasses import fields
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-from .core import ControlParams, ExperienceBatch, ExperienceTuple, QTable, RLModel, _Codes, policy_from_q
+from .core import (ControlParams, ExperienceBatch, ExperienceTuple, QTable, RLModel, _Codes, _validate_labels,
+                   policy_from_q)
 
 DEFAULT_COLUMNS = {"s": "State", "a": "Action", "r": "Reward", "s_new": "NextState"}
 MODEL_FORMAT = "rlmodel/1"
@@ -234,19 +235,22 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
         if not (isinstance(states, list) and isinstance(actions, list) and isinstance(values, dict)
                 and isinstance(policy, dict)):
             raise ValueError("states and actions must be lists, q and policy objects")
-        q = QTable(states=states, actions=actions)
+        _validate_labels(actions, "action")  # actions are checked first, as QTable checks them
+        q = QTable._of(_validate_labels(states, "state"), actions, [])  # rows are appended as they pass
         for name, table in (("q", values), ("policy", policy)):
             for s in table:
                 if s not in q.state_index:
                     raise ValueError(f"{name} has an entry for {s!r}, which is not in states")
-        for s, i in q.state_index.items():
+        for s in states:
             row = values.get(s)
             if not isinstance(row, list) or len(row) != len(actions):
                 raise ValueError(f"q[{s!r}] must list {len(actions)} values, one per action, got {row!r}")
-            if all(map(_JSON_NUMBERS.__contains__, map(type, row))) and all(map(math.isfinite, row)):
-                q.rows[i] = list(map(float, row))
-            else:  # _number words the error
-                q.rows[i] = [_number(v, f"q[{s!r}][{j}]") for j, v in enumerate(row)]
+            kinds = set(map(type, row))
+            if not (kinds <= _JSON_NUMBERS and all(map(math.isfinite, row))):  # _number words the error
+                row = [_number(v, f"q[{s!r}][{j}]") for j, v in enumerate(row)]
+            elif int in kinds:  # json's list is kept when it holds only floats
+                row = list(map(float, row))
+            q.rows.append(row)
             if s not in policy:
                 raise ValueError(f"policy has no entry for state {s!r}")
         # The policy is derived data; a stored one must be q's argmax.

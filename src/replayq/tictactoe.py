@@ -7,19 +7,22 @@ covers X's move and, if the game continues, the opponent's uniformly random
 reply. Rewards are +1/0/-1 for win/draw/loss, paid only on the transition
 that ends the game.
 
-`_outcome` caches each board's result for `ttt_winner`, bounded by the 3^9
-boards. `_table`, built once per process, maps every board reachable in legal
-play to X's moves on it, with their after-states and B's replies. Its search
-settles each board once, in a dict freed after the build: equal boards share
-one string and one transition tuple, and each after-state's replies are listed
-once. Generation and stepping read the table, `tictactoe_step` rejects any
-board it does not hold, and the environment lists its keys as its states.
+`_board_facts` holds a board's outcome and empty cells once `ttt_winner` or
+`legal_cells` has settled it, so each later call is one dict lookup. It holds
+only boards that `_validate_board` passes and `_outcome` settles, so at most
+the 3^9 boards, and never a refused one. `_table`, built once per process,
+maps every board reachable in legal play to X's moves on it, with their
+after-states and B's replies. Its search settles each board once, in a dict
+freed after the build: equal boards share one string and one transition
+tuple, and each after-state's replies are listed once. Generation and
+stepping read the table, `tictactoe_step` rejects any board it does not hold,
+and the environment lists its keys as its states.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Tuple
 
 from .core import Environment, EnvResponse, ExperienceBatch, _below, _Codes, _count
@@ -52,13 +55,25 @@ def _validate_board(board: str) -> None:
         raise ValueError(f"board {board!r} contains invalid symbols {sorted(bad)}")
 
 
+# Board -> (outcome, empty cells), for each board settled so far.
+_board_facts: Dict[str, Tuple[str, Tuple[int, ...]]] = {}
+
+
+def _settle(board: str) -> Tuple[str, Tuple[int, ...]]:
+    """Check `board`, then cache and return its facts; a refused board raises ValueError and is not stored."""
+    _validate_board(board)
+    facts = _board_facts[board] = (_outcome(board), tuple(_empty_cells(board)))
+    return facts
+
+
 def ttt_winner(board: str) -> str:
     """Outcome of a board: X-wins, B-wins, draw, or ongoing."""
-    _validate_board(board)
-    return _outcome(board)
+    try:
+        return _board_facts[board][0]
+    except (KeyError, TypeError):  # not settled yet, or unhashable and so refused
+        return _settle(board)[0]
 
 
-@lru_cache(maxsize=None)
 def _outcome(board: str) -> str:
     x_line = any(board[i] == board[j] == board[k] == "X" for i, j, k in _LINES)
     b_line = any(board[i] == board[j] == board[k] == "B" for i, j, k in _LINES)
@@ -73,9 +88,23 @@ def _outcome(board: str) -> str:
     return ONGOING
 
 
-def legal_cells(board: str) -> List[int]:
-    """0-based indices of the empty cells."""
+def _empty_cells(board: str) -> List[int]:
     return [i for i, c in enumerate(board) if c == "."]
+
+
+def legal_cells(board: str) -> List[int]:
+    """0-based indices of the empty cells, as a new list.
+
+    Any sequence is read by the same rule: the indices of its '.' items.
+    """
+    try:
+        facts = _board_facts[board]
+    except (KeyError, TypeError):
+        try:
+            facts = _settle(board)
+        except ValueError:  # not a board `ttt_winner` takes
+            return _empty_cells(board)
+    return list(facts[1])
 
 
 def _place(board: str, cell: int, mark: str) -> str:
@@ -109,14 +138,14 @@ def _table() -> Dict[str, Tuple[_Move, ...]]:
     while frontier:
         board = frontier.pop()
         moves = []
-        for cell in legal_cells(board):
+        for cell in _empty_cells(board):
             after_x = _place(board, cell, "X")
             known = settled.get(after_x)
             if known is None:
                 won = _completes_line(after_x, cell)
                 replies = []
                 if not won and "." in after_x:
-                    for k in legal_cells(after_x):
+                    for k in _empty_cells(after_x):
                         after_b = _place(after_x, k, "B")
                         reply = settled.get(after_b)
                         if reply is None:
@@ -168,6 +197,12 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
     return ExperienceBatch._from_codes(states, actions, codes)
 
 
+_ACTION_CELLS = {action: cell for cell, action in enumerate(CELL_ACTIONS)}
+# EnvResponse's own constructor parses its arguments in Python; this builds the
+# same tuple subclass from one (next state, reward) pair.
+_response = partial(tuple.__new__, EnvResponse)
+
+
 def tictactoe_step(state: str, action: str, rng: random.Random) -> EnvResponse:
     """After-state dynamics for one X move.
 
@@ -175,22 +210,23 @@ def tictactoe_step(state: str, action: str, rng: random.Random) -> EnvResponse:
     self-loop with reward -1, so illegal moves score strictly worse than any
     sequence of legal play toward a draw.
     """
-    if action not in CELL_ACTIONS:
-        raise ValueError(f"unknown action {action!r}")
+    try:
+        cell = _ACTION_CELLS[action]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown action {action!r}") from None
     try:
         moves = _table()[state]
     except (KeyError, TypeError):
         raise ValueError(f"unknown state {state!r}") from None
     if not moves:
-        return EnvResponse(state, 0.0)
-    cell = int(action[1:]) - 1
+        return _response((state, 0.0))
     if state[cell] != ".":
-        return EnvResponse(state, -1.0)
+        return _response((state, -1.0))
     # Moves are listed by ascending cell, one per empty cell.
     _, next_board, reward, game_over, replies = moves[state.count(".", 0, cell)]
     if not game_over:
         next_board, reward, _ = rng.choice(replies)
-    return EnvResponse(next_board, reward)
+    return _response((next_board, reward))
 
 
 def tictactoe_environment() -> Environment:

@@ -9,6 +9,7 @@ from replayq.envs import EnvResponse
 from replayq.tictactoe import (
     CELL_ACTIONS,
     EMPTY_BOARD,
+    _board_facts,
     _table,
     legal_cells,
     tictactoe_environment,
@@ -296,3 +297,80 @@ def test_move_table_matches_the_reference_rules_on_every_move_and_reply():
                 b_wins = ref_winner(after_b) == "B-wins"
                 expected.append((after_b, -1.0 if b_wins else 0.0, b_wins or "." not in after_b))
             assert replies == tuple(expected)
+
+
+# --- the per-board cache behind ttt_winner and legal_cells ------------------
+
+
+def plain_cells(board):
+    return [i for i, c in enumerate(board) if c == "."]
+
+
+def assert_helpers_match_the_reference(board):
+    x = any(board[i] == board[j] == board[k] == "X" for i, j, k in _LINES)
+    b = any(board[i] == board[j] == board[k] == "B" for i, j, k in _LINES)
+    for order in (("winner", "cells"), ("cells", "winner")):  # each helper answers cold, then warm
+        _board_facts.clear()
+        for name in order * 2:
+            if name == "cells":
+                assert legal_cells(board) == plain_cells(board)
+            elif x and b:
+                with pytest.raises(ValueError, match="both players"):
+                    ttt_winner(board)
+            else:
+                assert ttt_winner(board) == ref_winner(board)
+
+
+def test_cached_helpers_match_the_reference_on_every_table_board():
+    boards = list(_table())
+    _board_facts.clear()
+    cold = [(ttt_winner(board), legal_cells(board)) for board in boards]
+    warm = [(ttt_winner(board), legal_cells(board)) for board in boards]
+    assert cold == warm == [(ref_winner(board), plain_cells(board)) for board in boards]
+    assert len(_board_facts) == len(boards)
+    for board in boards[::97]:
+        assert_helpers_match_the_reference(board)
+
+
+@settings(max_examples=200, deadline=None)
+@given(board=st.text(alphabet=".XB", min_size=9, max_size=9))
+def test_cached_helpers_match_the_reference_on_any_board(board):
+    assert_helpers_match_the_reference(board)
+
+
+@pytest.mark.parametrize("board, message", [
+    ("XXXX", "board must be a 9-character string, got 'XXXX'"),
+    ("XXOXXOXXO", "board 'XXOXXOXXO' contains invalid symbols ['O']"),
+    (list("........."), "board must be a 9-character string, got ['.', '.', '.', '.', '.', '.', '.', '.', '.']"),
+    ({EMPTY_BOARD: 1}, "board must be a 9-character string, got {'.........': 1}"),
+    ("BBBXXX...", "illegal board 'BBBXXX...': both players complete a line"),
+])
+def test_a_malformed_board_is_refused_alike_every_time_and_never_cached(board, message):
+    size = len(_board_facts)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ttt_winner(board)
+        assert legal_cells(board) == plain_cells(board)
+        assert len(_board_facts) == size
+
+
+def test_legal_cells_hands_out_a_new_list_each_time():
+    board = "XB.BX.X.."
+    _board_facts.clear()
+    for _ in range(2):  # cold, then warm
+        cells = legal_cells(board)
+        cells[0] = -1
+        cells.append(9)
+        assert legal_cells(board) == [2, 5, 7, 8]
+
+
+@pytest.mark.parametrize("board, action, expected", [
+    ("XXX.BB...", "c4", ("XXX.BB...", 0.0)),  # terminal board
+    ("XB.BX....", "c1", ("XB.BX....", -1.0)),  # occupied cell
+    ("XX.BB....", "c3", ("XXXBB....", 1.0)),  # X's move ends the game
+    (EMPTY_BOARD, "c5", ("....X..B.", 0.0)),  # B's reply, seeded
+])
+def test_every_step_branch_returns_an_env_response(board, action, expected):
+    response = tictactoe_step(board, action, random.Random(0))
+    assert type(response) is EnvResponse
+    assert (response.next_state, response.reward) == response == expected
