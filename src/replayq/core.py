@@ -333,27 +333,15 @@ def _count(name: str, value: int) -> int:
     return value
 
 
-def _below(getrandbits: Callable[[int], int], n: int) -> int:
-    """A uniform int in [0, n), for n >= 1, drawn as `random.Random.choice` draws
-    its index: redraw `getrandbits(n.bit_length())` until the value is below n.
-
-    Pass only the `getrandbits` of a plain `random.Random`: CPython draws by
-    `getrandbits` only in a class that does not override `random()` alone, so a
-    subclass that does draws differently. n = 0 would loop forever.
-    """
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
     """Shuffle `x` in place exactly as `random.Random.shuffle` does, leaving the
-    generator in the same state, under `_below`'s rule on `getrandbits`.
+    generator in the same state.
 
-    Fisher–Yates from the end: position i swaps with `_below(getrandbits, i + 1)`,
-    drawn inline, without a call per element.
+    Fisher–Yates from the end: position i swaps with a uniform pick j in
+    [0, i], drawn inline as CPython draws it: `getrandbits((i + 1).bit_length())`,
+    redrawn until it is at most i. Pass only the `getrandbits` of a plain
+    `random.Random`: CPython draws by `getrandbits` only in a class that does not
+    override `random()` alone, so a subclass that does draws differently.
     """
     for k in range(len(x).bit_length(), 1, -1):
         # Every i whose i + 1 has k bits, from the top down, draws k bits at a time.

@@ -121,7 +121,7 @@ def sample_experience(
     states, actions = _Codes(), _Codes()
     codes = []
     for _ in range(n):
-        # Each uniform pick redraws under _below's rule, written inline.
+        # Each uniform pick redraws getrandbits(n.bit_length()) until it is below n, as choice does.
         i = getrandbits(state_bits)
         while i >= num_states:
             i = getrandbits(state_bits)

@@ -18,7 +18,7 @@ import stat
 import statistics
 from dataclasses import fields
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .core import (ControlParams, ExperienceBatch, ExperienceTuple, QTable, RLModel, _Codes, _validate_labels,
                    policy_from_q)
@@ -35,10 +35,14 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
     `column_map` renames the tuple elements {s, a, r, s_new} to the file's
     column names; omitted keys fall back to State/Action/Reward/NextState.
     The four names must differ, and each must appear in the header exactly
-    once. Labels and reward texts are coded as rows are parsed, so the reader
-    holds integer code columns and one copy of each distinct text, never a
-    string per row. A malformed file raises ValueError naming the file and
-    its first bad row.
+    once. The file is UTF-8 text; a byte-order mark at its start is skipped.
+    Rows are read in blocks of about 8 KB of text, and each block's labels
+    and reward texts are coded before the next is read, so the reader holds
+    integer code columns, one copy of each distinct text and the strings of
+    one block at a time. A block that `csv.reader` might split otherwise than
+    at its commas and newlines, or a decode error, restarts the read from the
+    top on `csv.reader`, row by row. A malformed file raises ValueError naming
+    the file and its first bad row.
     """
     columns = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -50,12 +54,21 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
         keys = [key for key, used in columns.items() if used == name]
         if len(keys) > 1:
             raise ValueError(f"{path}: column {name} is mapped to both {' and '.join(keys)}")
+    batch = _read_experience(path, columns, blocks=True)
+    return batch if batch is not None else _read_experience(path, columns, blocks=False)
 
+
+def _read_experience(path: str, columns: Dict[str, str], blocks: bool) -> Optional[ExperienceBatch]:
+    """The batch in the file at `path`, its rows read by `_code_blocks`, or with
+    `blocks` false by csv.reader row by row. None when `_code_blocks` declines
+    a block or the text does not decode: the csv.reader read, which alone
+    numbers a row that csv.reader or the width check refuses, then reads the
+    file from the top."""
     header, fault = None, None
     states, actions, rewards = _Codes(), _Codes(), _Codes()
     codes = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -70,15 +83,21 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
             i, j, k, m = indices
             state, action, reward = states.__getitem__, actions.__getitem__, rewards.__getitem__
             width = len(header)
-            for row in reader:
-                if len(row) != width:
-                    fault = f"expected {width} fields, got {len(row)}"
-                    break
-                # State before next state, so state codes follow first appearance.
-                codes += state(row[i]), action(row[j]), reward(row[k]), state(row[m])
+            if blocks:
+                if not _code_blocks(fh, width, indices, (state, action, reward), codes):
+                    return None
+            else:
+                for row in reader:
+                    if len(row) != width:
+                        fault = f"expected {width} fields, got {len(row)}"
+                        break
+                    # State before next state, so state codes follow first appearance.
+                    codes += state(row[i]), action(row[j]), reward(row[k]), state(row[m])
     except csv.Error as exc:
         fault = str(exc)
     except UnicodeDecodeError as exc:
+        if blocks:  # the csv.reader read meets it at its own row
+            return None
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     # Rows before the first one the reader or the width check refused are
@@ -87,6 +106,60 @@ def read_experience(path: str, column_map: Optional[Dict[str, str]] = None) -> E
     if fault is not None:
         raise ValueError(f"{path}: row {len(batch) + 2 if header is not None else 1}: {fault}")
     return batch
+
+
+# Characters of text per read after the header: small enough that one block's
+# strings stay a small share of the batch, large enough that the Python-level
+# work per block is a small share of its C-level splitting and coding.
+_BLOCK_CHARS = 8192
+
+
+def _code_blocks(fh: TextIO, width: int, indices: List[int], coders: Tuple[Callable[[str], int], ...],
+                 codes: List[int]) -> bool:
+    """Code the rows left in `fh` into `codes`, one block of whole lines at a
+    time; False, at the first block that csv.reader might split otherwise.
+
+    A block is split at commas and newlines only when it holds no quote,
+    carriage return or NUL, each line has `width` fields, and no line is
+    longer than csv.field_size_limit(): csv.reader then gives the same
+    fields, so neither an empty line nor a too-long field passes here.
+    """
+    i, j, k, m = indices
+    state, action, reward = coders
+    limit, step = csv.field_size_limit(), width + 1
+    rest = ""
+    while True:
+        text = fh.read(_BLOCK_CHARS)
+        end = text.rfind("\n")
+        if end >= 0:
+            block, rest = rest + text[:end], text[end + 1:]
+        elif text:
+            rest += text
+            if len(rest) > limit:  # a line too long to take, refused before it is all read
+                return False
+            continue
+        elif rest:  # the last line lacks its newline
+            block, rest = rest, ""
+        else:
+            return True
+        if '"' in block or "\r" in block or "\0" in block:
+            return False
+        if len(block) > limit and max(map(len, block.split("\n"))) > limit:
+            return False
+        # Each line's fields, then a "\n" of its own: when every one of the n
+        # lines has `width` fields, each "\n" ends a step of `step` fields.
+        n = block.count("\n") + 1
+        fields = block.replace("\n", ",\n,").split(",")
+        if len(fields) != n * step - 1 or fields[width::step].count("\n") != n - 1:
+            return False
+        # State before next state, so state codes follow first appearance.
+        pairs = [None] * (2 * n)
+        pairs[::2], pairs[1::2] = fields[i::step], fields[m::step]
+        pairs = list(map(state, pairs))
+        rows = [None] * (4 * n)
+        rows[::4], rows[1::4], rows[2::4], rows[3::4] = (pairs[::2], map(action, fields[j::step]),
+                                                        map(reward, fields[k::step]), pairs[1::2])
+        codes += rows
 
 
 # Rows per block of text handed to write_text: each block's lines die before the next is built.

@@ -25,7 +25,7 @@ import random
 from functools import lru_cache, partial
 from typing import Dict, List, Tuple
 
-from .core import Environment, EnvResponse, ExperienceBatch, _below, _Codes, _count
+from .core import Environment, EnvResponse, ExperienceBatch, _Codes, _count
 
 EMPTY_BOARD = "........."
 CELL_ACTIONS = tuple(f"c{k}" for k in range(1, 10))
@@ -111,6 +111,9 @@ def _place(board: str, cell: int, mark: str) -> str:
     return board[: cell] + mark + board[cell + 1 :]
 
 
+# The bits a uniform pick among n draws, for the n of 1 to 9 that moves and replies number.
+_BITS = tuple(n.bit_length() for n in range(10))
+
 _Transition = Tuple[str, float, bool]
 _Move = Tuple[int, str, float, bool, Tuple[_Transition, ...]]
 # The lines through each cell. Play stops at the first line, so a mark can
@@ -174,26 +177,37 @@ def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:
     including the opponent's reply. Fixing the seed fixes the output: one
     `random.Random(seed)` draws each move as `choice` over the board's moves in
     ascending cell order, then, unless the move ends the game, B's reply as
-    `choice` over the after-state's replies in ascending cell order.
+    `choice` over the after-state's replies in ascending cell order. Both picks
+    are drawn inline as `choice` draws its index, and each board is coded once,
+    its code carried from the row that ends on it to the row that starts there.
     `num_games` is an integer of at least 1, a bool is not.
     """
     num_games = _count("num_games", num_games)
-    getrandbits = random.Random(seed).getrandbits
+    getrandbits, bits = random.Random(seed).getrandbits, _BITS
     table = _table()
     states, actions = _Codes(), _Codes()
+    empty = states[EMPTY_BOARD]
     codes = []
     for _ in range(num_games):
-        board = EMPTY_BOARD
+        board, code = EMPTY_BOARD, empty
         while True:
+            # Each pick redraws getrandbits(n.bit_length()) until it is below n, as choice does.
             moves = table[board]
-            cell, next_board, reward, game_over, replies = moves[_below(getrandbits, len(moves))]
+            n = len(moves)
+            i = getrandbits(bits[n])
+            while i >= n:
+                i = getrandbits(bits[n])
+            cell, board, reward, game_over, replies = moves[i]
             if not game_over:
-                next_board, reward, game_over = replies[_below(getrandbits, len(replies))]
+                n = len(replies)
+                i = getrandbits(bits[n])
+                while i >= n:
+                    i = getrandbits(bits[n])
+                board, reward, game_over = replies[i]
             # State before next state, so state codes follow first appearance.
-            codes += states[board], actions[CELL_ACTIONS[cell]], reward, states[next_board]
+            codes += code, actions[CELL_ACTIONS[cell]], reward, (code := states[board])
             if game_over:
                 break
-            board = next_board
     return ExperienceBatch._from_codes(states, actions, codes)
 
 

@@ -16,7 +16,6 @@ from replayq.core import (
     ExperienceTuple,
     QTable,
     RLModel,
-    _below,
     _FORBIDDEN_CHARS,
     _shuffle,
     _validate_labels,
@@ -349,7 +348,9 @@ def test_policy_from_q_is_pure():
 # --- the package's own draws equal random.Random's ----------------------------
 #
 # Seeded batches, CSVs and models depend on these draws matching CPython's
-# shuffle and choice bit for bit; a change to CPython's _randbelow fails here.
+# shuffle bit for bit; a change to CPython's _randbelow fails here. The
+# simulators' inline picks are held to choice where they are drawn, in
+# tests/test_envs.py and tests/test_tictactoe.py.
 
 # 0, 1, 2, then 2**k - 1, 2**k and 2**k + 1 up to 4097: every width change.
 EDGE_LENGTHS = sorted({0, 1, 2} | {2**k + d for k in range(1, 13) for d in (-1, 0, 1)})
@@ -374,12 +375,4 @@ def test_shuffle_equals_random_shuffle(n, seed, passes):
         _shuffle(x, ours.getrandbits)
         theirs.shuffle(y)
         assert x == y
-    assert ours.getstate() == theirs.getstate()
-
-
-@given(n=LENGTHS.filter(bool), seed=SEEDS, draws=st.integers(1, 20))
-def test_below_draws_the_index_that_choice_draws(n, seed, draws):
-    ours, theirs = random.Random(seed), random.Random(seed)
-    x = [f"v{i}" for i in range(n)]
-    assert [x[_below(ours.getrandbits, n)] for _ in range(draws)] == [theirs.choice(x) for _ in range(draws)]
     assert ours.getstate() == theirs.getstate()

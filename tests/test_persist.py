@@ -1,5 +1,7 @@
 import ast
 import builtins
+import codecs
+import csv
 import errno
 import hashlib
 import json
@@ -22,6 +24,7 @@ from replayq.core import ControlParams, ExperienceBatch, ExperienceTuple, QTable
 from replayq.envs import gridworld_environment, sample_experience
 from replayq.learner import learn
 from replayq.persist import (
+    DEFAULT_COLUMNS,
     format_report,
     load_model,
     model_from_json,
@@ -252,6 +255,157 @@ def test_read_experience_rejects_unknown_map_keys(tmp_path):
     path.write_text("State,Action,Reward,NextState\n")
     with pytest.raises(ValueError, match="column_map"):
         read_experience(str(path), {"state": "State"})
+
+
+# --- the block reader against csv.reader ----------------------------------------
+
+
+def reference_read(path, column_map=None):
+    """read_experience's contract on csv.reader alone: the batch, or the ValueError it raises.
+
+    Reading stops at the first row of the wrong width or that csv.reader
+    refuses, and a decode error ends it at once; the rows read before a stop
+    are then checked in order, so the first bad row is the one named.
+    """
+    columns = {"s": "State", "a": "Action", "r": "Reward", "s_new": "NextState", **(column_map or {})}
+    rows, header, fault = [], None, None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            reader = csv.reader(fh)
+            header = next(reader)
+            i, j, k, m = (header.index(columns[key]) for key in ("s", "a", "r", "s_new"))
+            for row in reader:
+                if len(row) != len(header):
+                    fault = f"expected {len(header)} fields, got {len(row)}"
+                    break
+                rows.append(row)
+        except csv.Error as exc:
+            fault = str(exc)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    tuples = []
+    for number, row in enumerate(rows, 2):
+        try:
+            tuples.append(ExperienceTuple(row[i], row[j], row[k], row[m]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {number}: {exc}") from None
+    if fault is not None:
+        raise ValueError(f"{path}: row {len(rows) + 2 if header is not None else 1}: {fault}")
+    return ExperienceBatch(tuples)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Fields the block reader splits at commas, some of them labels or rewards the
+# batch refuses; and fields only csv.reader reads or refuses: quoted ones, with
+# a quoted comma, quote or newline, NUL, a carriage return, a stray quote.
+PLAIN = st.sampled_from(["s1", "s2", "up", "1.0", "-0.5", "3", "\u00e9", "s" * 40, "\ufeffs1", "nan", "oops", ""])
+SPECIAL = st.sampled_from(['"s1"', '"u,p"', '"a""b"', '"s\n2"', "s\x00", "a\rb", 'a"b'])
+ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def experience_files(draw):
+    """(file bytes, column_map): a header with the four used columns, renamed or
+    not, among extra ones, then rows of mostly the header's width. Half the
+    files hold only plain fields and newlines, which the block reader takes."""
+    renamed = draw(st.booleans())
+    names = ["From", "Move", "Gain", "To"] if renamed else list(DEFAULT_COLUMNS.values())
+    header = names + draw(st.lists(st.sampled_from(["Episode", "Step"]), max_size=2))
+    header = draw(st.permutations(header))
+    width = len(header)
+    plain = draw(st.booleans())
+    fields = PLAIN if plain else st.one_of(PLAIN, PLAIN, SPECIAL)
+    row = st.lists(fields, min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(*[row] * 7, st.lists(fields, max_size=width + 1)), max_size=12))
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    endings = st.just("\n") if plain or draw(st.booleans()) else ENDINGS
+    endings = draw(st.lists(endings, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    data = (codecs.BOM_UTF8 if draw(st.booleans()) else b"") + text.encode("utf-8")
+    if draw(st.integers(0, 4)) == 4:  # bytes that are not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])) + data[at:]
+    return data, dict(zip(DEFAULT_COLUMNS, names)) if renamed else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=experience_files(), block=st.sampled_from([1, 7, 30, 8192]),
+       limit=st.sampled_from([None, None, 12, 45]))
+@example(case=(b"State,Action,Reward,NextState\n" + b"s1,up,1.0,s2\n" * 400 + b"s2,up,-0.5,s1", None),
+         block=8192, limit=None)
+# Rows of 5 and 3 fields, or three empty lines, hold as many fields as rows of 4 and of 5.
+@example(case=(b"State,Action,Reward,NextState\ns1,up,1.0,s2,x\ns1,up,1.0\n", None), block=8192, limit=None)
+@example(case=(b"State,Action,Episode,Reward,NextState\n\n\n\n", None), block=8192, limit=None)
+@example(case=(b"State,Action,Reward,NextState\r\ns1,up,1.0,s2\r\n", None), block=8192, limit=None)
+@example(case=(b'State,Action,Reward,NextState\ns1,"up",1.0,s2\n', None), block=8192, limit=None)
+@example(case=(b"State,Action,Reward,NextState\ns1,up,1.0,s\x002\n", None), block=8192, limit=None)
+@example(case=(b"State,Action,Reward,NextState\ns1,up,1.0,s2\ns1,up,1.0,sssssssssssss\n", None), block=8192, limit=12)
+# The first bad row lies in the header's 8 KB of bytes, a bad byte in the next.
+@example(case=(b"State,Action,Reward,NextState\ns1,up\n" + b"s1,up,1.0,s2\n" * 900 + b"\xff\n", None),
+         block=8192, limit=None)
+def test_read_experience_matches_a_csv_reader_reference(tmp_path_factory, case, block, limit):
+    # `block` sets where blocks end, so rows straddle them; `limit` lowers the field size limit.
+    data, column_map = case
+    path = str(tmp_path_factory.getbasetemp() / "generated.csv")
+    pathlib.Path(path).write_bytes(data)
+    saved = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(persist, "_BLOCK_CHARS", block)
+            assert _outcome(read_experience, path, column_map) == _outcome(reference_read, path, column_map)
+    finally:
+        csv.field_size_limit(saved)
+
+
+def test_a_plain_file_hands_no_data_row_to_csv_reader(tmp_path, monkeypatch):
+    games = ttt_generate_games(2_000, seed=0)
+    path = tmp_path / "games.csv"
+    write_experience(games, str(path))
+    parsed = []
+    reader = csv.reader
+
+    def counting_reader(*args):
+        for row in reader(*args):
+            parsed.append(row)
+            yield row
+
+    monkeypatch.setattr(persist.csv, "reader", counting_reader)
+    batch = read_experience(str(path))
+    assert batch == games  # label tables and code columns alike
+    assert parsed == [list(DEFAULT_COLUMNS.values())]
+    # One quoted field, in the first block or in the last, sends the whole file
+    # to csv.reader: the block read parsed the header, then csv.reader every row.
+    lines = path.read_text().split("\n")
+    for k in (1, len(lines) - 2):
+        fields = lines[k].split(",")
+        fields[1] = f'"{fields[1]}"'
+        quoted = tmp_path / f"quoted-{k}.csv"
+        quoted.write_text("\n".join([*lines[:k], ",".join(fields), *lines[k + 1:]]))
+        parsed.clear()
+        assert read_experience(str(quoted)) == batch
+        assert len(parsed) == 1 + 1 + len(games)
+
+
+def test_a_leading_byte_order_mark_is_skipped_and_any_other_is_data(tmp_path):
+    path = tmp_path / "exp.csv"
+    rows = [ExperienceTuple("s1", "up", 1.0, "\ufeffs1")]
+    # The second file's quoted field sends it to csv.reader.
+    for extra, more in (("", []), ('"s1",up,2.0,s1\n', [ExperienceTuple("s1", "up", 2.0, "s1")])):
+        text = "State,Action,Reward,NextState\ns1,up,1.0,\ufeffs1\n" + extra
+        path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert read_experience(str(path)) == rows + more
+    write_experience(rows, str(path))
+    assert path.read_bytes().startswith(b"State,")
 
 
 def trained_model(iterations=3):
