@@ -246,31 +246,6 @@ class QTable:
     def actions(self) -> List[ActionId]:
         return list(self.action_index)
 
-    def add_state(self, state: StateId) -> int:
-        """Register a state and return its row; re-registering is a no-op."""
-        try:
-            i = self.state_index.get(state)
-        except TypeError:  # an unhashable label, refused below as any non-string is
-            i = None
-        if i is None:
-            validate_label(state, "state")
-            i = self.state_index[state] = len(self.rows)
-            self.rows.append([0.0] * len(self.action_index))
-        return i
-
-    def add_action(self, action: ActionId) -> int:
-        """Register an action and return its column, widening every row when new."""
-        try:
-            j = self.action_index.get(action)
-        except TypeError:  # an unhashable label, refused below as any non-string is
-            j = None
-        if j is None:
-            validate_label(action, "action")
-            j = self.action_index[action] = len(self.action_index)
-            for row in self.rows:
-                row.append(0.0)
-        return j
-
     def value(self, state: StateId, action: ActionId) -> float:
         try:
             return self.rows[self.state_index[state]][self.action_index[action]]
@@ -278,23 +253,31 @@ class QTable:
             return 0.0
 
     def set(self, state: StateId, action: ActionId, value: float) -> None:
-        """Store a value, registering the state and action if new."""
+        """Store a value, registering the state and action if new: the table's
+        one mutator. The value and both labels are checked before anything
+        changes, so a refused call leaves the table as it was."""
         try:
             value = float(value)
         except OverflowError:  # refused below as the infinity it rounds to, as ExperienceTuple refuses it
             value = math.inf if value > 0 else -math.inf
         if not math.isfinite(value):
             raise ValueError(f"value for ({state!r}, {action!r}) must be finite, got {value!r}")
-        i = self.add_state(state)
-        j = self.add_action(action)
+        try:
+            i = self.state_index.get(state)
+            j = self.action_index.get(action)
+        except TypeError:  # an unhashable label, refused below as any non-string is
+            i = j = None
+        if i is None:
+            validate_label(state, "state")
+        if j is None:
+            validate_label(action, "action")
+            j = self.action_index[action] = len(self.action_index)
+            for row in self.rows:
+                row.append(0.0)
+        if i is None:  # after the action, so the new row is made at full width
+            i = self.state_index[state] = len(self.rows)
+            self.rows.append([0.0] * len(self.action_index))
         self.rows[i][j] = value
-
-    def copy(self) -> "QTable":
-        out = QTable.__new__(QTable)
-        out.state_index = dict(self.state_index)
-        out.action_index = dict(self.action_index)
-        out.rows = [row[:] for row in self.rows]
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QTable):

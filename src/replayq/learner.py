@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import tee
+from itertools import filterfalse, tee
 from typing import Iterable, List, Optional
 
 from .core import (
@@ -72,15 +72,15 @@ def learn(
 ) -> RLModel:
     """Train a model by replaying `batch` for `iterations` passes.
 
-    Without `prior` the table starts fresh over the states and actions seen in
-    the batch (next-states included), built in one step from the batch's
-    label tables, which are checked already; its rows and columns number the
-    labels as the batch does. With `prior` its table is extended with any
-    newly observed states/actions and training continues from its values;
+    The table is built in one step: `prior`'s labels and values, or none,
+    then the batch's states (next states included) and actions it lacks, in
+    the order the batch first shows them. A fresh fit thus numbers the labels
+    as the batch does, and a continued one trains on from the prior's values;
     reward history and the iteration count accumulate across calls. Every
     label of the batch is registered before the first update, and `prior` is
     never modified: `learn([t], control, prior=m)` is one TD update of `m.q`.
-    A batch that is not an ExperienceBatch is made into one first.
+    A batch that is not an ExperienceBatch is made into one first; its label
+    tables are checked already, so the table's labels are not checked again.
 
     Replay stops once a pass changes no value: the table is then a fixed
     point of every item's update, so each later pass, in any order, would
@@ -103,21 +103,27 @@ def learn(
     if not batch:
         raise ValueError("no training data")
 
-    if prior is None:
-        # The batch's label tables are checked and distinct, and number the new table as they number the batch.
-        q = QTable._of(batch.states, batch.actions, [[0.0] * len(batch.actions) for _ in batch.states])
-        a, rows, v, history = batch.a, q.rows, [0.0] * len(q.rows), []
-    else:
-        q = prior.q.copy()
-        # Each batch label maps to its column or row once. Actions register first,
-        # so new rows are made at full width and the row references stay valid.
-        columns = [q.add_action(label) for label in batch.actions]
-        known = len(q.rows)
-        indices = [q.add_state(label) for label in batch.states]
-        rows = list(map(q.rows.__getitem__, indices))
-        # A state new to the table has an all-zero row, so its maximum is 0.0.
-        v = [max(q.rows[i]) if i < known else 0.0 for i in indices]
-        a, history = map(columns.__getitem__, batch.a), list(prior.reward_history)
+    # A fresh fit continues an empty model. The batch's labels new to the base
+    # table follow the table's own, in batch order.
+    start = prior or RLModel(QTable(), control)
+    base = start.q
+    actions = base.actions + list(filterfalse(base.action_index.__contains__, batch.actions))
+    states = base.states + list(filterfalse(base.state_index.__contains__, batch.states))
+    # The base's rows widen as copies, so `prior` is never modified; a new row is all zero, its maximum 0.0.
+    pad, fresh = [0.0] * (len(actions) - len(base.action_index)), states[len(base.rows):]
+    widened = [row + pad for row in base.rows]
+    maxima = list(map(max, widened)) + [0.0] * len(fresh)
+    q = QTable._of(states, actions, widened + [[0.0] * len(actions) for _ in fresh])
+    # Where the table numbers a kind of label as the batch does, as in every fresh fit, the batch's codes index it
+    # as they are; else each state code maps to its table row and that row's maximum, each action code to its column.
+    rows, v, a = q.rows, maxima, batch.a
+    if states[:len(batch.states)] != batch.states:
+        indices = list(map(q.state_index.__getitem__, batch.states))
+        rows, v = list(map(rows.__getitem__, indices)), list(map(maxima.__getitem__, indices))
+    if actions[:len(batch.actions)] != batch.actions:
+        columns = list(map(q.action_index.__getitem__, batch.actions))
+        a = map(columns.__getitem__, batch.a)
+    history = list(start.reward_history)
     # One item per distinct row, shared by its repeats, through a dict dropped
     # once built. Rows that compare equal make equal updates: rewards of 0.0
     # and -0.0 too, as a zero's sign never reaches a stored value. Items of

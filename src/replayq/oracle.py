@@ -4,6 +4,7 @@ and the comparison of a learned table against the optimal one."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -125,10 +126,12 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
     a state-major sweep's: the maximum is exact, and each pair's entries are
     still added in transition-list order. The table is built in one step.
     """
-    if not (0.0 <= gamma < 1.0):
+    # A bool is no real value here, as ControlParams refuses a bool rate.
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if not tol > 0.0:  # also refuses NaN
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0.0:  # also refuses NaN
         raise ValueError(f"tol must be positive, got {tol}")
+    gamma = float(gamma)  # a Fraction would make the sweeps exact and slow
     _check_stochastic(mdp)
 
     n_states, n_actions = len(mdp.states), len(mdp.actions)

@@ -80,10 +80,8 @@ def test_control_params_store_floats():
 
 
 def test_qtable_reads_zero_for_unknown_pairs():
-    q = QTable()
-    assert q.value("anything", "at-all") == 0.0
-    q.add_state("s1")
-    q.add_action("up")
+    assert QTable().value("anything", "at-all") == 0.0
+    q = QTable(["s1"], ["up"])
     assert q.value("s1", "up") == 0.0
     assert max(q.rows[q.state_index["s1"]]) == 0.0
 
@@ -154,8 +152,6 @@ def test_the_label_list_rule_refuses_what_validate_label_refuses_label_by_label(
 UNHASHABLE_LABELS = [
     pytest.param(lambda: QTable(states=[["x"]]), "state must be a non-empty string, got ['x']", id="init-state"),
     pytest.param(lambda: QTable(actions=[{"a"}]), "action must be a non-empty string, got {'a'}", id="init-action"),
-    pytest.param(lambda: QTable().add_state(["x"]), "state must be a non-empty string, got ['x']", id="add-state"),
-    pytest.param(lambda: QTable().add_action({"a"}), "action must be a non-empty string, got {'a'}", id="add-action"),
     pytest.param(lambda: QTable().set(["x"], "up", 1.0), "state must be a non-empty string, got ['x']", id="set-state"),
     pytest.param(lambda: QTable().set("s1", {"a"}, 1.0), "action must be a non-empty string, got {'a'}",
                  id="set-action"),
@@ -195,8 +191,6 @@ def test_every_keyed_lookup_refuses_or_defaults_a_key_no_table_holds(key):
     calls = [
         ("QTable", lambda: QTable(states=[key]), None),
         ("QTable", lambda: QTable(actions=[key]), None),
-        ("add_state", lambda: QTable().add_state(key), None),
-        ("add_action", lambda: QTable().add_action(key), None),
         ("set", lambda: QTable().set(key, "a", 1.0), None),
         ("set", lambda: QTable().set("s", key, 1.0), None),
         ("value", lambda: q.value(key, "b"), 0.0),
@@ -236,7 +230,7 @@ def test_every_keyed_lookup_refuses_or_defaults_a_key_no_table_holds(key):
 def test_qtable_rows_widen_with_new_actions():
     q = QTable(states=["s1", "s2"], actions=["up"])
     q.set("s2", "up", 2.0)
-    q.add_action("down")
+    q.set("s1", "down", 0.0)
     assert q.rows == [[0.0, 0.0], [2.0, 0.0]]
     assert q.value("s2", "down") == 0.0
     assert max(q.rows[q.state_index["s2"]]) == 2.0
@@ -248,24 +242,24 @@ def test_qtable_rejects_non_finite_values():
         q.set("s1", "up", math.inf)
 
 
-def test_qtable_copy_is_independent():
-    q = QTable()
-    q.set("s1", "up", 1.0)
-    dup = q.copy()
-    dup.set("s1", "up", 9.0)
-    dup.set("s2", "down", 1.0)
-    assert q.value("s1", "up") == 1.0
-    assert q.states == ["s1"]
+@pytest.mark.parametrize("state,action,value", [
+    pytest.param("s9", {"a"}, 1.0, id="new-state-bad-action"),
+    pytest.param("a,b", "up", 1.0, id="bad-state"),
+    pytest.param("s9", "left", math.nan, id="non-finite-value-new-labels"),
+])
+def test_a_refused_set_leaves_the_table_as_it_was(state, action, value):
+    q = QTable(["s1", "s2"], ["up", "down"])
+    q.set("s2", "down", 2.0)
+    with pytest.raises(ValueError):
+        q.set(state, action, value)
+    assert (q.states, q.actions, q.rows) == (["s1", "s2"], ["up", "down"], [[0.0, 0.0], [0.0, 2.0]])
 
 
 def test_qtable_equality_ignores_explicit_zeros():
     a = QTable()
     a.set("s1", "up", 1.0)
     a.set("s1", "down", 0.0)
-    b = QTable()
-    b.add_state("s1")
-    b.add_action("up")
-    b.add_action("down")
+    b = QTable(["s1"], ["up", "down"])
     b.set("s1", "up", 1.0)
     assert a == b
     b.set("s1", "down", 0.25)
@@ -273,10 +267,7 @@ def test_qtable_equality_ignores_explicit_zeros():
 
 
 def test_policy_from_q_breaks_ties_by_position():
-    q = QTable()
-    for a in ["up", "down", "left", "right"]:
-        q.add_action(a)
-    q.add_state("s1")
+    q = QTable(["s1"], ["up", "down", "left", "right"])
     assert policy_from_q(q) == {"s1": "up"}
     q.set("s1", "left", 3.0)
     q.set("s1", "right", 3.0)
@@ -286,8 +277,7 @@ def test_policy_from_q_breaks_ties_by_position():
 
 
 def test_greedy_rule_requires_actions():
-    q = QTable()
-    q.add_state("s1")
+    q = QTable(["s1"])
     with pytest.raises(ValueError, match="^no actions defined$"):
         epsilon_greedy(q, "s1", 0.0, random.Random(0))
     with pytest.raises(ValueError, match="^no actions defined$"):
@@ -324,11 +314,8 @@ def test_policy_from_q_covers_every_state():
 
 
 def test_policy_ignores_value_insertion_order():
-    forward = QTable()
-    backward = QTable()
-    for t in (forward, backward):
-        for a in ["up", "down", "left", "right"]:
-            t.add_action(a)
+    forward = QTable(actions=["up", "down", "left", "right"])
+    backward = QTable(actions=["up", "down", "left", "right"])
     cells = [("s1", "up", 1.0), ("s1", "down", 1.0), ("s2", "left", 0.0), ("s2", "right", 0.0)]
     for s, a, v in cells:
         forward.set(s, a, v)
@@ -338,9 +325,9 @@ def test_policy_ignores_value_insertion_order():
 
 
 def test_policy_from_q_is_pure():
-    q = QTable()
-    q.set("s1", "up", 2.0)
-    snapshot = q.copy()
+    q, snapshot = QTable(), QTable()
+    for t in (q, snapshot):
+        t.set("s1", "up", 2.0)
     assert policy_from_q(q) == policy_from_q(q)
     assert q == snapshot
 

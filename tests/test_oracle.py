@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ def test_value_iteration_validates_gamma_and_tol():
     # No delta is ever below NaN, so an unchecked NaN would run every sweep.
     with pytest.raises(ValueError, match="tol must be positive"):
         value_iteration(mdp, gamma=0.5, tol=math.nan)
+
+
+@pytest.mark.parametrize("gamma,tol,message", [
+    pytest.param("0.5", 1e-9, "gamma must lie in [0, 1), got 0.5", id="gamma-text"),
+    pytest.param(0.5, "1e-9", "tol must be positive, got 1e-9", id="tol-text"),
+    pytest.param(False, 1e-9, "gamma must lie in [0, 1), got False", id="gamma-bool"),
+    pytest.param(0.5, True, "tol must be positive, got True", id="tol-bool"),
+])
+def test_value_iteration_refuses_what_is_not_a_real_number_with_value_error(gamma, tol, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        value_iteration(gridworld_mdp(), gamma, tol=tol)
+
+
+def test_value_iteration_sweeps_a_fraction_gamma_as_its_float():
+    assert value_iteration(gridworld_mdp(), Fraction(1, 2)) == value_iteration(gridworld_mdp(), 0.5)
 
 
 def test_value_iteration_refuses_before_sweeping_when_its_bound_needs_more_sweeps_than_allowed(monkeypatch):

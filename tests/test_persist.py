@@ -864,6 +864,31 @@ def test_seeded_tictactoe_outputs_keep_their_bytes(tmp_path):
     assert digests == PINNED_TTT_SHA256
 
 
+# sha256 of continued fits' models, as written while `learn` extended a copy
+# of the prior's table label by label.
+PINNED_CONTINUED_SHA256 = {
+    "tictactoe": "895f54108218112a0fb9788fae842374d6d3f87c1e3b5072550e0b1b81a3260c",
+    "gridworld": "b03a1d3506391ae8b58a092c9d543072eff207769f8526d3455f9c1e18b2e4a5",
+}
+
+
+def test_seeded_continued_fits_keep_their_bytes():
+    # Thousands of new boards join a 500-game table.
+    control = ControlParams(alpha=0.2, gamma=0.99)
+    prior = learn(ttt_generate_games(500, seed=11), control, iterations=1, seed=0)
+    ttt = learn(ttt_generate_games(2_000, seed=12), control, iterations=1, seed=1, prior=prior)
+    # The prior saw two actions, so every one of its rows widens.
+    env = gridworld_environment()
+    narrow = learn([t for t in sample_experience(200, env, seed=21) if t.action in ("right", "down")],
+                   ControlParams(), iterations=50, seed=3)
+    assert narrow.q.actions == ["right", "down"]
+    grid = learn(sample_experience(1000, env, seed=22), ControlParams(), iterations=50, seed=4, prior=narrow)
+    assert grid.q.actions == ["right", "down", "up", "left"]
+    digests = {name: hashlib.sha256(model_to_json(model).encode()).hexdigest()
+               for name, model in (("tictactoe", ttt), ("gridworld", grid))}
+    assert digests == PINNED_CONTINUED_SHA256
+
+
 def _file_writes(tree):
     """(enclosing function, line) of each call that writes or renames a file by itself."""
     found, scope = [], []
