@@ -260,6 +260,8 @@ class QTable:
             value = float(value)
         except OverflowError:  # refused below as the infinity it rounds to, as ExperienceTuple refuses it
             value = math.inf if value > 0 else -math.inf
+        except (TypeError, ValueError):
+            raise ValueError(f"cannot parse value {value!r} for ({state!r}, {action!r})") from None
         if not math.isfinite(value):
             raise ValueError(f"value for ({state!r}, {action!r}) must be finite, got {value!r}")
         try:
@@ -333,21 +335,6 @@ def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
             while j > i:
                 j = getrandbits(k)
             x[i], x[j] = x[j], x[i]
-
-
-def _epsilon_greedy(q: QTable, epsilon: float) -> Tuple[float, List[ActionId], Policy]:
-    """`(epsilon, actions, policy)` for ε-greedy draws against `q`: `epsilon` as a
-    checked float, the full action set, and `policy_from_q(q)`, built once here.
-
-    A draw takes a uniform pick over `actions` with probability `epsilon`, else
-    `policy.get(state, actions[0])`: an unknown state reads as an all-zero row,
-    so it takes the first action; callers catch an unhashable one's TypeError.
-    """
-    epsilon = _rate("epsilon", epsilon)
-    actions = q.actions
-    if not actions:
-        raise ValueError("no actions defined")
-    return epsilon, actions, policy_from_q(q)
 
 
 @dataclass

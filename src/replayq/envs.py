@@ -8,7 +8,7 @@ import random
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
-from .core import _Codes, _count, _epsilon_greedy
+from .core import _Codes, _count, _rate, policy_from_q
 from .oracle import ExplicitMDP, estimate_mdp
 from .tictactoe import tictactoe_environment
 
@@ -109,8 +109,10 @@ def sample_experience(
             raise ValueError("model required for epsilon-greedy")
         if control is None:
             raise ValueError("control required for epsilon-greedy")
-        epsilon, picks, policy = _epsilon_greedy(model.q, control.epsilon)
-        greedy, first = policy.get, picks[0]
+        epsilon, picks = _rate("epsilon", control.epsilon), model.q.actions
+        if not picks:
+            raise ValueError("no actions defined")
+        greedy, first = policy_from_q(model.q).get, picks[0]
     elif model is not None or control is not None:
         raise ValueError("model and control are taken only in epsilon-greedy mode")
 

@@ -19,8 +19,9 @@ from .core import (
     RLModel,
     StateId,
     _count,
-    _epsilon_greedy,
+    _rate,
     _shuffle,
+    policy_from_q,
 )
 
 
@@ -158,12 +159,15 @@ def epsilon_greedy(q: QTable, state: StateId, epsilon: float, rng: random.Random
     """With probability `epsilon` a uniform draw over the full action set
     (the greedy action included), otherwise the greedy action, drawn by
     `rng.random` and `rng.choice`; a state `q` does not hold, unhashable
-    states included, has the first action as its greedy one. Each call
-    builds the whole greedy policy; `sample_experience` builds it once."""
-    epsilon, actions, policy = _epsilon_greedy(q, epsilon)
+    states included, has the first action as its greedy one. Only the
+    state's own row is read."""
+    epsilon, actions = _rate("epsilon", epsilon), q.actions
+    if not actions:
+        raise ValueError("no actions defined")
     if rng.random() < epsilon:
         return rng.choice(actions)
     try:
-        return policy.get(state, actions[0])
-    except TypeError:  # an unhashable state, which is unknown too
+        row = q.rows[q.state_index[state]]
+    except (KeyError, TypeError):  # TypeError: an unhashable state, which is unknown too
         return actions[0]
+    return policy_from_q(QTable._of([state], actions, [row]))[state]

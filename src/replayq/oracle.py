@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import compress
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -17,6 +19,13 @@ _MAX_SWEEPS = 1_000_000
 
 # Optimal values closer than this count as a tie: any of the tied actions is optimal.
 POLICY_TIE_MARGIN = 1e-9
+
+
+def _frozen(values, dtype=None) -> np.ndarray:
+    """A read-only copy of `values`; a caller's own array stays writeable."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +43,9 @@ class ExplicitMDP:
     as QTable checks its labels; `probability` and `step_reward` must hold
     real numbers, so text and bools are refused, not read as 1.0.
 
-    Frozen, so no field can be reassigned past the constructor's checks.
+    Frozen, so no field can be reassigned past the constructor's checks; each
+    array is a read-only copy, so none can be written in place either (numpy
+    raises ValueError), and a caller's own array stays writeable.
     Two MDPs are equal when all their fields are; an MDP is not hashable.
     """
 
@@ -60,7 +71,7 @@ class ExplicitMDP:
             # A cast would truncate 0.7 to an index 0, and read '1.0' or True as 1.0.
             if column.size and column.dtype.kind not in kinds:
                 raise ValueError(f"{name} {rule}, got dtype {column.dtype}")
-            object.__setattr__(self, name, np.asarray(column, dtype=dtype))
+            object.__setattr__(self, name, _frozen(column, dtype))
         shapes = [x.shape for x in (self.pair, self.next_state, self.probability, self.step_reward)]
         if len(set(shapes)) > 1 or self.pair.ndim != 1:
             raise ValueError(f"transition arrays must be 1-d and of equal length, got shapes {shapes}")
@@ -71,7 +82,7 @@ class ExplicitMDP:
             raise ValueError("transitions must be in strictly increasing (pair, next_state) order")
         if not np.isfinite(self.step_reward).all():
             raise ValueError("rewards must be finite")
-        coverage = None if self.coverage is None else np.asarray(self.coverage)
+        coverage = None if self.coverage is None else _frozen(self.coverage)
         if coverage is not None and (coverage.dtype != bool or coverage.shape != (n_states, len(self.actions))):
             raise ValueError(f"coverage must be None or a bool array of shape {(n_states, len(self.actions))}")
         object.__setattr__(self, "coverage", coverage)
@@ -163,7 +174,8 @@ def estimate_mdp(batch: Iterable[ExperienceTuple]) -> ExplicitMDP:
     States and actions are numbered as the batch's label tables number them.
     Never-observed (state, action) pairs get a zero-reward self-loop and are
     flagged False in the coverage mask, mirroring the learner's zero default
-    for untouched table entries.
+    for untouched table entries. A cell's mean reward is taken exactly where
+    its float sum overflows, so no batch of finite rewards is refused.
     """
     batch = ExperienceBatch(batch)
     if not batch:
@@ -180,7 +192,11 @@ def estimate_mdp(batch: Iterable[ExperienceTuple]) -> ExplicitMDP:
     loops = np.flatnonzero(~coverage)
     keys = np.concatenate([cells, loops * n_s + loops // n_a])
     probability = np.concatenate([counts / totals[cells // n_s], np.ones(len(loops))])
-    step_reward = np.concatenate([np.bincount(inverse, weights=batch.r) / counts, np.zeros(len(loops))])
+    mean = np.bincount(inverse, weights=batch.r) / counts
+    # A sum can overflow though every reward and the mean are finite.
+    for cell in np.flatnonzero(~np.isfinite(mean)):
+        mean[cell] = float(sum(map(Fraction, compress(batch.r, inverse == cell))) / int(counts[cell]))
+    step_reward = np.concatenate([mean, np.zeros(len(loops))])
     order = np.argsort(keys, kind="stable")  # two sorted runs; the keys are distinct, so any sort gives this order
     return ExplicitMDP(
         states=list(batch.states), actions=list(batch.actions), pair=keys[order] // n_s,

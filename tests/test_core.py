@@ -242,10 +242,19 @@ def test_qtable_rejects_non_finite_values():
         q.set("s1", "up", math.inf)
 
 
+def test_qtable_set_refuses_a_value_it_cannot_parse_as_experience_tuple_refuses_a_reward():
+    with pytest.raises(ValueError, match=r"^cannot parse value None for \('s1', 'up'\)$"):
+        QTable().set("s1", "up", None)
+    with pytest.raises(ValueError, match=r"^cannot parse value 'oops' for \('s1', 'up'\)$"):
+        QTable().set("s1", "up", "oops")
+
+
 @pytest.mark.parametrize("state,action,value", [
     pytest.param("s9", {"a"}, 1.0, id="new-state-bad-action"),
     pytest.param("a,b", "up", 1.0, id="bad-state"),
     pytest.param("s9", "left", math.nan, id="non-finite-value-new-labels"),
+    pytest.param("s9", "left", None, id="none-value-new-labels"),
+    pytest.param("s2", "down", object(), id="object-value"),
 ])
 def test_a_refused_set_leaves_the_table_as_it_was(state, action, value):
     q = QTable(["s1", "s2"], ["up", "down"])

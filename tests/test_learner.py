@@ -9,7 +9,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from replayq import learner
-from replayq.core import ControlParams, ExperienceTuple, QTable, RLModel
+from replayq.core import ControlParams, ExperienceTuple, QTable, RLModel, policy_from_q
 from replayq.learner import (
     epsilon_greedy,
     learn,
@@ -237,6 +237,54 @@ def test_epsilon_greedy_validates_inputs():
         epsilon_greedy(q, "s1", 1.5, random.Random(0))
     with pytest.raises(ValueError):
         epsilon_greedy(QTable(), "s1", 0.1, random.Random(0))
+
+
+def reference_pick(q, state, epsilon, rng):
+    """The paper's ε-greedy rule over the whole table's greedy policy."""
+    actions = q.actions
+    if rng.random() < epsilon:
+        return rng.choice(actions)
+    try:
+        return policy_from_q(q).get(state, actions[0])
+    except TypeError:  # an unhashable state is unknown too
+        return actions[0]
+
+
+STATES = ["s1", "s2", "s3"]
+ACTIONS = ["up", "down", "left", "right"]
+# Few distinct values, so rows tie often; -0.0 ties with 0.0.
+VALUES = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), st.floats(-10, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n_states=st.integers(0, len(STATES)),
+    n_actions=st.integers(1, len(ACTIONS)),
+    epsilon=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32),
+)
+def test_epsilon_greedy_draws_as_the_reference_rule(data, n_states, n_actions, epsilon, seed):
+    states, actions = STATES[:n_states], ACTIONS[:n_actions]
+    q = QTable(states, actions)
+    for s in states:
+        for a, value in zip(actions, data.draw(st.lists(VALUES, min_size=n_actions, max_size=n_actions))):
+            q.set(s, a, value)
+    state = data.draw(st.one_of(st.sampled_from(STATES + ["s9"]), st.just(["s1"]), st.just({"s1": 1})))
+    rng, reference = random.Random(seed), random.Random(seed)
+    picks = [epsilon_greedy(q, state, epsilon, rng) for _ in range(20)]
+    assert picks == [reference_pick(q, state, epsilon, reference) for _ in range(20)]
+    assert rng.getstate() == reference.getstate()
+
+
+def test_epsilon_greedy_reads_only_its_own_state_row():
+    # The other state's row cannot be compared, so a pick that built the whole policy would raise TypeError.
+    q = QTable(["bad", "good"], ["up", "down"])
+    q.set("good", "down", 2.0)
+    q.rows[q.state_index["bad"]] = [None, None]
+    assert epsilon_greedy(q, "good", 0.0, random.Random(0)) == "down"
+    assert epsilon_greedy(q, "s9", 0.0, random.Random(0)) == "up"
+    assert epsilon_greedy(q, ["good"], 0.0, random.Random(0)) == "up"
 
 
 def test_replay_items_are_untracked_by_the_cyclic_collector(monkeypatch):

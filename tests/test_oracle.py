@@ -13,8 +13,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from replayq import oracle
-from replayq.core import ExperienceTuple, QTable
+from replayq.core import ControlParams, ExperienceTuple, QTable
 from replayq.envs import gridworld_mdp
+from replayq.learner import learn
 from replayq.oracle import POLICY_TIE_MARGIN, ExplicitMDP, compare_to_optimal, estimate_mdp, value_iteration
 from replayq.tictactoe import ttt_generate_games
 
@@ -354,6 +355,25 @@ def test_explicit_mdp_fields_cannot_be_reassigned():
         dataclasses.replace(mdp, pair=mdp.pair[::-1])
 
 
+def test_explicit_mdp_arrays_are_read_only_copies():
+    mdp = gridworld_mdp()
+    with pytest.raises(ValueError, match="read-only"):
+        mdp.next_state[0] = 99
+    for name in ("pair", "next_state", "probability", "step_reward", "coverage"):
+        assert not getattr(mdp, name).flags.writeable, name
+    assert mdp == gridworld_mdp()
+    value_iteration(mdp, 0.5)
+    # The caller's own arrays are copied, and stay writeable.
+    columns = {name: np.array(values) for name, values in VALID.items()}
+    coverage = np.ones((2, 1), dtype=bool)
+    mdp = ExplicitMDP(states=["a", "b"], actions=["x"], coverage=coverage, **columns)
+    for name, values in [*columns.items(), ("coverage", coverage)]:
+        assert values.flags.writeable, name
+        assert not np.shares_memory(values, getattr(mdp, name)), name
+    columns["next_state"][0] = 5
+    assert mdp.next_state.tolist() == [1, 1]
+
+
 def test_estimate_mdp_rejects_empty_batch():
     with pytest.raises(ValueError):
         estimate_mdp([])
@@ -384,6 +404,18 @@ def test_estimate_mdp_averages_rewards_per_destination():
     i, j = mdp.states.index("a"), mdp.actions.index("go")
     k = mdp.states.index("b")
     assert mdp.reward[i, j, k] == pytest.approx(4.0)
+
+
+def test_estimate_mdp_takes_a_mean_exactly_where_its_sum_overflows():
+    # The cell's float sum overflows, though every reward and the mean are finite; learn takes this batch too.
+    batch = [ExperienceTuple("s", "a", r, "s") for r in (1e308, 1e308, -1e308)]
+    batch += [ExperienceTuple("s", "b", r, "s") for r in (0.1, 0.2, 0.3)]
+    batch += [ExperienceTuple("s", "c", r, "s") for r in (-1e308, -1e308, 1e308)]
+    mdp = estimate_mdp(batch)
+    third = float(Fraction(1e308) / 3)
+    assert mdp.step_reward.tolist() == [third, (0.1 + 0.2 + 0.3) / 3, -third]
+    assert third == 1e308 / 3
+    learn(batch, ControlParams())
 
 
 def test_estimate_mdp_marks_unobserved_pairs_as_self_loops():
