@@ -27,9 +27,13 @@ _MAX_LABEL_LENGTH = 131_072
 
 
 def validate_label(name: str, kind: str = "label") -> str:
-    """Check that a state/action label is usable as a file-format field."""
+    """Check that a state/action label is usable as a file-format field and as a table key."""
     if not isinstance(name, str) or not name:
         raise ValueError(f"{kind} must be a non-empty string, got {name!r}")
+    try:
+        hash(name)
+    except TypeError:  # a str subclass may refuse hashing
+        raise ValueError(f"{kind} {name!r} is not hashable") from None
     if len(name) > _MAX_LABEL_LENGTH:
         raise ValueError(f"{kind} is {len(name)} characters long, more than {_MAX_LABEL_LENGTH}")
     for ch in _FORBIDDEN_CHARS:
@@ -127,7 +131,7 @@ class ExperienceBatch:
                 except TypeError:  # an unhashable label
                     self._from_codes(states, actions, codes)
                     ExperienceTuple(*row)
-                    raise
+                    raise  # a str subclass whose == raises TypeError passes ExperienceTuple
             rows = self._from_codes(states, actions, codes)
         for name in self.__slots__:
             setattr(self, name, getattr(rows, name))

@@ -144,7 +144,7 @@ def sample_experience(
         except TypeError:  # an unhashable label: name the first bad row as ExperienceBatch(rows) does
             ExperienceBatch._from_codes(states, actions, codes)
             ExperienceTuple(state, action, reward, next_state)
-            raise
+            raise  # a str subclass whose == raises TypeError passes ExperienceTuple
     return ExperienceBatch._from_codes(states, actions, codes)
 
 

@@ -8,7 +8,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -39,9 +39,11 @@ class ExplicitMDP:
     `coverage`, a bool `(S, A)` array, is False at pairs never observed when
     the model was estimated from data (each holds one zero-reward self-loop);
     it is None for a model given directly. `transition` and `reward` are dense
-    `(S, A, S)` views, built on each access. `states` and `actions` are checked
-    as QTable checks its labels; `probability` and `step_reward` must hold
-    real numbers, so text and bools are refused, not read as 1.0.
+    `(S, A, S)` views, built on each access. `states` and `actions` are held
+    as tuples, checked as QTable checks its labels, actions first;
+    `probability` and `step_reward` must hold real numbers, so text and bools
+    are refused, not read as 1.0, and each (state, action) row must be a
+    probability distribution: finite entries >= 0 that sum to 1 within 1e-9.
 
     Frozen, so no field can be reassigned past the constructor's checks; each
     array is a read-only copy, so none can be written in place either (numpy
@@ -49,8 +51,8 @@ class ExplicitMDP:
     Two MDPs are equal when all their fields are; an MDP is not hashable.
     """
 
-    states: List[StateId]
-    actions: List[ActionId]
+    states: Tuple[StateId, ...]
+    actions: Tuple[ActionId, ...]
     pair: np.ndarray
     next_state: np.ndarray
     probability: np.ndarray
@@ -58,11 +60,12 @@ class ExplicitMDP:
     coverage: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        n_states, n_pairs = len(self.states), len(self.states) * len(self.actions)
+        states, actions = tuple(self.states), tuple(self.actions)
+        n_states, n_pairs = len(states), len(states) * len(actions)
         if not n_pairs:
             raise ValueError(f"{'actions' if n_states else 'states'} must not be empty")
-        _validate_labels(self.states, "state")
-        _validate_labels(self.actions, "action")
+        object.__setattr__(self, "actions", _validate_labels(actions, "action"))  # actions first, as QTable checks them
+        object.__setattr__(self, "states", _validate_labels(states, "state"))
         for name, dtype, kinds, rule in (("pair", np.intp, "iu", "indices must be integers"),
                                          ("next_state", np.intp, "iu", "indices must be integers"),
                                          ("probability", float, "iuf", "must be real numbers"),
@@ -83,16 +86,27 @@ class ExplicitMDP:
         if not np.isfinite(self.step_reward).all():
             raise ValueError("rewards must be finite")
         coverage = None if self.coverage is None else _frozen(self.coverage)
-        if coverage is not None and (coverage.dtype != bool or coverage.shape != (n_states, len(self.actions))):
-            raise ValueError(f"coverage must be None or a bool array of shape {(n_states, len(self.actions))}")
+        if coverage is not None and (coverage.dtype != bool or coverage.shape != (n_states, len(actions))):
+            raise ValueError(f"coverage must be None or a bool array of shape {(n_states, len(actions))}")
         object.__setattr__(self, "coverage", coverage)
+        row_sums = np.bincount(self.pair, weights=self.probability, minlength=n_pairs)
+        bad = ~(np.abs(row_sums - 1.0) <= _ROW_SUM_TOL)  # also true for a row holding NaN or inf
+        bad[self.pair[~(self.probability >= 0.0)]] = True  # a negative entry can hide in a row summing to 1
+        if bad.any():
+            p = int(np.flatnonzero(bad)[0])
+            s, a = divmod(p, len(actions))
+            row = self.probability[self.pair == p]
+            raise ValueError(
+                f"non-stochastic transition row for ({states[s]!r}, {actions[a]!r}): probabilities must be "
+                f"finite and >= 0 and sum to 1; got {row.size} entries, minimum {float(row.min(initial=np.inf))!r}, "
+                f"sum {float(row_sums[p])!r}"
+            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExplicitMDP):
             return NotImplemented
-        # Labels compare as lists, since numpy drops a label's trailing NUL.
         arrays = ("pair", "next_state", "probability", "step_reward", "coverage")
-        return [list(self.states), list(self.actions)] == [list(other.states), list(other.actions)] and all(
+        return (self.states, self.actions) == (other.states, other.actions) and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays
         )
 
@@ -106,21 +120,6 @@ class ExplicitMDP:
     reward = property(lambda self: self._dense(self.step_reward))
 
 
-def _check_stochastic(mdp: ExplicitMDP) -> None:
-    row_sums = np.bincount(mdp.pair, weights=mdp.probability, minlength=len(mdp.states) * len(mdp.actions))
-    bad = ~(np.abs(row_sums - 1.0) <= _ROW_SUM_TOL)  # also true for a row holding NaN or inf
-    bad[mdp.pair[~(mdp.probability >= 0.0)]] = True  # a negative entry can hide in a row summing to 1
-    if bad.any():
-        p = int(np.flatnonzero(bad)[0])
-        s, a = divmod(p, len(mdp.actions))
-        row = mdp.probability[mdp.pair == p]
-        raise ValueError(
-            f"non-stochastic transition row for ({mdp.states[s]!r}, {mdp.actions[a]!r}): probabilities must be "
-            f"finite and >= 0 and sum to 1; got {row.size} entries, minimum {float(row.min(initial=np.inf))!r}, "
-            f"sum {float(row_sums[p])!r}"
-        )
-
-
 def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable:
     """Solve for the optimal state-action values of an explicit MDP.
 
@@ -130,7 +129,8 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
     the number of transitions. Sweep `k` changes the table by at most
     `gamma**k * max|E[r]|`; when that bound does not fall below `tol` within
     a million sweeps, the call is refused before the first one. Every refusal
-    is a ValueError, also of iterates that rounding keeps from settling.
+    is a ValueError, also of iterates that rounding keeps from settling. The
+    MDP itself is not checked again: its constructor refuses an invalid one.
 
     The values are held action-major, one row per action, so each sweep's
     per-state maximum reduces contiguous rows. Q* is the same bit for bit as
@@ -143,7 +143,6 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0.0:  # also refuses NaN
         raise ValueError(f"tol must be positive, got {tol}")
     gamma = float(gamma)  # a Fraction would make the sweeps exact and slow
-    _check_stochastic(mdp)
 
     n_states, n_actions = len(mdp.states), len(mdp.actions)
     q = np.zeros((n_actions, n_states))
@@ -164,8 +163,7 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
     else:
         raise ValueError(f"value iteration did not converge within {_MAX_SWEEPS} sweeps")
 
-    actions = _validate_labels(mdp.actions, "action")  # actions first, as QTable checks them
-    return QTable._of(_validate_labels(mdp.states, "state"), actions, q.T.tolist())
+    return QTable._of(mdp.states, mdp.actions, q.T.tolist())
 
 
 def estimate_mdp(batch: Iterable[ExperienceTuple]) -> ExplicitMDP:
@@ -199,7 +197,7 @@ def estimate_mdp(batch: Iterable[ExperienceTuple]) -> ExplicitMDP:
     step_reward = np.concatenate([mean, np.zeros(len(loops))])
     order = np.argsort(keys, kind="stable")  # two sorted runs; the keys are distinct, so any sort gives this order
     return ExplicitMDP(
-        states=list(batch.states), actions=list(batch.actions), pair=keys[order] // n_s,
+        states=batch.states, actions=batch.actions, pair=keys[order] // n_s,
         next_state=keys[order] % n_s, probability=probability[order], step_reward=step_reward[order],
         coverage=coverage.reshape(n_s, n_a),
     )

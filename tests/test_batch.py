@@ -77,7 +77,8 @@ def test_a_batch_is_its_rows(tmp_path, rows, control):
         update_model(from_list, more, control, seed=4))
 
     mdp_batch, mdp_list = estimate_mdp(batch), estimate_mdp(rows)
-    assert (mdp_batch.states, mdp_batch.actions) == (mdp_list.states, mdp_list.actions) == (batch.states, batch.actions)
+    labels = (tuple(batch.states), tuple(batch.actions))
+    assert (mdp_batch.states, mdp_batch.actions) == (mdp_list.states, mdp_list.actions) == labels
     for name in ("transition", "reward", "coverage"):
         assert getattr(mdp_batch, name).tobytes() == getattr(mdp_list, name).tobytes()
 
@@ -121,8 +122,15 @@ def _from_rows(outcomes):
     return ExperienceBatch([SimpleNamespace(state="s", action="go", reward=r, next_state=s2) for s2, r in steps])
 
 
+class UnhashableStr(str):
+    """A str that hash() refuses, as a subclass may make it."""
+
+    __hash__ = None
+
+
 FAULTY_OUTCOMES = [  # (id, the environment's outcomes, the ValueError's message)
     ("unhashable", [(["x"], 1.0)], "next_state must be a non-empty string, got ['x']"),
+    ("unhashable-str", [(UnhashableStr("x"), 1.0)], "next_state 'x' is not hashable"),
     ("forbidden-character", [("a,b", 1.0)], "next_state 'a,b' contains forbidden character ','"),
     ("none", [(None, 1.0)], "next_state must be a non-empty string, got None"),
     ("nan", [("s", math.nan)], "reward must be finite, got nan"),

@@ -22,7 +22,7 @@ from replayq.core import (
     policy_from_q,
     validate_label,
 )
-from replayq.envs import gridworld_step, make_environment, sample_experience
+from replayq.envs import gridworld_mdp, gridworld_step, make_environment, sample_experience
 from replayq.learner import epsilon_greedy, learn
 from replayq.oracle import estimate_mdp
 from replayq.persist import format_report
@@ -128,13 +128,19 @@ def _refusal(call):
     return None
 
 
+class UnhashableStr(str):
+    """A str that hash() refuses, as a subclass may make it."""
+
+    __hash__ = None
+
+
 # Labels validate_label accepts and refuses, from a pool small enough to repeat:
 # each forbidden character, the empty string, non-strings, an unhashable list,
-# the longest readable label and one past it, and lone surrogates, among them a
-# high one ending a label and a low one starting the next.
+# a str hash() refuses, the longest readable label and one past it, and lone
+# surrogates, among them a high one ending a label and a low one starting the next.
 LIST_LABELS = st.one_of(
-    st.sampled_from(["a", "b", "é", "x" * 131_072, "x" * 131_073, "", None, 7, ("a",), "\ud800", "a\ud800", "\udc00b"]
-                    + [f"a{ch}b" for ch in _FORBIDDEN_CHARS]),
+    st.sampled_from(["a", "b", "é", "x" * 131_072, "x" * 131_073, "", None, 7, ("a",), UnhashableStr("a"), "\ud800",
+                     "a\ud800", "\udc00b"] + [f"a{ch}b" for ch in _FORBIDDEN_CHARS]),
     st.lists(st.text(max_size=2), max_size=2),
     st.text(max_size=3),
 )
@@ -165,7 +171,8 @@ def test_qtable_refuses_unhashable_labels_as_it_refuses_any_non_string(call, mes
 
 
 # Keys no table holds: unhashable values, hashable non-strings, and strings
-# validate_label refuses (131,073 characters is one more than a field may hold).
+# validate_label refuses (131,073 characters is one more than a field may hold),
+# among them strs that hash() refuses, spelled as labels the table holds.
 UNKNOWN_KEYS = st.one_of(
     st.lists(st.text(max_size=3), max_size=3),
     st.sets(st.text(max_size=3), max_size=3),
@@ -174,6 +181,7 @@ UNKNOWN_KEYS = st.one_of(
     st.none(),
     st.tuples(st.text(max_size=3), st.integers()),
     st.sampled_from(["", "a,b", "\n", '"', "\ud800", "s" * 131_073]),
+    st.sampled_from(["s", "a", "z"]).map(UnhashableStr),
 )
 
 
@@ -273,6 +281,12 @@ def test_qtable_equality_ignores_explicit_zeros():
     assert a == b
     b.set("s1", "down", 0.25)
     assert a != b
+
+
+def test_a_table_or_an_mdp_differs_from_any_other_type_and_a_table_reprs_its_size():
+    assert QTable() != object() and not QTable() == object()
+    assert gridworld_mdp() != "mdp" and not gridworld_mdp() == "mdp"
+    assert repr(QTable(["s", "t"], ["a"])) == "QTable(states=2, actions=1)"
 
 
 def test_policy_from_q_breaks_ties_by_position():

@@ -79,8 +79,8 @@ def test_gridworld_goal_is_absorbing_and_penalized():
 
 def test_gridworld_mdp_agrees_with_step_function():
     mdp = gridworld_mdp()
-    assert mdp.states == list(GRIDWORLD_STATES)
-    assert mdp.actions == list(GRIDWORLD_ACTIONS)
+    assert mdp.states == GRIDWORLD_STATES
+    assert mdp.actions == GRIDWORLD_ACTIONS
     assert mdp.coverage.all()
     for i, s in enumerate(mdp.states):
         for j, a in enumerate(mdp.actions):

@@ -137,16 +137,16 @@ def test_value_iteration_stops_at_the_first_overflow():
 
 def test_value_iteration_rejects_non_stochastic_rows():
     mdp = two_state_mdp()
-    broken = ExplicitMDP(
-        states=mdp.states,
-        actions=mdp.actions,
-        pair=mdp.pair,
-        next_state=mdp.next_state,
-        probability=mdp.probability * 0.5,
-        step_reward=mdp.step_reward,
-    )
+    # Refused where it is built, so value_iteration never meets it.
     with pytest.raises(ValueError, match="stochastic"):
-        value_iteration(broken, gamma=0.5)
+        ExplicitMDP(
+            states=mdp.states,
+            actions=mdp.actions,
+            pair=mdp.pair,
+            next_state=mdp.next_state,
+            probability=mdp.probability * 0.5,
+            step_reward=mdp.step_reward,
+        )
 
 
 @pytest.mark.parametrize(
@@ -159,10 +159,9 @@ def test_value_iteration_rejects_non_stochastic_rows():
 )
 def test_value_iteration_rejects_nan_and_negative_probabilities(n, rows, pair):
     source, next_state, probability = zip(*rows)
-    mdp = ExplicitMDP(states=[f"s{i}" for i in range(n)], actions=["a"], pair=source, next_state=next_state,
-                      probability=probability, step_reward=np.zeros(len(rows)))
     with pytest.raises(ValueError, match=re.escape(f"non-stochastic transition row for {pair}")):
-        value_iteration(mdp, gamma=0.5)
+        ExplicitMDP(states=[f"s{i}" for i in range(n)], actions=["a"], pair=source, next_state=next_state,
+                    probability=probability, step_reward=np.zeros(len(rows)))
 
 
 def test_bellman_backup_fixes_the_optimal_table():
@@ -248,6 +247,79 @@ def test_value_iteration_matches_a_dense_reference(mdp, gamma):
     assert np.array_equal(np.array(value_iteration(mdp, 0.0).rows), (transition * reward).sum(axis=2))
 
 
+@st.composite
+def perturbed_transition_lists(draw):
+    """Transition lists built as flat_mdps builds them, some rows then scaled,
+    given a negative, NaN or infinite entry, or left with no entries."""
+    n_states, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    columns = {"pair": [], "next_state": [], "probability": [], "step_reward": []}
+    for pair in range(n_states * n_actions):
+        successors = sorted(draw(st.sets(st.integers(0, n_states - 1), min_size=1)))
+        weights = [draw(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.01, 1.0)) for _ in successors]
+        weights[0] = weights[0] or 1.0
+        row = [w / math.fsum(weights) for w in weights]
+        fault, k = draw(st.sampled_from([None, "scale", "negative", "nan", "inf", "empty"])), draw(st.integers(0, 9))
+        k %= len(row)
+        if fault == "scale":  # 1 + 1e-12 stays within the rule's tolerance, 1 - 1e-6 does not
+            scale = draw(st.sampled_from([0.5, 1 - 1e-6, 1 + 1e-12, 2.0]) | st.floats(0.0, 2.0))
+            row = [w * scale for w in row]
+        elif fault == "negative":  # moved to another entry, the mass keeps the row's sum near 1
+            shift = draw(st.floats(1e-12, 1.0))
+            row[(k + 1) % len(row)] += row[k] + shift
+            row[k] = -shift
+        elif fault in ("nan", "inf"):
+            row[k] = math.nan if fault == "nan" else draw(st.sampled_from([math.inf, -math.inf]))
+        elif fault == "empty":
+            continue
+        for state, w in zip(successors, row):
+            columns["pair"].append(pair)
+            columns["next_state"].append(state)
+            columns["probability"].append(w)
+            columns["step_reward"].append(draw(st.floats(-10.0, 10.0)))
+    return [f"s{i}" for i in range(n_states)], [f"a{j}" for j in range(n_actions)], columns
+
+
+def first_non_distribution_row(n_pairs, pair, probability):
+    """The first pair whose row is no probability distribution, by the rule written out independently of the
+    library: an entry below 0 or NaN, or a sum, added in list order, more than 1e-9 from 1. None if none."""
+    rows = [[] for _ in range(n_pairs)]
+    for p, w in zip(pair, probability):
+        rows[p].append(w)
+    return next((p for p, row in enumerate(rows) if not (all(w >= 0.0 for w in row) and abs(sum(row) - 1.0) <= 1e-9)),
+                None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(transitions=perturbed_transition_lists())
+def test_an_mdp_is_built_exactly_when_every_row_is_a_distribution(transitions):
+    states, actions, columns = transitions
+    bad = first_non_distribution_row(len(states) * len(actions), columns["pair"], columns["probability"])
+    if bad is None:
+        q_star = value_iteration(ExplicitMDP(states=states, actions=actions, **columns), 0.5)
+        assert (q_star.states, q_star.actions) == (states, actions)
+    else:
+        s, a = divmod(bad, len(actions))
+        with pytest.raises(ValueError, match="^" + re.escape(f"non-stochastic transition row for ({states[s]!r}, "
+                                                             f"{actions[a]!r}): ")):
+            ExplicitMDP(states=states, actions=actions, **columns)
+
+
+def test_an_mdp_holds_its_labels_as_tuples_no_one_can_change():
+    mdp = gridworld_mdp()
+    q_star = value_iteration(mdp, 0.5)
+    with pytest.raises(AttributeError):
+        mdp.states.pop()
+    with pytest.raises(AttributeError):
+        mdp.actions.append("jump")
+    assert value_iteration(mdp, 0.5) == q_star
+    # The caller's own lists are copied, so changing them leaves the MDP as it was.
+    states, actions = ["a", "b"], ["x"]
+    mdp = ExplicitMDP(states=states, actions=actions, **VALID)
+    states.pop()
+    actions.append("y")
+    assert (mdp.states, mdp.actions) == (("a", "b"), ("x",))
+
+
 @pytest.fixture(scope="module")
 def paper_scale_batch():
     # About 83k tuples: the batch of acceptance criterion 7.
@@ -307,6 +379,8 @@ VALID = {"pair": [0, 1], "next_state": [1, 1], "probability": [1.0, 1.0], "step_
         pytest.param({"states": ["a", "a"]}, "state 'a' is listed more than once", id="repeated-state"),
         pytest.param({"states": ["a,b", "b"]}, "state 'a,b' contains forbidden character ','", id="forbidden-character"),
         pytest.param({"actions": ["x", "x"]}, "action 'x' is listed more than once", id="repeated-action"),
+        pytest.param({"states": ["a", "a"], "actions": ["x", "x"]}, "action 'x' is listed more than once",
+                     id="actions-before-states"),
         pytest.param({"coverage": np.ones((5, 5), dtype=bool)}, "coverage must be None or a bool array of shape (2, 1)",
                      id="coverage-shape"),
         pytest.param({"coverage": np.ones((2, 1))}, "coverage must be None or a bool array", id="coverage-dtype"),
@@ -487,7 +561,7 @@ def test_estimate_mdp_matches_a_per_tuple_loop_bit_for_bit():
         batch.append(ExperienceTuple(state, action, rng.uniform(-3, 3), rng.choice("abcdef")))
     mdp = estimate_mdp(batch)
     states, actions, transition, reward, coverage = _reference_estimate(batch)
-    assert (mdp.states, mdp.actions) == (states, actions)
+    assert (mdp.states, mdp.actions) == (tuple(states), tuple(actions))
     assert not coverage.all() and (transition > 0).sum() < len(batch)
     assert np.array_equal(mdp.transition, transition)
     assert np.array_equal(mdp.reward, reward)
