@@ -34,6 +34,12 @@ def validate_label(name: str, kind: str = "label") -> str:
         hash(name)
     except TypeError:  # a str subclass may refuse hashing
         raise ValueError(f"{kind} {name!r} is not hashable") from None
+    try:  # or comparing, which a table does to keys of one hash
+        comparable = name == str.__str__(name)
+    except TypeError:
+        comparable = False
+    if not comparable:
+        raise ValueError(f"{kind} {name!r} does not compare equal to its text")
     if len(name) > _MAX_LABEL_LENGTH:
         raise ValueError(f"{kind} is {len(name)} characters long, more than {_MAX_LABEL_LENGTH}")
     for ch in _FORBIDDEN_CHARS:
@@ -57,7 +63,9 @@ def _validate_labels(labels: List, kind: str = "label") -> List:
     try:
         text = "".join(labels)  # a TypeError unless every label is a string
         text.isascii() or text.encode("utf-8")  # Python pairs no surrogates, so joining mends none
-        valid = (all(labels) and max(map(len, labels), default=0) <= _MAX_LABEL_LENGTH
+        # Only exact strs pass here: a str subclass may hash or compare as no str does.
+        valid = (set(map(type, labels)) <= {str} and all(labels)
+                 and max(map(len, labels), default=0) <= _MAX_LABEL_LENGTH
                  and not any(ch in text for ch in _FORBIDDEN_CHARS) and len(set(labels)) == len(labels))
     except (TypeError, UnicodeEncodeError):
         valid = False
@@ -131,7 +139,7 @@ class ExperienceBatch:
                 except TypeError:  # an unhashable label
                     self._from_codes(states, actions, codes)
                     ExperienceTuple(*row)
-                    raise  # a str subclass whose == raises TypeError passes ExperienceTuple
+                    raise  # a str subclass whose == fails only against some other label passes ExperienceTuple
             rows = self._from_codes(states, actions, codes)
         for name in self.__slots__:
             setattr(self, name, getattr(rows, name))

@@ -49,10 +49,12 @@ def gridworld_step(state: StateId, action: ActionId, rng: Optional[random.Random
     """
     try:
         return _GRIDWORLD_STEPS[state, action]
-    except (KeyError, TypeError):  # TypeError: an unhashable label, which is unknown too
-        if state not in GRIDWORLD_STATES:
-            raise ValueError(f"unknown state {state!r}") from None
-        raise ValueError(f"unknown action {action!r}") from None
+    except (KeyError, TypeError):  # TypeError: a label that cannot be hashed or compared, which is unknown too
+        try:
+            known = state in GRIDWORLD_STATES
+        except TypeError:
+            known = False
+        raise ValueError(f"unknown action {action!r}" if known else f"unknown state {state!r}") from None
 
 
 def gridworld_mdp() -> ExplicitMDP:
@@ -144,7 +146,7 @@ def sample_experience(
         except TypeError:  # an unhashable label: name the first bad row as ExperienceBatch(rows) does
             ExperienceBatch._from_codes(states, actions, codes)
             ExperienceTuple(state, action, reward, next_state)
-            raise  # a str subclass whose == raises TypeError passes ExperienceTuple
+            raise  # a str subclass whose == fails only against some other label passes ExperienceTuple
     return ExperienceBatch._from_codes(states, actions, codes)
 
 

@@ -24,6 +24,11 @@ from .core import (
     policy_from_q,
 )
 
+# Replay shares one item among a row's repeats only in a batch of more rows than this. Sharing bounds the memory
+# of a large batch, and its dict costs more than it saves below this size: 2**13 is where the two builds crossed
+# in time when measured on tic-tac-toe batches (2 cores, CPython 3.11.7).
+_SHARE_ABOVE = 2**13
+
 
 def _backup(items: Iterable[tuple], rows: List[List[float]], v: List[float], alpha: float, gamma: float,
             states: List[StateId], actions: List[ActionId]) -> bool:
@@ -88,9 +93,10 @@ def learn(
     change nothing either. The reward history and the iteration count still
     cover every pass asked for.
 
-    Replay holds one `(s, a, r, s_new)` tuple of codes and a reward per
-    distinct row, and a list as long as the batch that refers to them, so
-    repeated rows cost one reference each; the batch's columns stay as given.
+    Replay holds a list as long as the batch of `(s, a, r, s_new)` tuples of
+    codes and a reward, one per row; in a batch of more than `_SHARE_ABOVE`
+    (8,192) rows, one tuple per distinct row, which its repeats refer to, so
+    they cost one reference each. The batch's columns stay as given.
     Deterministic: identical (batch, control, iterations, seed, prior) inputs
     produce an identical model. Each pass replays a copy of that list, in
     batch order, shuffled as `shuffle` of one `random.Random(seed)` would.
@@ -125,13 +131,13 @@ def learn(
         columns = list(map(q.action_index.__getitem__, batch.actions))
         a = map(columns.__getitem__, batch.a)
     history = list(start.reward_history)
-    # One item per distinct row, shared by its repeats, through a dict dropped
-    # once built. Rows that compare equal make equal updates: rewards of 0.0
-    # and -0.0 too, as a zero's sign never reaches a stored value. Items of
-    # codes and a reward hold no container, so the cyclic collector untracks them.
-    shared = {}
-    items = list(map(shared.setdefault, *tee(zip(batch.s, a, batch.r, batch.s_new))))
-    del shared
+    # Items of codes and a reward hold no container, so the cyclic collector untracks them.
+    items = zip(batch.s, a, batch.r, batch.s_new)
+    if len(batch) > _SHARE_ABOVE:
+        # One item per distinct row, shared by its repeats, through a dict dropped once built. Rows that compare
+        # equal make equal updates: rewards of 0.0 and -0.0 too, as a zero's sign never reaches a stored value.
+        items = map({}.setdefault, *tee(items))
+    items = list(items)
     history += [_reward_total(batch.r)] * iterations
     getrandbits = random.Random(seed).getrandbits
     for _ in range(iterations):

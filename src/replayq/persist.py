@@ -339,11 +339,10 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
         if not isinstance(history, list):
             raise ValueError(f"reward_history must be a list, got {history!r}")
         iterations = doc["iterations_completed"]
-        model = RLModel(
-            q=q,
-            control=ControlParams(**{k: _number(v, f"control.{k}") for k, v in control.items()}),
-            reward_history=[_number(r, f"reward_history[{k}]") for k, r in enumerate(history)],
-        )
+        control = ControlParams(**{k: _number(v, f"control.{k}") for k, v in control.items()})
+        if not (set(map(type, history)) <= _JSON_NUMBERS and all(map(math.isfinite, history))):  # as q's rows
+            history = [_number(r, f"reward_history[{k}]") for k, r in enumerate(history)]
+        model = RLModel(q=q, control=control, reward_history=list(map(float, history)))
         # Both are derived: the pass count from the history, and the package has one rule.
         if type(iterations) is not int or iterations != model.iterations_completed:
             raise ValueError(f"iterations_completed must be {model.iterations_completed}, the number of "

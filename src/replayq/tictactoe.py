@@ -25,7 +25,7 @@ import random
 from functools import lru_cache, partial
 from typing import Dict, List, Tuple
 
-from .core import Environment, EnvResponse, ExperienceBatch, _Codes, _count
+from .core import Environment, EnvResponse, ExperienceBatch, _Codes, _count, validate_label
 
 EMPTY_BOARD = "........."
 CELL_ACTIONS = tuple(f"c{k}" for k in range(1, 10))
@@ -53,6 +53,7 @@ def _validate_board(board: str) -> None:
     bad = set(board) - {".", "X", "B"}
     if bad:
         raise ValueError(f"board {board!r} contains invalid symbols {sorted(bad)}")
+    validate_label(board, "board")  # a cached board must hash and compare as its text does
 
 
 # Board -> (outcome, empty cells), for each board settled so far.

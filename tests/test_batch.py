@@ -128,9 +128,19 @@ class UnhashableStr(str):
     __hash__ = None
 
 
+class IncomparableStr(str):
+    """A str that keeps str's hash but whose == raises TypeError, as a subclass may make it."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        raise TypeError("no ==")
+
+
 FAULTY_OUTCOMES = [  # (id, the environment's outcomes, the ValueError's message)
     ("unhashable", [(["x"], 1.0)], "next_state must be a non-empty string, got ['x']"),
     ("unhashable-str", [(UnhashableStr("x"), 1.0)], "next_state 'x' is not hashable"),
+    ("incomparable-str", [(IncomparableStr("s"), 1.0)], "next_state 's' does not compare equal to its text"),
     ("forbidden-character", [("a,b", 1.0)], "next_state 'a,b' contains forbidden character ','"),
     ("none", [(None, 1.0)], "next_state must be a non-empty string, got None"),
     ("nan", [("s", math.nan)], "reward must be finite, got nan"),
@@ -150,6 +160,24 @@ FAULTY_OUTCOMES = [  # (id, the environment's outcomes, the ValueError's message
 def test_sample_experience_refuses_a_faulty_environment_as_experience_tuple_does(build, outcomes, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         build(outcomes)
+
+
+class KindIncomparableStr(str):
+    """A str whose == raises TypeError only against its own kind, so validate_label, which compares it with its
+    plain text, passes it, and only a table that already holds one of them meets the error."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        if isinstance(other, KindIncomparableStr):
+            raise TypeError("no == between these")
+        return str.__eq__(self, other)
+
+
+@pytest.mark.parametrize("build", [_sampled, _from_rows], ids=["sample-experience", "batch-rows"])
+def test_a_label_whose_eq_fails_against_an_earlier_one_is_raised_never_dropped(build):
+    with pytest.raises(TypeError, match="^no == between these$"):
+        build([(KindIncomparableStr("x"), 1.0), (KindIncomparableStr("x"), 1.0)])
 
 
 # Each call given a number too large for a float, and the message that refuses it as the infinity it rounds to.

@@ -134,13 +134,24 @@ class UnhashableStr(str):
     __hash__ = None
 
 
+class IncomparableStr(str):
+    """A str that keeps str's hash but whose == raises TypeError, as a subclass may make it."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        raise TypeError("no ==")
+
+
 # Labels validate_label accepts and refuses, from a pool small enough to repeat:
 # each forbidden character, the empty string, non-strings, an unhashable list,
-# a str hash() refuses, the longest readable label and one past it, and lone
-# surrogates, among them a high one ending a label and a low one starting the next.
+# a str hash() refuses and one == fails on, the longest readable label and one
+# past it, and lone surrogates, among them a high one ending a label and a low
+# one starting the next.
 LIST_LABELS = st.one_of(
-    st.sampled_from(["a", "b", "é", "x" * 131_072, "x" * 131_073, "", None, 7, ("a",), UnhashableStr("a"), "\ud800",
-                     "a\ud800", "\udc00b"] + [f"a{ch}b" for ch in _FORBIDDEN_CHARS]),
+    st.sampled_from(["a", "b", "é", "x" * 131_072, "x" * 131_073, "", None, 7, ("a",), UnhashableStr("a"),
+                     IncomparableStr("a"), IncomparableStr("c"), "\ud800", "a\ud800", "\udc00b"]
+                    + [f"a{ch}b" for ch in _FORBIDDEN_CHARS]),
     st.lists(st.text(max_size=2), max_size=2),
     st.text(max_size=3),
 )
@@ -181,7 +192,9 @@ UNKNOWN_KEYS = st.one_of(
     st.none(),
     st.tuples(st.text(max_size=3), st.integers()),
     st.sampled_from(["", "a,b", "\n", '"', "\ud800", "s" * 131_073]),
-    st.sampled_from(["s", "a", "z"]).map(UnhashableStr),
+    # Among them, texts that some table holds as a key.
+    st.sampled_from(["s", "a", "z", EMPTY_BOARD]).map(UnhashableStr),
+    st.sampled_from(["s", "a", "b", "z", "s1", "up", "c1", EMPTY_BOARD, "gridworld-2x2", "table"]).map(IncomparableStr),
 )
 
 

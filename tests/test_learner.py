@@ -2,14 +2,15 @@ import gc
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from replayq import learner
-from replayq.core import ControlParams, ExperienceTuple, QTable, RLModel, policy_from_q
+from replayq.core import ControlParams, ExperienceBatch, ExperienceTuple, QTable, RLModel, policy_from_q
 from replayq.learner import (
     epsilon_greedy,
     learn,
@@ -306,7 +307,8 @@ def test_replay_items_are_untracked_by_the_cyclic_collector(monkeypatch):
     assert not any(map(gc.is_tracked, captured))
 
 
-def test_replay_holds_one_item_per_distinct_row(monkeypatch):
+def _replayed_items(monkeypatch, batch):
+    """The items of `learn`'s one replay pass over `batch`."""
     captured = []
     backup = learner._backup
 
@@ -315,17 +317,45 @@ def test_replay_holds_one_item_per_distinct_row(monkeypatch):
         return backup(items, *args)
 
     monkeypatch.setattr(learner, "_backup", capture)
-    batch = [ExperienceTuple(f"s{k % 5}", f"a{k % 3}", float(k % 2), f"s{(k + 1) % 5}") for k in range(60)]
     learn(batch, CONTROL, iterations=1)
     [items] = captured
+    return items
+
+
+REPEATED_ROWS = [ExperienceTuple(f"s{k % 5}", f"a{k % 3}", float(k % 2), f"s{(k + 1) % 5}") for k in range(60)]
+
+
+def test_replay_holds_one_item_per_distinct_row(monkeypatch):
+    monkeypatch.setattr(learner, "_SHARE_ABOVE", 0)
+    items = _replayed_items(monkeypatch, REPEATED_ROWS)
     assert len(items) == 60
-    assert len(set(items)) == len(set(map(id, items))) == len(set(batch)) == 30
+    assert len(set(items)) == len(set(map(id, items))) == len(set(REPEATED_ROWS)) == 30
+
+
+def test_replay_holds_one_item_per_row_up_to_the_sharing_size(monkeypatch):
+    monkeypatch.setattr(learner, "_SHARE_ABOVE", len(REPEATED_ROWS))
+    items = _replayed_items(monkeypatch, REPEATED_ROWS)
+    assert len(items) == len(set(map(id, items))) == 60
+    assert len(set(items)) == 30
 
 
 def test_one_replay_pass_over_20k_games_peaks_under_5_mb():
     # One item per distinct row: 83,390 rows hold 19,809 distinct ones. With
     # an item per row the peak was 7.8 MB.
     games = ttt_generate_games(20_000, seed=42)
+    tracemalloc.start()
+    try:
+        learn(games, ControlParams(alpha=0.2, gamma=0.9), iterations=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+def test_one_replay_pass_with_an_item_per_row_peaks_under_5_mb_at_the_sharing_size():
+    # The largest batch replayed with an item per row stays within the 20k-game pass's bound.
+    games = ExperienceBatch(list(ttt_generate_games(2_000, seed=42))[:learner._SHARE_ABOVE])
+    assert len(games) == learner._SHARE_ABOVE
     tracemalloc.start()
     try:
         learn(games, ControlParams(alpha=0.2, gamma=0.9), iterations=1)
@@ -530,3 +560,23 @@ def test_replay_that_stops_at_its_fixed_point_equals_every_pass(pair, control, i
     ref2 = ref_learn(more, control, iterations, seed + 1, prior=ref)
     history += [math.fsum(t.reward for t in more)] * iterations
     assert_matches_reference(second, ref2, control, history)
+
+
+@settings(max_examples=150, deadline=None)
+@example(pair=([ExperienceTuple("s", "a", r, "s") for r in (0.0, -0.0, -0.0, 0.0)],
+               [ExperienceTuple("s", "new", -0.0, "z"), ExperienceTuple("s", "new", 0.0, "z")]),
+         control=ControlParams(alpha=0.5, gamma=0.5), iterations=3, seed=0, with_prior=True)
+@given(pair=batch_pairs(), control=controls, iterations=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), with_prior=st.booleans())
+def test_shared_and_per_row_replay_items_learn_the_same_model_bytes(pair, control, iterations, seed, with_prior):
+    # Small label sets make repeated rows common, rewards include 0.0 and -0.0,
+    # and `more` brings a state and an action the prior lacks.
+    batch, more = pair
+    texts = []
+    for share_above in (0, 10**9):
+        with mock.patch.object(learner, "_SHARE_ABOVE", share_above):
+            model = learn(batch, control, iterations=iterations, seed=seed)
+            if with_prior:
+                model = learn(more, control, iterations=iterations, seed=seed + 1, prior=model)
+        texts.append(model_to_json(model))
+    assert texts[0] == texts[1]

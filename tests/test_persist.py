@@ -646,6 +646,26 @@ def test_model_from_json_rejects_values_it_would_not_write(change, field):
         model_from_json(corrupted(change), source="m.json")
 
 
+@pytest.mark.parametrize("history, message", [
+    ([1.0, True], "reward_history[1] must be a finite number, got True"),
+    ([1.0, "1.5"], "reward_history[1] must be a finite number, got '1.5'"),
+    ([None, math.nan], "reward_history[0] must be a finite number, got None"),
+    ([1.0, -math.inf], "reward_history[1] must be a finite number, got -inf"),
+    ([math.nan, 10**400], "reward_history[0] must be a finite number, got nan"),
+    ([10**400, math.nan], "int too large to convert to float"),
+])
+def test_model_from_json_names_the_first_bad_reward_history_entry(history, message):
+    text = corrupted(lambda d: d.update(reward_history=history, iterations_completed=len(history)))
+    with pytest.raises(ValueError, match=r"^m\.json: malformed model file: " + re.escape(message) + "$"):
+        model_from_json(text, source="m.json")
+
+
+def test_model_from_json_reads_reward_history_entries_as_floats():
+    loaded = model_from_json(corrupted(lambda d: d.update(reward_history=[1, -2, 0.5], iterations_completed=3)))
+    assert loaded.reward_history == [1.0, -2.0, 0.5]
+    assert all(type(r) is float for r in loaded.reward_history)
+
+
 def test_cli_refuses_a_model_whose_control_lacks_a_field(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(corrupted(lambda d: d.__setitem__("control", {})))
