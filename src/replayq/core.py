@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, index
 from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import NoReturn
 
 if TYPE_CHECKING:
     from .oracle import ExplicitMDP
@@ -72,10 +73,20 @@ def _validate_labels(labels: List, kind: str = "label") -> List:
     if not valid:
         seen = set()
         for label in labels:
-            if validate_label(label, kind) in seen:
+            try:
+                repeated = validate_label(label, kind) in seen
+            except TypeError:  # a str subclass whose == fails against an earlier label
+                raise _incomparable(label, kind) from None
+            if repeated:
                 raise ValueError(f"{kind} {label!r} is listed more than once")
             seen.add(label)
     return labels
+
+
+def _incomparable(label: str, kind: str) -> ValueError:
+    """The refusal of a label that `validate_label` passes but whose `==` raises
+    against an earlier label, as a str subclass's may: no table can hold both."""
+    return ValueError(f"{kind} {label!r} cannot be compared with an earlier label")
 
 
 @dataclass(frozen=True)
@@ -136,10 +147,8 @@ class ExperienceBatch:
             for row in map(attrgetter("state", "action", "reward", "next_state"), rows):
                 try:  # state before next state, so state codes follow first appearance
                     codes += states[row[0]], actions[row[1]], row[2], states[row[3]]
-                except TypeError:  # an unhashable label
-                    self._from_codes(states, actions, codes)
-                    ExperienceTuple(*row)
-                    raise  # a str subclass whose == fails only against some other label passes ExperienceTuple
+                except TypeError:  # an unhashable label, or one whose == fails against an earlier one
+                    _refuse_uncodable(states, actions, codes, row)
             rows = self._from_codes(states, actions, codes)
         for name in self.__slots__:
             setattr(self, name, getattr(rows, name))
@@ -153,10 +162,13 @@ class ExperienceBatch:
         list because four grown side by side fragmented the heap by ~8 MB at
         100k games. With `rewards`, a table of distinct values that may be
         numeric text, the r entries code into it; without, they are the rewards.
-        Each label and reward value is checked once; only a fault walks the rows
-        to name the first bad one, as ExperienceTuple would, the message
-        prefixed by `where(k)` for its 0-based index `k`. Codes are not
-        range-checked nor a repeated label refused: both come from `_Codes`.
+        Each label is checked once, and the reward values through their sum, at
+        C level: an IEEE sum is finite only when every term is, as inf and NaN
+        absorb. Only a fault, or a sum of finite values that overflows, walks the
+        rows, to name the first bad one as ExperienceTuple would, the message
+        prefixed by `where(k)` for its 0-based index `k`; a walk that finds none
+        builds the batch as the sum would have. Codes are not range-checked nor
+        a repeated label refused: both come from `_Codes`.
         """
         s, a, r, s_new = (codes[c::4] for c in range(4))
         codes.clear()
@@ -166,7 +178,7 @@ class ExperienceBatch:
             values = list(map(float, table))
             _validate_labels(states)
             _validate_labels(actions)
-            valid = all(map(math.isfinite, values))
+            valid = math.isfinite(sum(values))
         except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:
@@ -197,6 +209,17 @@ class ExperienceBatch:
             # The label tables and codes are a function of the rows, so equal rows mean equal columns.
             return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
         return list(self) == other if isinstance(other, list) else NotImplemented
+
+
+def _refuse_uncodable(states: _Codes, actions: _Codes, codes: List, row: Tuple) -> NoReturn:
+    """Refuse a (state, action, reward, next_state) row whose coding raised TypeError, naming the first bad row
+    as ExperienceBatch(rows) does: a row before it, else the row itself, else the first of its labels that its
+    table cannot look up, a str subclass whose == fails only against an earlier label (the last, should none)."""
+    ExperienceBatch._from_codes(states, actions, codes)
+    ExperienceTuple(*row)
+    for kind, table, label in (("state", states, row[0]), ("action", actions, row[1]), ("next_state", states, row[3])):
+        _find(table, label, kind)
+    raise _incomparable(row[3], "next_state")
 
 
 def _rate(name: str, value: float) -> float:
@@ -276,15 +299,9 @@ class QTable:
             raise ValueError(f"cannot parse value {value!r} for ({state!r}, {action!r})") from None
         if not math.isfinite(value):
             raise ValueError(f"value for ({state!r}, {action!r}) must be finite, got {value!r}")
-        try:
-            i = self.state_index.get(state)
-            j = self.action_index.get(action)
-        except TypeError:  # an unhashable label, refused below as any non-string is
-            i = j = None
-        if i is None:
-            validate_label(state, "state")
+        i = _find(self.state_index, state, "state")
+        j = _find(self.action_index, action, "action")
         if j is None:
-            validate_label(action, "action")
             j = self.action_index[action] = len(self.action_index)
             for row in self.rows:
                 row.append(0.0)
@@ -304,6 +321,19 @@ class QTable:
 
     def __repr__(self) -> str:
         return f"QTable(states={len(self.state_index)}, actions={len(self.action_index)})"
+
+
+def _find(numbering: Dict[str, int], label: StateId, kind: str) -> Optional[int]:
+    """`label`'s number in `numbering`, or None for a new label that `validate_label`
+    passes; a lookup that raises is refused with ValueError, changing nothing."""
+    try:
+        number = numbering.get(label)
+    except TypeError:  # validate_label refuses an unhashable label, or one whose == fails against its own text
+        validate_label(label, kind)
+        raise _incomparable(label, kind) from None
+    if number is None:
+        validate_label(label, kind)
+    return number
 
 
 def policy_from_q(q: QTable) -> Policy:

@@ -8,7 +8,7 @@ import random
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
-from .core import _Codes, _count, _rate, policy_from_q
+from .core import _Codes, _count, _rate, _refuse_uncodable, policy_from_q
 from .oracle import ExplicitMDP, estimate_mdp
 from .tictactoe import tictactoe_environment
 
@@ -37,8 +37,9 @@ def _gridworld_response(state: StateId, action: ActionId) -> EnvResponse:
     return EnvResponse(next_state, 10.0 if next_state == _GRIDWORLD_GOAL != state else -1.0)
 
 
-# Every (state, action) pair's response, built once, so a step is one lookup.
-_GRIDWORLD_STEPS = {(s, a): _gridworld_response(s, a) for s in GRIDWORLD_STATES for a in GRIDWORLD_ACTIONS}
+# Every pair's response, built once, one dict per state keyed by action: a step is two
+# lookups of a str, which cost less than building and hashing a (state, action) key.
+_GRIDWORLD_STEPS = {s: {a: _gridworld_response(s, a) for a in GRIDWORLD_ACTIONS} for s in GRIDWORLD_STATES}
 
 
 def gridworld_step(state: StateId, action: ActionId, rng: Optional[random.Random] = None) -> EnvResponse:
@@ -48,7 +49,7 @@ def gridworld_step(state: StateId, action: ActionId, rng: Optional[random.Random
     itself earns no bonus). The maze is deterministic, so `rng` is not read.
     """
     try:
-        return _GRIDWORLD_STEPS[state, action]
+        return _GRIDWORLD_STEPS[state][action]
     except (KeyError, TypeError):  # TypeError: a label that cannot be hashed or compared, which is unknown too
         try:
             known = state in GRIDWORLD_STATES
@@ -59,8 +60,9 @@ def gridworld_step(state: StateId, action: ActionId, rng: Optional[random.Random
 
 def gridworld_mdp() -> ExplicitMDP:
     """The gridworld's exact dynamics: it is deterministic, so its table of
-    one step from every (state, action) pair estimates them exactly."""
-    return estimate_mdp([ExperienceTuple(s, a, reward, s2) for (s, a), (s2, reward) in _GRIDWORLD_STEPS.items()])
+    one step from every (state, action) pair, read state-major, estimates them exactly."""
+    return estimate_mdp([ExperienceTuple(s, a, reward, s2)
+                         for s, steps in _GRIDWORLD_STEPS.items() for a, (s2, reward) in steps.items()])
 
 
 def gridworld_environment() -> Environment:
@@ -144,9 +146,7 @@ def sample_experience(
         try:  # state before next state, so state codes follow first appearance
             codes += states[state], actions[action], reward, states[next_state]
         except TypeError:  # an unhashable label: name the first bad row as ExperienceBatch(rows) does
-            ExperienceBatch._from_codes(states, actions, codes)
-            ExperienceTuple(state, action, reward, next_state)
-            raise  # a str subclass whose == fails only against some other label passes ExperienceTuple
+            _refuse_uncodable(states, actions, codes, (state, action, reward, next_state))
     return ExperienceBatch._from_codes(states, actions, codes)
 
 

@@ -1,5 +1,6 @@
 """ExperienceBatch: the one batch type that builders return and learners read."""
 
+import copy
 import inspect
 import math
 import re
@@ -7,7 +8,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from replayq import (
@@ -173,11 +174,31 @@ class KindIncomparableStr(str):
             raise TypeError("no == between these")
         return str.__eq__(self, other)
 
+    def __deepcopy__(self, memo):  # immutable, as a str is, so a deep copy may share it
+        return self
+
 
 @pytest.mark.parametrize("build", [_sampled, _from_rows], ids=["sample-experience", "batch-rows"])
 def test_a_label_whose_eq_fails_against_an_earlier_one_is_raised_never_dropped(build):
-    with pytest.raises(TypeError, match="^no == between these$"):
+    with pytest.raises(ValueError, match="^next_state 'x' cannot be compared with an earlier label$"):
         build([(KindIncomparableStr("x"), 1.0), (KindIncomparableStr("x"), 1.0)])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda q: q.set(KindIncomparableStr("s"), "b", 2.0), "state 's'", id="set-state"),
+    pytest.param(lambda q: q.set("t", KindIncomparableStr("a"), 2.0), "action 'a'", id="set-action"),
+    pytest.param(lambda q: QTable(states=[KindIncomparableStr("s"), KindIncomparableStr("s")]), "state 's'",
+                 id="constructor-states"),
+    pytest.param(lambda q: QTable(actions=[KindIncomparableStr("a"), KindIncomparableStr("a")]), "action 'a'",
+                 id="constructor-actions"),
+])
+def test_a_label_whose_eq_fails_against_a_held_one_is_refused_leaving_the_table_as_it_was(call, message):
+    q = QTable()
+    q.set(KindIncomparableStr("s"), KindIncomparableStr("a"), 1.0)
+    before = copy.deepcopy(q)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + " cannot be compared with an earlier label$"):
+        call(q)
+    assert q == before and q.rows == [[1.0]]
 
 
 # Each call given a number too large for a float, and the message that refuses it as the infinity it rounds to.
@@ -195,6 +216,75 @@ BEYOND_FLOATS = [
 def test_a_number_beyond_the_float_range_is_refused_with_value_error(call, message, number, rounded):
     with pytest.raises(ValueError, match="^" + re.escape(message.format(rounded)) + "$"):
         call(number)
+
+
+def _field(reward):
+    """A reward as a CSV field that reads back as the number it is, a whole one as its digits."""
+    if isinstance(reward, Fraction) and reward.denominator != 1:
+        return repr(float(reward))  # drawn within ±10, so never beyond floats
+    return repr(reward) if isinstance(reward, float) else str(reward)
+
+
+def _reward_builds(tmp_path, rewards):
+    """(the reward column a build is given, its error prefix for row k, the build) for each batch builder: rows given
+    to ExperienceBatch, a scripted environment sampled, and a CSV read."""
+    fields = list(map(_field, rewards))
+    path = tmp_path / "exp.csv"
+    path.write_text("State,Action,Reward,NextState\n" + "".join(f"s,go,{f},s\n" for f in fields))
+    rows = [SimpleNamespace(state="s", action="go", reward=r, next_state="s") for r in rewards]
+    return [
+        (rewards, lambda k: "", lambda: ExperienceBatch(rows)),
+        (rewards, lambda k: "", lambda: sample_experience(len(rewards), _faulty_environment([("s", r) for r in rewards]),
+                                                          seed=0)),
+        (fields, lambda k: f"{path}: row {k + 2}: ", lambda: read_experience(str(path))),
+    ]
+
+
+def _is_finite(number):
+    try:
+        return math.isfinite(float(number))
+    except OverflowError:  # an int or Fraction beyond floats
+        return False
+
+
+near_max = st.floats(1.6e308, 1.7976931348623157e308)
+reward_values = st.one_of(
+    near_max, near_max.map(lambda x: -x), st.floats(-2.0, 2.0),
+    st.integers(-5, 5), st.integers(-2 * 10**308, 2 * 10**308), st.integers(10**308, 10**310).map(Fraction),
+    st.fractions(-10, 10, max_denominator=7), st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+          phases=NO_EXPLAIN)
+@given(rewards=st.lists(reward_values, min_size=1, max_size=6))
+@example(rewards=[1e308, 1.5e308, -1.5e308])
+def test_a_reward_column_is_taken_exactly_when_every_reward_is_finite(tmp_path, rewards):
+    # Rewards near the float maximum make sums of finite values that overflow, which must still be taken.
+    for column, where, build in _reward_builds(tmp_path, rewards):
+        reference = []
+        for k, r in enumerate(column):
+            try:
+                reference.append(ExperienceTuple("s", "go", r, "s"))
+            except ValueError as exc:
+                refusal = f"{where(k)}{exc}"
+                break
+        else:
+            refusal = None
+        assert (refusal is None) == all(map(_is_finite, rewards))
+        if refusal is None:
+            assert build() == reference
+        else:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == refusal
+
+
+def test_rewards_whose_sum_overflows_are_taken_as_they_are(tmp_path):
+    rewards = [1e308, 1.5e308, -1.5e308]
+    assert sum(rewards) == math.inf  # so each build walks its rows, and must find none bad
+    for _, _, build in _reward_builds(tmp_path, rewards):
+        assert build().r == rewards
 
 
 def test_sample_experience_takes_numeric_rewards_of_any_type():

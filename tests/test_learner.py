@@ -367,7 +367,8 @@ def test_one_replay_pass_with_an_item_per_row_peaks_under_5_mb_at_the_sharing_si
 
 @pytest.mark.parametrize("prior_zero", [None, 0.0, -0.0])
 def test_rows_that_differ_in_a_zero_reward_sign_learn_as_the_reference_does(prior_zero):
-    # 0.0 == -0.0, so such rows share one item, whichever sign came first.
+    # 0.0 == -0.0, so where replay shares items such rows share one, whichever sign came first; where it holds an
+    # item per row, as at this size, each keeps its own. Both ways run, the sharing size patched to force each.
     zeros = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0]
     batch = [ExperienceTuple("s1", "up", r, "s2" if k % 3 else "s1") for k, r in enumerate(zeros)]
     batch += [ExperienceTuple("s2", "up", -1.0, "s1"), ExperienceTuple("s2", "down", -0.0, "s2")]
@@ -376,10 +377,12 @@ def test_rows_that_differ_in_a_zero_reward_sign_learn_as_the_reference_does(prio
     if prior_zero is not None:
         ref_prior = (["s1", "s2"], ["up", "down"], {(s, a): prior_zero for s in ("s1", "s2") for a in ("up", "down")})
         prior = ref_model(ref_prior, control, [])
-    for seed in range(4):
-        model = learn(batch, control, iterations=3, seed=seed, prior=prior)
-        ref = ref_learn(batch, control, 3, seed, prior=ref_prior)
-        assert_matches_reference(model, ref, control, [math.fsum(t.reward for t in batch)] * 3)
+    for share_above in (0, 10**9):
+        with mock.patch.object(learner, "_SHARE_ABOVE", share_above):
+            for seed in range(4):
+                model = learn(batch, control, iterations=3, seed=seed, prior=prior)
+                ref = ref_learn(batch, control, 3, seed, prior=ref_prior)
+                assert_matches_reference(model, ref, control, [math.fsum(t.reward for t in batch)] * 3)
 
 
 def test_learn_rejects_values_that_overflow():
