@@ -8,7 +8,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import filterfalse, tee
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import (
     ActionId,
@@ -19,6 +19,7 @@ from .core import (
     RLModel,
     StateId,
     _count,
+    _find,
     _rate,
     _shuffle,
     policy_from_q,
@@ -55,6 +56,17 @@ def _backup(items: Iterable[tuple], rows: List[List[float]], v: List[float], alp
             elif current == v[s]:
                 v[s] = max(row)
     return changed
+
+
+def _table_labels(held: List, numbering: Dict[str, int], labels: List, kind: str) -> Tuple[List, bool]:
+    """`held`, then those of a batch's `labels` that `numbering` (held's) lacks, in batch order, and whether
+    that list numbers `labels` as the batch does. A label whose lookup raises, as a str subclass's == may
+    against a held one, is refused with ValueError, as `QTable.set` refuses it."""
+    try:
+        merged = held + list(filterfalse(numbering.__contains__, labels))
+        return merged, merged[:len(labels)] == labels
+    except TypeError:  # an == raised: `_find` refuses a label equal to a held one; else they differ, so remap
+        return held + [label for label in labels if _find(numbering, label, kind) is None], False
 
 
 def _reward_total(rewards: List[float]) -> float:
@@ -114,8 +126,8 @@ def learn(
     # table follow the table's own, in batch order.
     start = prior or RLModel(QTable(), control)
     base = start.q
-    actions = base.actions + list(filterfalse(base.action_index.__contains__, batch.actions))
-    states = base.states + list(filterfalse(base.state_index.__contains__, batch.states))
+    actions, same_actions = _table_labels(base.actions, base.action_index, batch.actions, "action")
+    states, same_states = _table_labels(base.states, base.state_index, batch.states, "state")
     # The base's rows widen as copies, so `prior` is never modified; a new row is all zero, its maximum 0.0.
     pad, fresh = [0.0] * (len(actions) - len(base.action_index)), states[len(base.rows):]
     widened = [row + pad for row in base.rows]
@@ -124,10 +136,10 @@ def learn(
     # Where the table numbers a kind of label as the batch does, as in every fresh fit, the batch's codes index it
     # as they are; else each state code maps to its table row and that row's maximum, each action code to its column.
     rows, v, a = q.rows, maxima, batch.a
-    if states[:len(batch.states)] != batch.states:
+    if not same_states:
         indices = list(map(q.state_index.__getitem__, batch.states))
         rows, v = list(map(rows.__getitem__, indices)), list(map(maxima.__getitem__, indices))
-    if actions[:len(batch.actions)] != batch.actions:
+    if not same_actions:
         columns = list(map(q.action_index.__getitem__, batch.actions))
         a = map(columns.__getitem__, batch.a)
     history = list(start.reward_history)

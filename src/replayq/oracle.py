@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .core import ActionId, ExperienceBatch, ExperienceTuple, QTable, StateId, _validate_labels, policy_from_q
+from .core import ActionId, ExperienceBatch, ExperienceTuple, QTable, StateId, _find, _validate_labels, policy_from_q
 
 _ROW_SUM_TOL = 1e-9
 _MAX_SWEEPS = 1_000_000
@@ -212,8 +212,12 @@ def compare_to_optimal(q: QTable, q_star: QTable) -> Tuple[int, float, int, int]
     than `POLICY_TIE_MARGIN`, and how many of those states have a greedy
     action in `q` that differs from the one in `q_star`.
     """
-    states = [s for s in q_star.states if s in q.state_index]
-    actions = [a for a in q_star.actions if a in q.action_index]
+    try:
+        states = [s for s in q_star.states if s in q.state_index]
+        actions = [a for a in q_star.actions if a in q.action_index]
+    except TypeError:  # a label whose == raises against one of q's, as a str subclass's may, is refused as by q.set
+        states = [s for s in q_star.states if _find(q.state_index, s, "state") is not None]
+        actions = [a for a in q_star.actions if _find(q.action_index, a, "action") is not None]
     if not states or not actions:
         raise ValueError("model shares no states or actions with the environment")
 

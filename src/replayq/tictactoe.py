@@ -7,16 +7,14 @@ covers X's move and, if the game continues, the opponent's uniformly random
 reply. Rewards are +1/0/-1 for win/draw/loss, paid only on the transition
 that ends the game.
 
-`_board_facts` holds a board's outcome and empty cells once `ttt_winner` or
-`legal_cells` has settled it, so each later call is one dict lookup. It holds
-only boards that `_validate_board` passes and `_outcome` settles, so at most
-the 3^9 boards, and never a refused one. `_table`, built once per process,
-maps every board reachable in legal play to X's moves on it, with their
-after-states and B's replies. Its search settles each board once, in a dict
-freed after the build: equal boards share one string and one transition
-tuple, and each after-state's replies are listed once. Generation and
-stepping read the table, `tictactoe_step` rejects any board it does not hold,
-and the environment lists its keys as its states.
+`_table`, built once per process, maps every board reachable in legal play
+to X's moves on it, with their after-states and B's replies. Its search
+settles each board once, in a dict freed after the build: equal boards share
+one string and one transition tuple, and each after-state's replies are
+listed once. Generation and stepping read the table, `tictactoe_step` rejects
+any board it does not hold, and the environment lists its keys as its states.
+`ttt_winner` and `legal_cells` answer a table board from `_facts`, a view of the
+table built on first use; any other board is computed and stored nowhere.
 """
 
 from __future__ import annotations
@@ -53,26 +51,16 @@ def _validate_board(board: str) -> None:
     bad = set(board) - {".", "X", "B"}
     if bad:
         raise ValueError(f"board {board!r} contains invalid symbols {sorted(bad)}")
-    validate_label(board, "board")  # a cached board must hash and compare as its text does
-
-
-# Board -> (outcome, empty cells), for each board settled so far.
-_board_facts: Dict[str, Tuple[str, Tuple[int, ...]]] = {}
-
-
-def _settle(board: str) -> Tuple[str, Tuple[int, ...]]:
-    """Check `board`, then cache and return its facts; a refused board raises ValueError and is not stored."""
-    _validate_board(board)
-    facts = _board_facts[board] = (_outcome(board), tuple(_empty_cells(board)))
-    return facts
+    validate_label(board, "board")  # a str subclass must hash and compare as its text does, as any label must
 
 
 def ttt_winner(board: str) -> str:
     """Outcome of a board: X-wins, B-wins, draw, or ongoing."""
     try:
-        return _board_facts[board][0]
-    except (KeyError, TypeError):  # not settled yet, or unhashable and so refused
-        return _settle(board)[0]
+        return _facts()[board][0]
+    except (KeyError, TypeError):  # not a table board, or unhashable and so refused
+        _validate_board(board)
+        return _outcome(board)
 
 
 def _outcome(board: str) -> str:
@@ -99,13 +87,9 @@ def legal_cells(board: str) -> List[int]:
     Any sequence is read by the same rule: the indices of its '.' items.
     """
     try:
-        facts = _board_facts[board]
-    except (KeyError, TypeError):
-        try:
-            facts = _settle(board)
-        except ValueError:  # not a board `ttt_winner` takes
-            return _empty_cells(board)
-    return list(facts[1])
+        return list(_facts()[board][1])
+    except (KeyError, TypeError):  # not a table board
+        return _empty_cells(board)
 
 
 def _place(board: str, cell: int, mark: str) -> str:
@@ -169,6 +153,14 @@ def _table() -> Dict[str, Tuple[_Move, ...]]:
         table[board] = tuple(moves)
     table.update(terminals)
     return table
+
+
+@lru_cache(maxsize=1)
+def _facts() -> Dict[str, Tuple[str, Tuple[int, ...]]]:
+    """Every board `_table` holds -> (outcome, empty cells), never written once built. A board with
+    moves is ongoing and its moves list its empty cells; a terminal board's facts are read off it."""
+    return {board: (ONGOING, tuple(move[0] for move in moves)) if moves
+            else (_outcome(board), tuple(_empty_cells(board))) for board, moves in _table().items()}
 
 
 def ttt_generate_games(num_games: int, seed: int = 0) -> ExperienceBatch:

@@ -18,6 +18,8 @@ from replayq import (
     ExperienceBatch,
     ExperienceTuple,
     QTable,
+    RLModel,
+    compare_to_optimal,
     estimate_mdp,
     gridworld_environment,
     learn,
@@ -184,6 +186,26 @@ def test_a_label_whose_eq_fails_against_an_earlier_one_is_raised_never_dropped(b
         build([(KindIncomparableStr("x"), 1.0), (KindIncomparableStr("x"), 1.0)])
 
 
+@pytest.mark.parametrize("build", [_sampled, _from_rows], ids=["sample-experience", "batch-rows"])
+def test_a_label_whose_eq_fails_once_against_an_earlier_one_is_refused_never_dropped(build):
+    class FailsOnce(str):
+        """Like KindIncomparableStr, but only its first == against its own kind raises: the second lookup,
+        which names the bad label, finds none, and the row is still refused."""
+
+        __hash__ = str.__hash__
+        failures_left = 1
+
+        def __eq__(self, other):
+            if isinstance(other, FailsOnce) and FailsOnce.failures_left:
+                FailsOnce.failures_left -= 1
+                raise TypeError("no == between these, this once")
+            return str.__eq__(self, other)
+
+    with pytest.raises(ValueError, match="^next_state 'x' cannot be compared with an earlier label$"):
+        build([(FailsOnce("x"), 1.0), (FailsOnce("x"), 1.0)])
+    assert FailsOnce.failures_left == 0
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda q: q.set(KindIncomparableStr("s"), "b", 2.0), "state 's'", id="set-state"),
     pytest.param(lambda q: q.set("t", KindIncomparableStr("a"), 2.0), "action 'a'", id="set-action"),
@@ -199,6 +221,50 @@ def test_a_label_whose_eq_fails_against_a_held_one_is_refused_leaving_the_table_
     with pytest.raises(ValueError, match="^" + re.escape(message) + " cannot be compared with an earlier label$"):
         call(q)
     assert q == before and q.rows == [[1.0]]
+
+
+def _holding(state, action):
+    q = QTable()
+    q.set(state, action, 1.0)
+    return q
+
+
+K = KindIncomparableStr
+
+
+# A table and a batch, or two tables, each holding its own instance of one label: (call, the label refused).
+HELD_TWICE = [
+    pytest.param(lambda: learn([ExperienceTuple(K("s"), "a", 1.0, "t")], ControlParams(),
+                               prior=RLModel(_holding(K("s"), "a"), ControlParams())), "state 's'", id="learn-state"),
+    pytest.param(lambda: learn([ExperienceTuple("s", K("a"), 1.0, "s")], ControlParams(),
+                               prior=RLModel(_holding("s", K("a")), ControlParams())), "action 'a'", id="learn-action"),
+    pytest.param(lambda: compare_to_optimal(_holding(K("s"), "a"), _holding(K("s"), "a")), "state 's'",
+                 id="compare-state"),
+    pytest.param(lambda: compare_to_optimal(_holding("s", K("a")), _holding("s", K("a"))), "action 'a'",
+                 id="compare-action"),
+]
+
+
+@pytest.mark.parametrize("call, label", HELD_TWICE)
+def test_a_label_held_twice_whose_eq_fails_is_refused_by_learn_and_compare_to_optimal(call, label):
+    with pytest.raises(ValueError, match="^" + re.escape(label) + " cannot be compared with an earlier label$"):
+        call()
+
+
+@pytest.mark.parametrize("kind", ["state", "action"])
+def test_a_continued_fit_on_distinct_labels_whose_eq_fails_learns_as_on_plain_ones(kind):
+    # The prior holds label "p" where the batch's first label is "n"; both are KindIncomparableStr, so only their
+    # lookups, which differ in hash, never their ==, may decide that they differ.
+    def fit(make):
+        held, new = make("p"), make("n")
+        prior = _holding(held, "a") if kind == "state" else _holding("s", held)
+        rows = [ExperienceTuple(new, "a", 1.0, "s"), ExperienceTuple("s", "a", 2.0, new)] if kind == "state" else [
+            ExperienceTuple("s", new, 1.0, "s"), ExperienceTuple("s", "a", 2.0, "s")]
+        return learn(rows, ControlParams(alpha=0.5, gamma=0.5), iterations=3, seed=1,
+                     prior=RLModel(prior, ControlParams()))
+
+    incomparable, plain = fit(K), fit(str)
+    assert model_to_json(incomparable) == model_to_json(plain)
 
 
 # Each call given a number too large for a float, and the message that refuses it as the infinity it rounds to.

@@ -9,7 +9,6 @@ from replayq.envs import EnvResponse
 from replayq.tictactoe import (
     CELL_ACTIONS,
     EMPTY_BOARD,
-    _board_facts,
     _table,
     legal_cells,
     tictactoe_environment,
@@ -299,7 +298,7 @@ def test_move_table_matches_the_reference_rules_on_every_move_and_reply():
             assert replies == tuple(expected)
 
 
-# --- the per-board cache behind ttt_winner and legal_cells ------------------
+# --- ttt_winner and legal_cells: the table's view, and any other board -----
 
 
 def plain_cells(board):
@@ -309,32 +308,26 @@ def plain_cells(board):
 def assert_helpers_match_the_reference(board):
     x = any(board[i] == board[j] == board[k] == "X" for i, j, k in _LINES)
     b = any(board[i] == board[j] == board[k] == "B" for i, j, k in _LINES)
-    for order in (("winner", "cells"), ("cells", "winner")):  # each helper answers cold, then warm
-        _board_facts.clear()
-        for name in order * 2:
-            if name == "cells":
-                assert legal_cells(board) == plain_cells(board)
-            elif x and b:
-                with pytest.raises(ValueError, match="both players"):
-                    ttt_winner(board)
-            else:
-                assert ttt_winner(board) == ref_winner(board)
+    for _ in range(2):  # each answer is the same every time
+        assert legal_cells(board) == plain_cells(board)
+        if x and b:
+            with pytest.raises(ValueError, match="both players"):
+                ttt_winner(board)
+        else:
+            assert ttt_winner(board) == ref_winner(board)
 
 
-def test_cached_helpers_match_the_reference_on_every_table_board():
+def test_helpers_match_the_reference_on_every_table_board():
     boards = list(_table())
-    _board_facts.clear()
-    cold = [(ttt_winner(board), legal_cells(board)) for board in boards]
-    warm = [(ttt_winner(board), legal_cells(board)) for board in boards]
-    assert cold == warm == [(ref_winner(board), plain_cells(board)) for board in boards]
-    assert len(_board_facts) == len(boards)
+    assert [(ttt_winner(board), legal_cells(board)) for board in boards] == [
+        (ref_winner(board), plain_cells(board)) for board in boards]
     for board in boards[::97]:
         assert_helpers_match_the_reference(board)
 
 
 @settings(max_examples=200, deadline=None)
 @given(board=st.text(alphabet=".XB", min_size=9, max_size=9))
-def test_cached_helpers_match_the_reference_on_any_board(board):
+def test_helpers_match_the_reference_on_any_board(board):
     assert_helpers_match_the_reference(board)
 
 
@@ -346,22 +339,42 @@ def test_cached_helpers_match_the_reference_on_any_board(board):
     ("BBBXXX...", "illegal board 'BBBXXX...': both players complete a line"),
 ])
 def test_a_malformed_board_is_refused_alike_every_time_and_never_cached(board, message):
-    size = len(_board_facts)
     for _ in range(2):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             ttt_winner(board)
         assert legal_cells(board) == plain_cells(board)
-        assert len(_board_facts) == size
+
+
+class KindIncomparableBoard(str):
+    """A board whose == raises TypeError only against its own kind: it compares equal to its text, so it is a
+    valid board, but a store that kept one would fail every later lookup of an equal one."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        if isinstance(other, KindIncomparableBoard):
+            raise TypeError("no == among these boards")
+        return str.__eq__(self, other)
+
+
+@pytest.mark.parametrize("text, outcome, cells", [
+    (EMPTY_BOARD, "ongoing", list(range(9))),  # on the table
+    ("XB.BX.X..", "ongoing", [2, 5, 7, 8]),  # on the table
+    ("XXX......", "X-wins", [3, 4, 5, 6, 7, 8]),  # off it: X has three marks and B none
+])
+def test_equal_boards_whose_eq_fails_against_each_other_are_answered_every_time(text, outcome, cells):
+    for _ in range(2):
+        assert ttt_winner(KindIncomparableBoard(text)) == outcome
+        assert legal_cells(KindIncomparableBoard(text)) == cells
 
 
 def test_legal_cells_hands_out_a_new_list_each_time():
-    board = "XB.BX.X.."
-    _board_facts.clear()
-    for _ in range(2):  # cold, then warm
+    for board in ("XB.BX.X..", "XXX......"):  # on the table and off it
         cells = legal_cells(board)
+        expected = cells[:]
         cells[0] = -1
         cells.append(9)
-        assert legal_cells(board) == [2, 5, 7, 8]
+        assert legal_cells(board) == expected
 
 
 @pytest.mark.parametrize("board, action, expected", [
