@@ -10,7 +10,6 @@ import random
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, index
 from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
-from typing import NoReturn
 
 if TYPE_CHECKING:
     from .oracle import ExplicitMDP
@@ -28,65 +27,65 @@ _MAX_LABEL_LENGTH = 131_072
 
 
 def validate_label(name: str, kind: str = "label") -> str:
-    """Check that a state/action label is usable as a file-format field and as a table key."""
+    """Check that a state/action label is usable as a file-format field and as a table key; return its text.
+
+    The text, `str.__str__(name)`, is an exact `str`, and every table stores it, so no table holds a `str`
+    subclass. A subclass stands for its text only if it hashes as its text and compares equal to it.
+    """
     if not isinstance(name, str) or not name:
         raise ValueError(f"{kind} must be a non-empty string, got {name!r}")
-    try:
-        hash(name)
-    except TypeError:  # a str subclass may refuse hashing
-        raise ValueError(f"{kind} {name!r} is not hashable") from None
-    try:  # or comparing, which a table does to keys of one hash
-        comparable = name == str.__str__(name)
-    except TypeError:
-        comparable = False
-    if not comparable:
-        raise ValueError(f"{kind} {name!r} does not compare equal to its text")
-    if len(name) > _MAX_LABEL_LENGTH:
-        raise ValueError(f"{kind} is {len(name)} characters long, more than {_MAX_LABEL_LENGTH}")
-    for ch in _FORBIDDEN_CHARS:
-        if ch in name:
-            raise ValueError(f"{kind} {name!r} contains forbidden character {ch!r}")
-    if not name.isascii():
+    text = str.__str__(name)
+    if type(name) is not str:
         try:
-            name.encode("utf-8")
+            hashed = hash(name)
+        except TypeError:  # a str subclass may refuse hashing
+            raise ValueError(f"{kind} {name!r} is not hashable") from None
+        try:
+            comparable = name == text
+        except TypeError:
+            comparable = False
+        if not comparable:
+            raise ValueError(f"{kind} {name!r} does not compare equal to its text")
+        if hashed != hash(text):  # a table would hold it apart from its text
+            raise ValueError(f"{kind} {name!r} does not hash as its text")
+    if len(text) > _MAX_LABEL_LENGTH:
+        raise ValueError(f"{kind} is {len(text)} characters long, more than {_MAX_LABEL_LENGTH}")
+    for ch in _FORBIDDEN_CHARS:
+        if ch in text:
+            raise ValueError(f"{kind} {name!r} contains forbidden character {ch!r}")
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError(f"{kind} {name!r} is not valid Unicode text") from None
-    return name
+    return text
 
 
 def _validate_labels(labels: List, kind: str = "label") -> List:
-    """Check a whole label list, refusing what `validate_label` refuses and a repeated label.
+    """Check a whole label list, refusing what `validate_label` refuses and a repeated label; return their texts.
 
-    The list is checked at once, through its joined text; only a fault walks
-    it, to raise `validate_label`'s message, or QTable's for a repeat, at the
-    first bad label. Returns `labels`.
+    The list is checked at once, through its joined text, and returned as
+    given when every label is an exact `str`. Else it is walked, to raise
+    `validate_label`'s message, or QTable's for a repeat, at the first bad
+    label, or to return the labels' texts.
     """
     try:
         text = "".join(labels)  # a TypeError unless every label is a string
         text.isascii() or text.encode("utf-8")  # Python pairs no surrogates, so joining mends none
-        # Only exact strs pass here: a str subclass may hash or compare as no str does.
         valid = (set(map(type, labels)) <= {str} and all(labels)
                  and max(map(len, labels), default=0) <= _MAX_LABEL_LENGTH
                  and not any(ch in text for ch in _FORBIDDEN_CHARS) and len(set(labels)) == len(labels))
     except (TypeError, UnicodeEncodeError):
         valid = False
-    if not valid:
-        seen = set()
-        for label in labels:
-            try:
-                repeated = validate_label(label, kind) in seen
-            except TypeError:  # a str subclass whose == fails against an earlier label
-                raise _incomparable(label, kind) from None
-            if repeated:
-                raise ValueError(f"{kind} {label!r} is listed more than once")
-            seen.add(label)
-    return labels
-
-
-def _incomparable(label: str, kind: str) -> ValueError:
-    """The refusal of a label that `validate_label` passes but whose `==` raises
-    against an earlier label, as a str subclass's may: no table can hold both."""
-    return ValueError(f"{kind} {label!r} cannot be compared with an earlier label")
+    if valid:
+        return labels
+    texts = {}
+    for label in labels:
+        text = validate_label(label, kind)
+        if text in texts:
+            raise ValueError(f"{kind} {label!r} is listed more than once")
+        texts[text] = None
+    return list(texts)
 
 
 @dataclass(frozen=True)
@@ -100,9 +99,7 @@ class ExperienceTuple:
     next_state: StateId
 
     def __post_init__(self) -> None:
-        validate_label(self.state, "state")
-        validate_label(self.action, "action")
-        validate_label(self.next_state, "next_state")
+        labels = {name: validate_label(getattr(self, name), name) for name in ("state", "action", "next_state")}
         try:
             reward = float(self.reward)
         except OverflowError:  # an int or Fraction beyond floats: the infinity it rounds to, as "1e400" is
@@ -111,14 +108,23 @@ class ExperienceTuple:
             raise ValueError(f"cannot parse reward {self.reward!r}") from None
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward!r}")
-        object.__setattr__(self, "reward", reward)
+        self.__dict__.update(labels, reward=reward)  # each label held as its text
 
 
 class _Codes(dict):
     """Label -> code in first-appearance order: looking up a new label gives it the next code.
-    It is the package's one label numbering: every batch builder codes its labels through it."""
+    It is the package's one label numbering: every batch builder codes its labels through it.
+
+    An exact `str` is stored as it is, to be checked with its batch. Any other
+    label is checked here and stored as its text; one `validate_label` refuses
+    raises TypeError, so that the builder's refusal names its row."""
 
     def __missing__(self, label: StateId) -> int:
+        if type(label) is not str:  # coded by its text, which may hold a code already
+            try:
+                return self[validate_label(label)]
+            except ValueError:  # the builder's refusal names the row
+                raise TypeError from None
         code = self[label] = len(self)
         return code
 
@@ -138,8 +144,9 @@ class ExperienceBatch:
     def __init__(self, rows: Iterable[ExperienceTuple] = ()) -> None:
         """The batch of `rows`, labels coded as rows arrive; given a batch, one sharing its columns.
 
-        The checks are _from_codes'. A row with an unhashable label raises
-        ValueError as ExperienceTuple would, once the rows before it pass.
+        The checks are _from_codes'; a label is held as its text. A row with a
+        label `_Codes` refuses, an unhashable one included, raises ValueError
+        as ExperienceTuple would, once the rows before it pass.
         """
         if not isinstance(rows, ExperienceBatch):
             states, actions = _Codes(), _Codes()
@@ -147,8 +154,8 @@ class ExperienceBatch:
             for row in map(attrgetter("state", "action", "reward", "next_state"), rows):
                 try:  # state before next state, so state codes follow first appearance
                     codes += states[row[0]], actions[row[1]], row[2], states[row[3]]
-                except TypeError:  # an unhashable label, or one whose == fails against an earlier one
-                    _refuse_uncodable(states, actions, codes, row)
+                except TypeError:  # a label _Codes refuses, or one whose hash or == failed in its lookup
+                    _code_by_text(states, actions, codes, row)
             rows = self._from_codes(states, actions, codes)
         for name in self.__slots__:
             setattr(self, name, getattr(rows, name))
@@ -211,15 +218,13 @@ class ExperienceBatch:
         return list(self) == other if isinstance(other, list) else NotImplemented
 
 
-def _refuse_uncodable(states: _Codes, actions: _Codes, codes: List, row: Tuple) -> NoReturn:
-    """Refuse a (state, action, reward, next_state) row whose coding raised TypeError, naming the first bad row
-    as ExperienceBatch(rows) does: a row before it, else the row itself, else the first of its labels that its
-    table cannot look up, a str subclass whose == fails only against an earlier label (the last, should none)."""
-    ExperienceBatch._from_codes(states, actions, codes)
-    ExperienceTuple(*row)
-    for kind, table, label in (("state", states, row[0]), ("action", actions, row[1]), ("next_state", states, row[3])):
-        _find(table, label, kind)
-    raise _incomparable(row[3], "next_state")
+def _code_by_text(states: _Codes, actions: _Codes, codes: List, row: Tuple) -> None:
+    """Code a (state, action, reward, next_state) row whose coding raised TypeError by its labels' texts, once
+    the rows before it and the row itself pass, so that the first bad row is refused as ExperienceBatch(rows)
+    refuses it. A row that passes, whose label's hash or == failed only in its lookup, is never dropped."""
+    ExperienceBatch._from_codes(states, actions, codes[:])  # a copy, as this empties the list it checks
+    row = ExperienceTuple(*row)
+    codes += states[row.state], actions[row.action], row.reward, states[row.next_state]
 
 
 def _rate(name: str, value: float) -> float:
@@ -251,7 +256,7 @@ class QTable:
     and `action_index` number the labels in first-registration order, which
     is the tie-breaking rule for greedy lookups. Reading an unknown pair,
     unhashable labels included, yields 0.0 and never materializes an entry;
-    registering a bad label raises ValueError.
+    registering a bad label raises ValueError, and a good one holds its text.
     """
 
     __slots__ = ("state_index", "action_index", "rows")
@@ -290,7 +295,8 @@ class QTable:
     def set(self, state: StateId, action: ActionId, value: float) -> None:
         """Store a value, registering the state and action if new: the table's
         one mutator. The value and both labels are checked before anything
-        changes, so a refused call leaves the table as it was."""
+        changes, so a refused call leaves the table as it was; a new label is
+        stored as its text."""
         try:
             value = float(value)
         except OverflowError:  # refused below as the infinity it rounds to, as ExperienceTuple refuses it
@@ -299,8 +305,8 @@ class QTable:
             raise ValueError(f"cannot parse value {value!r} for ({state!r}, {action!r})") from None
         if not math.isfinite(value):
             raise ValueError(f"value for ({state!r}, {action!r}) must be finite, got {value!r}")
-        i = _find(self.state_index, state, "state")
-        j = _find(self.action_index, action, "action")
+        state, action = validate_label(state, "state"), validate_label(action, "action")
+        i, j = self.state_index.get(state), self.action_index.get(action)
         if j is None:
             j = self.action_index[action] = len(self.action_index)
             for row in self.rows:
@@ -321,19 +327,6 @@ class QTable:
 
     def __repr__(self) -> str:
         return f"QTable(states={len(self.state_index)}, actions={len(self.action_index)})"
-
-
-def _find(numbering: Dict[str, int], label: StateId, kind: str) -> Optional[int]:
-    """`label`'s number in `numbering`, or None for a new label that `validate_label`
-    passes; a lookup that raises is refused with ValueError, changing nothing."""
-    try:
-        number = numbering.get(label)
-    except TypeError:  # validate_label refuses an unhashable label, or one whose == fails against its own text
-        validate_label(label, kind)
-        raise _incomparable(label, kind) from None
-    if number is None:
-        validate_label(label, kind)
-    return number
 
 
 def policy_from_q(q: QTable) -> Policy:

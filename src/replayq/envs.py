@@ -8,7 +8,7 @@ import random
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
-from .core import _Codes, _count, _rate, _refuse_uncodable, policy_from_q
+from .core import _Codes, _code_by_text, _count, _rate, policy_from_q
 from .oracle import ExplicitMDP, estimate_mdp
 from .tictactoe import tictactoe_environment
 
@@ -145,8 +145,8 @@ def sample_experience(
         next_state, reward = step(state, action, rng)
         try:  # state before next state, so state codes follow first appearance
             codes += states[state], actions[action], reward, states[next_state]
-        except TypeError:  # an unhashable label: name the first bad row as ExperienceBatch(rows) does
-            _refuse_uncodable(states, actions, codes, (state, action, reward, next_state))
+        except TypeError:  # code the row by its text, or name the first bad row, as ExperienceBatch(rows) does
+            _code_by_text(states, actions, codes, (state, action, reward, next_state))
     return ExperienceBatch._from_codes(states, actions, codes)
 
 

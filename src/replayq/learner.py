@@ -19,7 +19,6 @@ from .core import (
     RLModel,
     StateId,
     _count,
-    _find,
     _rate,
     _shuffle,
     policy_from_q,
@@ -58,15 +57,11 @@ def _backup(items: Iterable[tuple], rows: List[List[float]], v: List[float], alp
     return changed
 
 
-def _table_labels(held: List, numbering: Dict[str, int], labels: List, kind: str) -> Tuple[List, bool]:
+def _table_labels(held: List, numbering: Dict[str, int], labels: List) -> Tuple[List, bool]:
     """`held`, then those of a batch's `labels` that `numbering` (held's) lacks, in batch order, and whether
-    that list numbers `labels` as the batch does. A label whose lookup raises, as a str subclass's == may
-    against a held one, is refused with ValueError, as `QTable.set` refuses it."""
-    try:
-        merged = held + list(filterfalse(numbering.__contains__, labels))
-        return merged, merged[:len(labels)] == labels
-    except TypeError:  # an == raised: `_find` refuses a label equal to a held one; else they differ, so remap
-        return held + [label for label in labels if _find(numbering, label, kind) is None], False
+    that list numbers `labels` as the batch does."""
+    merged = held + list(filterfalse(numbering.__contains__, labels))
+    return merged, merged[:len(labels)] == labels
 
 
 def _reward_total(rewards: List[float]) -> float:
@@ -126,8 +121,8 @@ def learn(
     # table follow the table's own, in batch order.
     start = prior or RLModel(QTable(), control)
     base = start.q
-    actions, same_actions = _table_labels(base.actions, base.action_index, batch.actions, "action")
-    states, same_states = _table_labels(base.states, base.state_index, batch.states, "state")
+    actions, same_actions = _table_labels(base.actions, base.action_index, batch.actions)
+    states, same_states = _table_labels(base.states, base.state_index, batch.states)
     # The base's rows widen as copies, so `prior` is never modified; a new row is all zero, its maximum 0.0.
     pad, fresh = [0.0] * (len(actions) - len(base.action_index)), states[len(base.rows):]
     widened = [row + pad for row in base.rows]

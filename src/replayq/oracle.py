@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .core import ActionId, ExperienceBatch, ExperienceTuple, QTable, StateId, _find, _validate_labels, policy_from_q
+from .core import ActionId, ExperienceBatch, ExperienceTuple, QTable, StateId, _validate_labels, policy_from_q
 
 _ROW_SUM_TOL = 1e-9
 _MAX_SWEEPS = 1_000_000
@@ -40,7 +40,7 @@ class ExplicitMDP:
     the model was estimated from data (each holds one zero-reward self-loop);
     it is None for a model given directly. `transition` and `reward` are dense
     `(S, A, S)` views, built on each access. `states` and `actions` are held
-    as tuples, checked as QTable checks its labels, actions first;
+    as tuples of their texts, checked as QTable checks its labels, actions first;
     `probability` and `step_reward` must hold real numbers, so text and bools
     are refused, not read as 1.0, and each (state, action) row must be a
     probability distribution: finite entries >= 0 that sum to 1 within 1e-9.
@@ -64,8 +64,8 @@ class ExplicitMDP:
         n_states, n_pairs = len(states), len(states) * len(actions)
         if not n_pairs:
             raise ValueError(f"{'actions' if n_states else 'states'} must not be empty")
-        object.__setattr__(self, "actions", _validate_labels(actions, "action"))  # actions first, as QTable checks them
-        object.__setattr__(self, "states", _validate_labels(states, "state"))
+        object.__setattr__(self, "actions", tuple(_validate_labels(actions, "action")))  # first, as QTable checks them
+        object.__setattr__(self, "states", tuple(_validate_labels(states, "state")))
         for name, dtype, kinds, rule in (("pair", np.intp, "iu", "indices must be integers"),
                                          ("next_state", np.intp, "iu", "indices must be integers"),
                                          ("probability", float, "iuf", "must be real numbers"),
@@ -212,12 +212,8 @@ def compare_to_optimal(q: QTable, q_star: QTable) -> Tuple[int, float, int, int]
     than `POLICY_TIE_MARGIN`, and how many of those states have a greedy
     action in `q` that differs from the one in `q_star`.
     """
-    try:
-        states = [s for s in q_star.states if s in q.state_index]
-        actions = [a for a in q_star.actions if a in q.action_index]
-    except TypeError:  # a label whose == raises against one of q's, as a str subclass's may, is refused as by q.set
-        states = [s for s in q_star.states if _find(q.state_index, s, "state") is not None]
-        actions = [a for a in q_star.actions if _find(q.action_index, a, "action") is not None]
+    states = [s for s in q_star.states if s in q.state_index]
+    actions = [a for a in q_star.actions if a in q.action_index]
     if not states or not actions:
         raise ValueError("model shares no states or actions with the environment")
 

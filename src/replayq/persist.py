@@ -308,7 +308,7 @@ def model_from_json(text: str, source: str = "<string>") -> RLModel:
         if not (isinstance(states, list) and isinstance(actions, list) and isinstance(values, dict)
                 and isinstance(policy, dict)):
             raise ValueError("states and actions must be lists, q and policy objects")
-        _validate_labels(actions, "action")  # actions are checked first, as QTable checks them
+        actions = _validate_labels(actions, "action")  # actions are checked first, as QTable checks them
         q = QTable._of(_validate_labels(states, "state"), actions, [])  # rows are appended as they pass
         for name, table in (("q", values), ("policy", policy)):
             for s in table:

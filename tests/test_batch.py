@@ -1,12 +1,13 @@
 """ExperienceBatch: the one batch type that builders return and learners read."""
 
-import copy
 import inspect
 import math
+import random
 import re
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,11 @@ from replayq import (
     Environment,
     ExperienceBatch,
     ExperienceTuple,
+    ExplicitMDP,
     QTable,
     RLModel,
     compare_to_optimal,
+    epsilon_greedy,
     estimate_mdp,
     gridworld_environment,
     learn,
@@ -167,7 +170,7 @@ def test_sample_experience_refuses_a_faulty_environment_as_experience_tuple_does
 
 class KindIncomparableStr(str):
     """A str whose == raises TypeError only against its own kind, so validate_label, which compares it with its
-    plain text, passes it, and only a table that already holds one of them meets the error."""
+    plain text, passes it; a table holds that text, so no lookup meets the error."""
 
     __hash__ = str.__hash__
 
@@ -176,51 +179,58 @@ class KindIncomparableStr(str):
             raise TypeError("no == between these")
         return str.__eq__(self, other)
 
-    def __deepcopy__(self, memo):  # immutable, as a str is, so a deep copy may share it
-        return self
+
+K = KindIncomparableStr
 
 
 @pytest.mark.parametrize("build", [_sampled, _from_rows], ids=["sample-experience", "batch-rows"])
-def test_a_label_whose_eq_fails_against_an_earlier_one_is_raised_never_dropped(build):
-    with pytest.raises(ValueError, match="^next_state 'x' cannot be compared with an earlier label$"):
-        build([(KindIncomparableStr("x"), 1.0), (KindIncomparableStr("x"), 1.0)])
+def test_a_label_whose_eq_fails_against_its_own_kind_is_coded_by_its_text(build):
+    batch = build([(K("x"), 1.0), (K("x"), 1.0)])
+    assert batch == build([("x", 1.0), ("x", 1.0)]) and all(type(label) is str for label in batch.states)
 
 
 @pytest.mark.parametrize("build", [_sampled, _from_rows], ids=["sample-experience", "batch-rows"])
-def test_a_label_whose_eq_fails_once_against_an_earlier_one_is_refused_never_dropped(build):
+def test_a_label_whose_eq_fails_once_in_its_lookup_is_coded_by_its_text_never_dropped(build):
     class FailsOnce(str):
-        """Like KindIncomparableStr, but only its first == against its own kind raises: the second lookup,
-        which names the bad label, finds none, and the row is still refused."""
+        """A str whose second == raises: validate_label's comparison of the first instance with its text passes,
+        then the table's lookup of the second raises against the text it holds, and the row is coded anyway."""
 
         __hash__ = str.__hash__
-        failures_left = 1
+        calls = 0
 
         def __eq__(self, other):
-            if isinstance(other, FailsOnce) and FailsOnce.failures_left:
-                FailsOnce.failures_left -= 1
-                raise TypeError("no == between these, this once")
+            FailsOnce.calls += 1
+            if FailsOnce.calls == 2:
+                raise TypeError("no == this once")
             return str.__eq__(self, other)
 
-    with pytest.raises(ValueError, match="^next_state 'x' cannot be compared with an earlier label$"):
-        build([(FailsOnce("x"), 1.0), (FailsOnce("x"), 1.0)])
-    assert FailsOnce.failures_left == 0
+    batch = build([(FailsOnce("x"), 1.0), (FailsOnce("x"), 1.0)])
+    assert FailsOnce.calls == 3  # validate_label, the failed lookup, and validate_label again before coding
+    assert batch == build([("x", 1.0), ("x", 1.0)]) and all(type(label) is str for label in batch.states)
 
 
-@pytest.mark.parametrize("call, message", [
-    pytest.param(lambda q: q.set(KindIncomparableStr("s"), "b", 2.0), "state 's'", id="set-state"),
-    pytest.param(lambda q: q.set("t", KindIncomparableStr("a"), 2.0), "action 'a'", id="set-action"),
-    pytest.param(lambda q: QTable(states=[KindIncomparableStr("s"), KindIncomparableStr("s")]), "state 's'",
-                 id="constructor-states"),
-    pytest.param(lambda q: QTable(actions=[KindIncomparableStr("a"), KindIncomparableStr("a")]), "action 'a'",
-                 id="constructor-actions"),
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda q, make: q.set(make("s"), "b", 2.0), id="set-state"),
+    pytest.param(lambda q, make: q.set("t", make("a"), 2.0), id="set-action"),
 ])
-def test_a_label_whose_eq_fails_against_a_held_one_is_refused_leaving_the_table_as_it_was(call, message):
-    q = QTable()
-    q.set(KindIncomparableStr("s"), KindIncomparableStr("a"), 1.0)
-    before = copy.deepcopy(q)
-    with pytest.raises(ValueError, match="^" + re.escape(message) + " cannot be compared with an earlier label$"):
-        call(q)
-    assert q == before and q.rows == [[1.0]]
+def test_a_label_whose_eq_fails_against_its_own_kind_is_set_as_its_text(call):
+    def table(make):
+        q = QTable()
+        q.set(make("s"), make("a"), 1.0)
+        call(q, make)
+        return q
+
+    held = table(K)
+    assert held == table(str) and all(type(label) is str for label in held.states + held.actions)
+
+
+@pytest.mark.parametrize("states, actions, message", [
+    pytest.param([K("s"), K("s")], [], "state 's'", id="constructor-states"),
+    pytest.param([], [K("a"), K("a")], "action 'a'", id="constructor-actions"),
+])
+def test_a_label_listed_twice_is_refused_whatever_its_eq(states, actions, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + " is listed more than once$"):
+        QTable(states, actions)
 
 
 def _holding(state, action):
@@ -229,26 +239,94 @@ def _holding(state, action):
     return q
 
 
-K = KindIncomparableStr
-
-
-# A table and a batch, or two tables, each holding its own instance of one label: (call, the label refused).
+# A table and a batch, or two tables, each holding its own instance of one label, made by `make`.
 HELD_TWICE = [
-    pytest.param(lambda: learn([ExperienceTuple(K("s"), "a", 1.0, "t")], ControlParams(),
-                               prior=RLModel(_holding(K("s"), "a"), ControlParams())), "state 's'", id="learn-state"),
-    pytest.param(lambda: learn([ExperienceTuple("s", K("a"), 1.0, "s")], ControlParams(),
-                               prior=RLModel(_holding("s", K("a")), ControlParams())), "action 'a'", id="learn-action"),
-    pytest.param(lambda: compare_to_optimal(_holding(K("s"), "a"), _holding(K("s"), "a")), "state 's'",
+    pytest.param(lambda make: model_to_json(learn([ExperienceTuple(make("s"), "a", 1.0, "t")], ControlParams(),
+                                                  prior=RLModel(_holding(make("s"), "a"), ControlParams()))),
+                 id="learn-state"),
+    pytest.param(lambda make: model_to_json(learn([ExperienceTuple("s", make("a"), 1.0, "s")], ControlParams(),
+                                                  prior=RLModel(_holding("s", make("a")), ControlParams()))),
+                 id="learn-action"),
+    pytest.param(lambda make: compare_to_optimal(_holding(make("s"), "a"), _holding(make("s"), "a")),
                  id="compare-state"),
-    pytest.param(lambda: compare_to_optimal(_holding("s", K("a")), _holding("s", K("a"))), "action 'a'",
+    pytest.param(lambda make: compare_to_optimal(_holding("s", make("a")), _holding("s", make("a"))),
                  id="compare-action"),
 ]
 
 
-@pytest.mark.parametrize("call, label", HELD_TWICE)
-def test_a_label_held_twice_whose_eq_fails_is_refused_by_learn_and_compare_to_optimal(call, label):
-    with pytest.raises(ValueError, match="^" + re.escape(label) + " cannot be compared with an earlier label$"):
+@pytest.mark.parametrize("call", HELD_TWICE)
+def test_a_label_held_twice_whose_eq_fails_is_learned_and_compared_as_its_text(call):
+    assert call(K) == call(str)
+
+
+class HashlessStr(str):
+    """A str that hashes apart from its text, so a table keyed by it would hold it apart from an equal label."""
+
+    def __hash__(self):
+        return 0
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: QTable(["s", HashlessStr("s")], ["a"]), "state 's'", id="qtable"),
+    pytest.param(lambda: ExperienceTuple(HashlessStr("s"), "a", 1.0, "s"), "state 's'", id="experience-tuple"),
+    pytest.param(lambda: _from_rows([(HashlessStr("s"), 1.0)]), "next_state 's'", id="batch-rows"),
+    pytest.param(lambda: _sampled([(HashlessStr("s"), 1.0)]), "next_state 's'", id="sample-experience"),
+])
+def test_a_label_that_does_not_hash_as_its_text_is_refused(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + " does not hash as its text$"):
         call()
+
+
+def test_a_state_whose_eq_fails_against_its_own_kind_is_found_by_epsilon_greedy_and_sampling():
+    q = QTable([K("s")], ["a", "b"])
+    q.set(K("s"), "b", 5.0)
+    assert epsilon_greedy(q, K("s"), 0.0, random.Random(0)) == "b"
+    control = ControlParams(epsilon=0.0)
+    env = Environment("kind", (K("s"),), ("a", "b"), lambda s, a, rng: EnvResponse(K("s"), 1.0))
+    assert sample_experience(3, env, "epsilon-greedy", RLModel(q, control), control).actions == ["b"]
+
+
+class PlainSubStr(str):
+    """A str subclass that changes nothing."""
+
+
+def _exact(labels):
+    return all(type(label) is str for label in labels)
+
+
+# A label as its text and the kind of str that holds it.
+KINDED_LABELS = st.tuples(st.sampled_from(["s", "t", "é"]), st.sampled_from([str, np.str_, PlainSubStr, K]))
+
+
+@settings(max_examples=100, deadline=None, phases=NO_EXPLAIN)
+@given(rows=st.lists(st.tuples(KINDED_LABELS, KINDED_LABELS, st.floats(-10.0, 10.0), KINDED_LABELS),
+                     min_size=1, max_size=8))
+def test_every_label_held_is_its_text_and_fits_as_the_plain_texts_do(rows):
+    def fit(label):  # builds each structure from the rows' labels, each made by `label((text, kind))`
+        states = [label(k) for k in {k[0]: k for s, _, _, s2 in rows for k in (s, s2)}.values()]  # one per text
+        actions = [label(k) for k in {a[0]: a for _, a, _, _ in rows}.values()]
+        q = QTable(states, actions)
+        for s, a, r, _ in rows:
+            q.set(label(s), label(a), r)
+        assert _exact(q.states + q.actions)
+        tuples = [ExperienceTuple(label(s), label(a), r, label(s2)) for s, a, r, s2 in rows]
+        assert _exact(label for t in tuples for label in (t.state, t.action, t.next_state))
+        batch = ExperienceBatch([SimpleNamespace(state=label(s), action=label(a), reward=r, next_state=label(s2))
+                                 for s, a, r, s2 in rows])
+        assert batch == tuples and _exact(batch.states + batch.actions)
+        control = ControlParams(alpha=0.5, gamma=0.5, epsilon=0.5)
+        model = learn(batch, control, iterations=3, seed=1, prior=RLModel(q, control))
+        assert _exact(model.q.states + model.q.actions)
+        env = Environment("kinds", tuple(states), tuple(actions), lambda s, a, rng: EnvResponse(states[-1], 1.0))
+        sampled = sample_experience(5, env, "epsilon-greedy", model, control, seed=2)
+        assert _exact(sampled.states + sampled.actions)
+        n = len(states) * len(actions)
+        given_mdp = ExplicitMDP(states, actions, np.arange(n), np.arange(n) // len(actions), np.ones(n), np.zeros(n))
+        estimated = estimate_mdp(batch)
+        assert _exact(given_mdp.states + given_mdp.actions + estimated.states + estimated.actions)
+        return model_to_json(model), sampled, given_mdp, estimated
+
+    assert fit(lambda k: k[1](k[0])) == fit(lambda k: k[0])
 
 
 @pytest.mark.parametrize("kind", ["state", "action"])
