@@ -5,6 +5,8 @@ built-in environments. The environment contract, `Environment` and
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import ActionId, ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, RLModel, StateId
@@ -37,32 +39,41 @@ def _gridworld_response(state: StateId, action: ActionId) -> EnvResponse:
     return EnvResponse(next_state, 10.0 if next_state == _GRIDWORLD_GOAL != state else -1.0)
 
 
-# Every pair's response, built once, one dict per state keyed by action: a step is two
-# lookups of a str, which cost less than building and hashing a (state, action) key.
-_GRIDWORLD_STEPS = {s: {a: _gridworld_response(s, a) for a in GRIDWORLD_ACTIONS} for s in GRIDWORLD_STATES}
+@dataclass(frozen=True, eq=False)
+class _StepTable:
+    """A deterministic step held as its table: `responses[state][action]` is the response.
 
-
-def gridworld_step(state: StateId, action: ActionId, rng: Optional[random.Random] = None) -> EnvResponse:
-    """Walled 2x2 maze: entering the goal cell s4 pays +10, any other move -1.
-
-    Blocked moves self-loop, and s4 is absorbing (re-"entering" it from
-    itself earns no bonus). The maze is deterministic, so `rng` is not read.
+    Calling it steps as a step function does, refusing a state or an action the
+    table lacks, and never reads `rng`. `sample_experience` reads the table
+    instead of calling it, and calls it only for a pair the table lacks. Every
+    label it holds, next states included, is an exact str.
     """
-    try:
-        return _GRIDWORLD_STEPS[state][action]
-    except (KeyError, TypeError):  # TypeError: a label that cannot be hashed or compared, which is unknown too
+
+    responses: Dict[StateId, Dict[ActionId, EnvResponse]]
+
+    def __call__(self, state: StateId, action: ActionId, rng: Optional[random.Random] = None) -> EnvResponse:
         try:
-            known = state in GRIDWORLD_STATES
-        except TypeError:
-            known = False
-        raise ValueError(f"unknown action {action!r}" if known else f"unknown state {state!r}") from None
+            return self.responses[state][action]
+        except (KeyError, TypeError):  # TypeError: a label that cannot be hashed or compared, which is unknown too
+            try:
+                known = state in self.responses
+            except TypeError:
+                known = False
+            raise ValueError(f"unknown action {action!r}" if known else f"unknown state {state!r}") from None
+
+
+# Walled 2x2 maze: entering the goal cell s4 pays +10, any other move -1. Blocked moves
+# self-loop, and s4 is absorbing (re-"entering" it from itself earns no bonus). Every
+# pair's response is built once, one dict per state keyed by action: a step is two
+# lookups of a str, which cost less than building and hashing a (state, action) key.
+gridworld_step = _StepTable({s: {a: _gridworld_response(s, a) for a in GRIDWORLD_ACTIONS} for s in GRIDWORLD_STATES})
 
 
 def gridworld_mdp() -> ExplicitMDP:
     """The gridworld's exact dynamics: it is deterministic, so its table of
     one step from every (state, action) pair, read state-major, estimates them exactly."""
     return estimate_mdp([ExperienceTuple(s, a, reward, s2)
-                         for s, steps in _GRIDWORLD_STEPS.items() for a, (s2, reward) in steps.items()])
+                         for s, steps in gridworld_step.responses.items() for a, (s2, reward) in steps.items()])
 
 
 def gridworld_environment() -> Environment:
@@ -100,6 +111,13 @@ def sample_experience(
     a bool is not, and an environment with no states or no actions is refused.
     Labels are coded into the batch as they are drawn; in either mode a bad
     row raises ValueError as ExperienceTuple would, naming the first one.
+
+    A step held as a table, the built-in gridworld's, is read, not called,
+    when every state and action label is an exact str: the table and each
+    state's greedy action are read once per call, and the labels of each
+    distinct pair drawn are coded once. A pair the table lacks is stepped by
+    the call at its draw, which refuses it. The table draws nothing, so the
+    draws and the batch are the same. Any other step is called once per tuple.
     """
     n = _count("n", n)
     for field, labels in (("states", env.states), ("actions", env.actions)):
@@ -126,6 +144,37 @@ def sample_experience(
     state_bits, pick_bits = num_states.bit_length(), num_picks.bit_length()
     states, actions = _Codes(), _Codes()
     codes = []
+    if type(step) is _StepTable and all(type(label) is str for label in (*env_states, *picks)):
+        # An exact str hashes and compares alike at every lookup, so the table is read once per
+        # call, into the response of each pair k = i * num_picks + j of a state and a pick, and
+        # a draw keeps its k alone. None marks a pair the table lacks: the call refuses it.
+        pairs = [step.responses.get(state, {}).get(action) for state in env_states for action in picks]
+        if greedy is not None:
+            greedy_pairs = [i * num_picks + picks.index(greedy(state, first)) for i, state in enumerate(env_states)]
+        drawn = []
+        for _ in range(n):
+            i = getrandbits(state_bits)
+            while i >= num_states:
+                i = getrandbits(state_bits)
+            if greedy is None or random_() < epsilon:
+                j = getrandbits(pick_bits)
+                while j >= num_picks:
+                    j = getrandbits(pick_bits)
+                k = i * num_picks + j
+            else:
+                k = greedy_pairs[i]
+            if pairs[k] is None:
+                step(env_states[i], picks[k % num_picks], rng)
+            drawn.append(k)
+        # A label first appears in the row where that row's pair first appears, so coding each
+        # distinct pair in first-appearance order numbers the labels as coding row by row does.
+        pair_codes = {}
+        for k in dict.fromkeys(drawn):
+            next_state, reward = pairs[k]
+            state, action = env_states[k // num_picks], picks[k % num_picks]
+            pair_codes[k] = states[state], actions[action], reward, states[next_state]
+        codes = list(chain.from_iterable(map(pair_codes.__getitem__, drawn)))
+        return ExperienceBatch._from_codes(states, actions, codes)
     for _ in range(n):
         # Each uniform pick redraws getrandbits(n.bit_length()) until it is below n, as choice does.
         i = getrandbits(state_bits)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replayq.core import ControlParams, Environment, EnvResponse, ExperienceTuple, QTable, RLModel, policy_from_q
+from replayq.core import (ControlParams, Environment, EnvResponse, ExperienceBatch, ExperienceTuple, QTable, RLModel,
+                          policy_from_q)
 from replayq.envs import (
     GRIDWORLD_ACTIONS,
     GRIDWORLD_STATES,
     SAMPLE_MODES,
+    _StepTable,
     environment_names,
     gridworld_environment,
     gridworld_mdp,
@@ -210,13 +212,17 @@ def ref_sample(n, env, mode, model, control, seed):
 @st.composite
 def sampler_cases(draw):
     """A small environment whose steps may draw from the generator, and a model
-    that may lack some of its states and lists its actions in any order."""
+    that may lack some of its states and lists its actions in any order. An
+    environment whose every pair steps to a fixed response may hold its step
+    as a table, which the sampler reads instead of calling."""
     labels = st.text(alphabet="abxy", min_size=1, max_size=2)
     states = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
     actions = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    table = draw(st.booleans())
     # Each pair steps to a fixed response, or draws its next state or its reward.
-    dynamics = {(s, a): (draw(st.sampled_from(["fixed", "next", "reward"])), draw(st.sampled_from(states)),
-                         draw(st.sampled_from([-1.0, 0.0, 10.0]))) for s in states for a in actions}
+    kinds = st.just("fixed") if table else st.sampled_from(["fixed", "next", "reward"])
+    dynamics = {(s, a): (draw(kinds), draw(st.sampled_from(states)), draw(st.sampled_from([-1.0, 0.0, 10.0])))
+                for s in states for a in actions}
     generators = []
 
     def step(s, a, rng):
@@ -228,11 +234,17 @@ def sampler_cases(draw):
             reward = rng.random()
         return EnvResponse(next_state, reward)
 
+    if table:
+        step = _StepTable({s: {a: EnvResponse(*dynamics[s, a][1:]) for a in actions} for s in states})
     q = QTable(draw(st.lists(st.sampled_from(states), unique=True)), draw(st.permutations(actions)))
     for s in q.states:
         for a in q.actions:
             q.set(s, a, draw(st.sampled_from([-1.0, 0.0, 1.0])))  # ties are common
     return Environment("drawn", tuple(states), tuple(actions), step), RLModel(q, ControlParams()), generators
+
+
+def _columns(batch):
+    return batch.states, batch.actions, batch.s, batch.a, batch.r, batch.s_new
 
 
 @settings(max_examples=200, deadline=None)
@@ -245,10 +257,91 @@ def test_sample_experience_draws_as_choice_and_random_of_one_generator(case, mod
     if mode == "epsilon-greedy":
         kwargs = {"model": model, "control": ControlParams(epsilon=epsilon)}
     batch = sample_experience(n, env, mode=mode, seed=seed, **kwargs)
-    state = generators[-1].getstate()
+    state = generators[-1].getstate() if generators else None  # a table never sees the generator
     rows, ref_state = ref_sample(n, env, mode, model, kwargs.get("control"), seed)
     assert batch == rows
-    assert state == ref_state
+    assert _columns(batch) == _columns(ExperienceBatch(rows))
+    if type(env.step) is not _StepTable:
+        assert state == ref_state
+
+
+def _called(env):
+    """`env` with a plain function for its step, which the sampler calls once per tuple."""
+    step = env.step
+    return Environment(env.name, env.states, env.actions, lambda s, a, rng: step(s, a, rng), env.exact_mdp)
+
+
+@st.composite
+def gridworld_models(draw):
+    """A gridworld model that may lack some states and lists a subset of the actions in any order."""
+    actions = draw(st.lists(st.sampled_from(GRIDWORLD_ACTIONS), min_size=1, unique=True))
+    q = QTable(draw(st.lists(st.sampled_from(GRIDWORLD_STATES), unique=True)), actions)
+    for s in q.states:
+        for a in q.actions:
+            q.set(s, a, draw(st.sampled_from([-1.0, 0.0, 1.0])))
+    return RLModel(q, ControlParams())
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(SAMPLE_MODES), n=st.integers(1, 1000), model=gridworld_models(),
+       epsilon=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_gridworld_table_samples_as_its_step_called_per_tuple(mode, n, model, epsilon, seed):
+    env = gridworld_environment()
+    kwargs = {"model": model, "control": ControlParams(epsilon=epsilon)} if mode == "epsilon-greedy" else {}
+    batch = sample_experience(n, env, mode=mode, seed=seed, **kwargs)
+    assert _columns(batch) == _columns(sample_experience(n, _called(env), mode=mode, seed=seed, **kwargs))
+
+
+@pytest.mark.parametrize("mode", SAMPLE_MODES)
+@pytest.mark.parametrize("seed", range(4))
+def test_the_gridworld_table_samples_a_label_not_an_exact_str_as_its_step_called_per_tuple(mode, seed):
+    env = Environment("grid", ("s1", ["s2"], np.str_("s3")), GRIDWORLD_ACTIONS, gridworld_step)
+    kwargs = {}
+    if mode == "epsilon-greedy":
+        kwargs = {"model": RLModel(QTable(["s1"], ["up"]), ControlParams()), "control": ControlParams(epsilon=0.5)}
+    outcomes = []
+    for sampled in (env, _called(env)):
+        try:
+            outcomes.append(_columns(sample_experience(5, sampled, mode=mode, seed=seed, **kwargs)))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def _jump_model(state):
+    """A gridworld model whose greedy action at `state`, and there alone, is `jump`, which the gridworld lacks."""
+    q = QTable(GRIDWORLD_STATES, ["up", "jump"])
+    q.set(state, "jump", 1.0)
+    return RLModel(q, ControlParams())
+
+
+def test_a_pair_the_gridworld_table_lacks_is_refused_by_the_call_at_its_draw(monkeypatch):
+    env, kwargs = gridworld_environment(), {"model": _jump_model("s2"), "control": ControlParams(epsilon=0.5)}
+    # The generator's state at each call of the step shows the draw it steps.
+    called_at = []
+    table_call = _StepTable.__call__
+
+    def record(step, s, a, rng=None):
+        called_at.append(rng.getstate())
+        return table_call(step, s, a, rng)
+
+    called = Environment(env.name, env.states, env.actions, lambda s, a, rng: record(env.step, s, a, rng))
+    with pytest.raises(ValueError, match="^unknown action 'jump'$"):
+        sample_experience(1000, called, mode="epsilon-greedy", seed=5, **kwargs)
+    refused_at, called_at[:] = called_at[-1], []
+    monkeypatch.setattr(_StepTable, "__call__", record)
+    with pytest.raises(ValueError, match="^unknown action 'jump'$"):
+        sample_experience(1000, env, mode="epsilon-greedy", seed=5, **kwargs)
+    assert called_at == [refused_at]
+
+
+def test_a_greedy_pair_the_gridworld_table_lacks_is_stepped_only_when_drawn():
+    env, seed = gridworld_environment(), 3
+    assert random.Random(seed).choice(env.states) != "s4"  # the one draw starts elsewhere
+    kwargs = {"model": _jump_model("s4"), "control": ControlParams(epsilon=0.0)}
+    batch = sample_experience(1, env, mode="epsilon-greedy", seed=seed, **kwargs)
+    assert _columns(batch) == _columns(sample_experience(1, _called(env), mode="epsilon-greedy", seed=seed, **kwargs))
 
 
 def test_epsilon_greedy_sampling_prefers_the_learned_action():
@@ -281,23 +374,38 @@ def _batch_digest(batch):
     return hashlib.sha256(repr(columns).encode()).hexdigest()
 
 
-def test_seeded_sampler_batches_keep_their_columns():
-    ttt = tictactoe_environment()
-    control = ControlParams(alpha=0.2, gamma=0.99, epsilon=0.1)
-    ttt_model = learn(ttt_generate_games(300, seed=5), control, iterations=3, seed=1)
+def _gridworld_digests():
     # A gridworld model that lacks s2 and s4 and lists its actions in another order than the environment.
     q = QTable(["s3", "s1"], ["right", "up", "down", "left"])
     q.set("s3", "up", 5.0)
     q.set("s1", "down", 1.0)
     q.set("s1", "left", 2.0)
     grid_model = RLModel(q, ControlParams())
-    digests = {
-        "tictactoe-random": _batch_digest(sample_experience(3000, ttt, seed=21)),
-        "tictactoe-epsilon-greedy": _batch_digest(
-            sample_experience(3000, ttt, mode="epsilon-greedy", model=ttt_model, control=control, seed=22)),
-    }
+    digests = {}
     for epsilon in (0.0, 0.1, 1.0):
         batch = sample_experience(2000, gridworld_environment(), mode="epsilon-greedy", model=grid_model,
                                   control=ControlParams(epsilon=epsilon), seed=23)
         digests[f"gridworld-epsilon-{epsilon:g}"] = _batch_digest(batch)
+    return digests
+
+
+def test_seeded_sampler_batches_keep_their_columns():
+    ttt = tictactoe_environment()
+    control = ControlParams(alpha=0.2, gamma=0.99, epsilon=0.1)
+    ttt_model = learn(ttt_generate_games(300, seed=5), control, iterations=3, seed=1)
+    digests = {
+        "tictactoe-random": _batch_digest(sample_experience(3000, ttt, seed=21)),
+        "tictactoe-epsilon-greedy": _batch_digest(
+            sample_experience(3000, ttt, mode="epsilon-greedy", model=ttt_model, control=control, seed=22)),
+        **_gridworld_digests(),
+    }
     assert digests == PINNED_SAMPLER_SHA256
+
+
+def test_the_gridworld_sampler_reads_its_table_without_calling_its_step(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the gridworld's step was called")
+
+    monkeypatch.setattr(_StepTable, "__call__", refuse)
+    assert _gridworld_digests() == {k: v for k, v in PINNED_SAMPLER_SHA256.items() if k.startswith("gridworld")}
+    sample_experience(1000, gridworld_environment(), seed=1)

@@ -123,9 +123,30 @@ def test_value_iteration_refuses_iterates_that_never_settle(monkeypatch):
     mdp = ExplicitMDP(states=["a", "b"], actions=["go"], pair=[0, 1], next_state=[1, 0], probability=[1.0, 1.0],
                       step_reward=[1e8, -1e8])
     monkeypatch.setattr(oracle, "_MAX_SWEEPS", 200)
-    with pytest.raises(ValueError, match=r"^value iteration did not converge within 200 sweeps$"):
+    with pytest.raises(ValueError, match=r"^value iteration cannot converge: sweep 55 repeats sweep 53, so successive "
+                                         r"tables stay 7\.450580596923828e-09 apart, not below tol 1e-09$"):
         value_iteration(mdp, gamma=0.5)
     assert value_iteration(mdp, gamma=0.5, tol=1e-6).value("a", "go") == pytest.approx(2e8 / 3)
+
+
+def test_value_iteration_refuses_a_two_table_cycle_where_it_first_repeats():
+    # The same a -> b -> a MDP at the real cap of a million sweeps: the table of sweep 55 equals sweep 53's,
+    # so the call refuses there rather than sweeping to the cap.
+    mdp = ExplicitMDP(states=["a", "b"], actions=["go"], pair=[0, 1], next_state=[1, 0], probability=[1.0, 1.0],
+                      step_reward=[1e8, -1e8])
+    assert oracle._MAX_SWEEPS == 1_000_000
+    with pytest.raises(ValueError, match=r"^value iteration cannot converge: sweep 55 repeats sweep 53, "):
+        value_iteration(mdp, gamma=0.5)
+
+
+def test_value_iteration_runs_out_of_sweeps_on_a_longer_cycle(monkeypatch):
+    # a -> b -> c -> a with rewards 1e8, -2e8 and 3e8 at gamma 0.25: the iterates settle into a cycle of three
+    # tables 6e-8 apart, which no two-sweep comparison sees, so the sweeps run out.
+    mdp = ExplicitMDP(states=["a", "b", "c"], actions=["go"], pair=[0, 1, 2], next_state=[1, 2, 0],
+                      probability=[1.0, 1.0, 1.0], step_reward=[1e8, -2e8, 3e8])
+    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 200)
+    with pytest.raises(ValueError, match=r"^value iteration did not converge within 200 sweeps$"):
+        value_iteration(mdp, gamma=0.25)
 
 
 def test_value_iteration_stops_at_the_first_overflow():
