@@ -183,7 +183,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         q_star = value_iteration(mdp, gamma=gamma, tol=1e-9)
     except ValueError as exc:  # a built MDP is valid by type, so only the discount can fail: too close to 1
-        raise _UsageError(f"{source} {gamma:g} is too close to 1 for verify: {exc}") from None
+        raise _UsageError(f"{source} {gamma!r} is too close to 1 for verify: {exc}") from None
     pairs, max_diff, compared, mismatched = compare_to_optimal(model.q, q_star)
 
     print(f"environment: {args.env.name}")

@@ -45,7 +45,7 @@ class _StepTable:
 
     Calling it steps as a step function does, refusing a state or an action the
     table lacks, and never reads `rng`. `sample_experience` reads the table
-    instead of calling it, and calls it only for a pair the table lacks. Every
+    instead of calling it when the table answers every pair it can draw. Every
     label it holds, next states included, is an exact str.
     """
 
@@ -113,11 +113,12 @@ def sample_experience(
     row raises ValueError as ExperienceTuple would, naming the first one.
 
     A step held as a table, the built-in gridworld's, is read, not called,
-    when every state and action label is an exact str: the table and each
-    state's greedy action are read once per call, and the labels of each
-    distinct pair drawn are coded once. A pair the table lacks is stepped by
-    the call at its draw, which refuses it. The table draws nothing, so the
-    draws and the batch are the same. Any other step is called once per tuple.
+    when every state and action label is an exact str and the table answers
+    every pair the call can draw: the table and each state's greedy action are
+    read once per call, and the labels of each distinct pair drawn are coded
+    once. The table draws nothing, so the draws and the batch are the same.
+    Any other step is called once per tuple, so a pair the table lacks, such
+    as a model's action the environment does not have, is refused at its draw.
     """
     n = _count("n", n)
     for field, labels in (("states", env.states), ("actions", env.actions)):
@@ -147,34 +148,34 @@ def sample_experience(
     if type(step) is _StepTable and all(type(label) is str for label in (*env_states, *picks)):
         # An exact str hashes and compares alike at every lookup, so the table is read once per
         # call, into the response of each pair k = i * num_picks + j of a state and a pick, and
-        # a draw keeps its k alone. None marks a pair the table lacks: the call refuses it.
+        # a draw keeps its k alone. None marks a pair the table lacks: then the loop below calls
+        # the step per tuple, which refuses that pair at its draw.
         pairs = [step.responses.get(state, {}).get(action) for state in env_states for action in picks]
-        if greedy is not None:
-            greedy_pairs = [i * num_picks + picks.index(greedy(state, first)) for i, state in enumerate(env_states)]
-        drawn = []
-        for _ in range(n):
-            i = getrandbits(state_bits)
-            while i >= num_states:
+        if None not in pairs:
+            if greedy is not None:
+                greedy_pairs = [i * num_picks + picks.index(greedy(state, first)) for i, state in enumerate(env_states)]
+            drawn = []
+            for _ in range(n):
                 i = getrandbits(state_bits)
-            if greedy is None or random_() < epsilon:
-                j = getrandbits(pick_bits)
-                while j >= num_picks:
+                while i >= num_states:
+                    i = getrandbits(state_bits)
+                if greedy is None or random_() < epsilon:
                     j = getrandbits(pick_bits)
-                k = i * num_picks + j
-            else:
-                k = greedy_pairs[i]
-            if pairs[k] is None:
-                step(env_states[i], picks[k % num_picks], rng)
-            drawn.append(k)
-        # A label first appears in the row where that row's pair first appears, so coding each
-        # distinct pair in first-appearance order numbers the labels as coding row by row does.
-        pair_codes = {}
-        for k in dict.fromkeys(drawn):
-            next_state, reward = pairs[k]
-            state, action = env_states[k // num_picks], picks[k % num_picks]
-            pair_codes[k] = states[state], actions[action], reward, states[next_state]
-        codes = list(chain.from_iterable(map(pair_codes.__getitem__, drawn)))
-        return ExperienceBatch._from_codes(states, actions, codes)
+                    while j >= num_picks:
+                        j = getrandbits(pick_bits)
+                    k = i * num_picks + j
+                else:
+                    k = greedy_pairs[i]
+                drawn.append(k)
+            # A label first appears in the row where that row's pair first appears, so coding each
+            # distinct pair in first-appearance order numbers the labels as coding row by row does.
+            pair_codes = {}
+            for k in dict.fromkeys(drawn):
+                next_state, reward = pairs[k]
+                state, action = env_states[k // num_picks], picks[k % num_picks]
+                pair_codes[k] = states[state], actions[action], reward, states[next_state]
+            codes = list(chain.from_iterable(map(pair_codes.__getitem__, drawn)))
+            return ExperienceBatch._from_codes(states, actions, codes)
     for _ in range(n):
         # Each uniform pick redraws getrandbits(n.bit_length()) until it is below n, as choice does.
         i = getrandbits(state_bits)

@@ -4,6 +4,7 @@ and the comparison of a learned table against the optimal one."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,12 +128,11 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
     differ by less than `tol` in sup norm, which bounds the Bellman residual
     of the returned table by `gamma * tol`. Each backup costs time linear in
     the number of transitions. Sweep `k` changes the table by at most
-    `gamma**k * max|E[r]|`; when that bound does not fall below `tol` within
-    a million sweeps, the call is refused before the first one. Every refusal
-    is a ValueError, also of iterates that rounding keeps from settling: a
-    sweep whose table equals the one two sweeps before is refused at once, as
-    the two would alternate forever; a longer cycle runs out of sweeps. The
-    MDP itself is not checked again: its constructor refuses an invalid one.
+    `gamma**(k - 1) * max|E[r]|`; let K be the first sweep whose bound lies
+    below `tol`. When K exceeds a million, the call is refused before the
+    first sweep; iterates that rounding keeps cycling, however long the cycle,
+    are refused after 2K sweeps. Every refusal is a ValueError. The MDP
+    itself is not checked again: its constructor refuses an invalid one.
 
     The values are held action-major, one row per action, so each sweep's
     per-state maximum reduces contiguous rows. Q* is the same bit for bit as
@@ -151,29 +151,27 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
     pair = mdp.pair % n_actions * n_states + mdp.pair // n_actions  # (s, a) -> a * S + s
     expected_reward = np.bincount(pair, weights=mdp.probability * mdp.step_reward, minlength=q.size)
     max_reward = float(np.abs(expected_reward).max(initial=0.0))
-    if max_reward * gamma ** (_MAX_SWEEPS - 1) >= tol:
+    if max_reward < tol:
+        sweeps = 1
+    elif gamma == 0.0:
+        sweeps = 2
+    else:  # the clamp keeps an infinite max|E[r]| from overflowing int, and takes NaN (inf - inf) as a refusal
+        sweeps = 2 + int(min(_MAX_SWEEPS, (math.log(tol) - math.log(max_reward)) / math.log(gamma)))
+    if sweeps > _MAX_SWEEPS:
         raise ValueError(f"value iteration at gamma {gamma} may need more than {_MAX_SWEEPS} sweeps to reach tol {tol}")
-    # Sweeps are deterministic, so once a table equals the one two sweeps before it, the two
-    # alternate forever. Only rounding brings a table back, so a sweep is compared with that
-    # one only when its change is within 4 to 8 units in the last place of max|Q|'s bound.
-    cycle_delta = 2.0 ** -50 * max_reward / (1.0 - gamma)
-    q_back = q  # the table one sweep before q
-    for sweep in range(1, _MAX_SWEEPS + 1):
+    for _ in range(2 * sweeps):  # rounding can delay the settling sweep, so the budget allows twice K
         v = q.max(axis=0)
         backed_up = np.bincount(pair, weights=mdp.probability * v[mdp.next_state], minlength=q.size)
         q_next = (expected_reward + gamma * backed_up).reshape(q.shape)
         delta = float(np.abs(q_next - q).max())
         if not np.isfinite(delta):  # an inf or NaN value makes every later delta NaN
             raise ValueError("state-action values must be finite")
+        q = q_next
         if delta < tol:
-            q = q_next
             break
-        if delta <= cycle_delta and np.array_equal(q_next, q_back):
-            raise ValueError(f"value iteration cannot converge: sweep {sweep} repeats sweep {sweep - 2}, so "
-                             f"successive tables stay {delta!r} apart, not below tol {tol}")
-        q_back, q = q, q_next
     else:
-        raise ValueError(f"value iteration did not converge within {_MAX_SWEEPS} sweeps")
+        raise ValueError(f"value iteration did not converge within {2 * sweeps} sweeps: the last changed the table "
+                         f"by {delta!r}, not below tol {tol}")
 
     return QTable._of(mdp.states, mdp.actions, q.T.tolist())
 

@@ -364,6 +364,16 @@ def test_verify_refuses_a_gamma_too_close_to_one_before_sweeping(tmp_path, capsy
         "1000000 sweeps to reach tol 1e-09\n")
 
 
+def test_verify_names_a_gamma_near_one_by_all_its_digits(tmp_path, capsys):
+    # Six significant digits would round 0.9999999 to 1, which the message says it is too close to.
+    model = trained(tmp_path)
+    capsys.readouterr()
+    rc = run("verify", "--model", model, "--env", "gridworld-2x2", "--gamma", "0.9999999")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --gamma 0.9999999 is too close to 1 for verify: value iteration "
+                                              "at gamma 0.9999999 ")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.1"])
 def test_verify_rejects_a_non_finite_or_negative_tol_as_a_usage_error(tmp_path, capsys, tol):
     model = trained(tmp_path)

@@ -329,11 +329,11 @@ def test_a_pair_the_gridworld_table_lacks_is_refused_by_the_call_at_its_draw(mon
     called = Environment(env.name, env.states, env.actions, lambda s, a, rng: record(env.step, s, a, rng))
     with pytest.raises(ValueError, match="^unknown action 'jump'$"):
         sample_experience(1000, called, mode="epsilon-greedy", seed=5, **kwargs)
-    refused_at, called_at[:] = called_at[-1], []
+    plain_calls, called_at[:] = called_at[:], []
     monkeypatch.setattr(_StepTable, "__call__", record)
     with pytest.raises(ValueError, match="^unknown action 'jump'$"):
         sample_experience(1000, env, mode="epsilon-greedy", seed=5, **kwargs)
-    assert called_at == [refused_at]
+    assert called_at == plain_calls
 
 
 def test_a_greedy_pair_the_gridworld_table_lacks_is_stepped_only_when_drawn():

@@ -1,15 +1,17 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from replayq import oracle
@@ -123,30 +125,36 @@ def test_value_iteration_refuses_iterates_that_never_settle(monkeypatch):
     mdp = ExplicitMDP(states=["a", "b"], actions=["go"], pair=[0, 1], next_state=[1, 0], probability=[1.0, 1.0],
                       step_reward=[1e8, -1e8])
     monkeypatch.setattr(oracle, "_MAX_SWEEPS", 200)
-    with pytest.raises(ValueError, match=r"^value iteration cannot converge: sweep 55 repeats sweep 53, so successive "
-                                         r"tables stay 7\.450580596923828e-09 apart, not below tol 1e-09$"):
+    with pytest.raises(ValueError, match=r"^value iteration did not converge within 116 sweeps: the last changed the "
+                                         r"table by 7\.450580596923828e-09, not below tol 1e-09$"):
         value_iteration(mdp, gamma=0.5)
     assert value_iteration(mdp, gamma=0.5, tol=1e-6).value("a", "go") == pytest.approx(2e8 / 3)
 
 
-def test_value_iteration_refuses_a_two_table_cycle_where_it_first_repeats():
-    # The same a -> b -> a MDP at the real cap of a million sweeps: the table of sweep 55 equals sweep 53's,
-    # so the call refuses there rather than sweeping to the cap.
+def test_value_iteration_refuses_a_two_table_cycle_within_twice_its_bound():
+    # The same a -> b -> a MDP at the real cap of a million sweeps: the bound 0.5**(k - 1) * 1e8 first lies below
+    # 1e-9 at sweep K = 58, so the call refuses after 2K = 116 sweeps rather than sweeping to the cap.
     mdp = ExplicitMDP(states=["a", "b"], actions=["go"], pair=[0, 1], next_state=[1, 0], probability=[1.0, 1.0],
                       step_reward=[1e8, -1e8])
     assert oracle._MAX_SWEEPS == 1_000_000
-    with pytest.raises(ValueError, match=r"^value iteration cannot converge: sweep 55 repeats sweep 53, "):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^value iteration did not converge within 116 sweeps: "):
         value_iteration(mdp, gamma=0.5)
+    assert time.perf_counter() - start < 0.1
 
 
-def test_value_iteration_runs_out_of_sweeps_on_a_longer_cycle(monkeypatch):
+def test_value_iteration_runs_out_of_sweeps_on_a_longer_cycle():
     # a -> b -> c -> a with rewards 1e8, -2e8 and 3e8 at gamma 0.25: the iterates settle into a cycle of three
-    # tables 6e-8 apart, which no two-sweep comparison sees, so the sweeps run out.
+    # tables 6e-8 apart. The bound 0.25**(k - 1) * 3e8 first lies below 1e-9 at sweep K = 31, so at the real cap
+    # the call refuses after 2K = 62 sweeps.
     mdp = ExplicitMDP(states=["a", "b", "c"], actions=["go"], pair=[0, 1, 2], next_state=[1, 2, 0],
                       probability=[1.0, 1.0, 1.0], step_reward=[1e8, -2e8, 3e8])
-    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 200)
-    with pytest.raises(ValueError, match=r"^value iteration did not converge within 200 sweeps$"):
+    assert oracle._MAX_SWEEPS == 1_000_000
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^value iteration did not converge within 62 sweeps: the last changed the "
+                                         r"table by 5\.960464477539063e-08, not below tol 1e-09$"):
         value_iteration(mdp, gamma=0.25)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_value_iteration_stops_at_the_first_overflow():
@@ -154,6 +162,16 @@ def test_value_iteration_stops_at_the_first_overflow():
     mdp = one_state_loop(1.0, 1e308)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="state-action values must be finite"):
         value_iteration(mdp, gamma=0.9)
+
+
+@pytest.mark.parametrize("tol", [1e-9, math.inf])
+def test_value_iteration_refuses_an_expected_reward_that_overflows_before_sweeping(tol):
+    # Finite rewards whose probability-weighted sum overflows: no sweep count bounds an infinite max|E[r]|.
+    mdp = ExplicitMDP(states=["s", "t"], actions=["a"], pair=[0, 0, 1], next_state=[0, 1, 1],
+                      probability=[0.5 + 4e-10, 0.5, 1.0], step_reward=[1.7976931348623157e308] * 2 + [0.0])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^value iteration at gamma 0\.5 may need more "
+                                                                      r"than 1000000 sweeps to reach tol "):
+        value_iteration(mdp, gamma=0.5, tol=tol)
 
 
 def test_value_iteration_rejects_non_stochastic_rows():
@@ -227,33 +245,39 @@ def test_value_iteration_sums_expected_rewards_as_the_full_product_does():
     assert np.array_equal(backed, (mdp.transition * mdp.reward).sum(axis=2))
 
 
-def dense_value_iteration(transition, reward, gamma, tol=1e-9):
-    """Value iteration over dense (S, A, S) tables, written out independently of the library."""
+def dense_value_iteration(transition, reward, gamma, tol=1e-9, cap=100_000):
+    """Value iteration over dense (S, A, S) tables, written out independently of the library: the first table
+    that differs from the one before by less than `tol`, or None when none does. Sweeps are deterministic, so
+    once a table repeats an earlier one, none ever will; `cap` sweeps without either also count as none."""
     expected_reward = (transition * reward).sum(axis=2)
-    q = np.zeros(expected_reward.shape)
-    while True:
+    q, seen = np.zeros(expected_reward.shape), set()
+    for _ in range(cap):
         q_next = expected_reward + gamma * (transition * q.max(axis=1)).sum(axis=2)
         delta = np.abs(q_next - q).max()
         q = q_next
         if delta < tol:
             return q
+        if q.tobytes() in seen:
+            return None
+        seen.add(q.tobytes())
+    return None
 
 
 @st.composite
-def flat_mdps(draw):
+def flat_mdps(draw, max_states=7, max_successors=None, rewards=st.floats(-10.0, 10.0)):
     # Up to seven states: numpy sums a row that short left to right, in the
     # next-state order that bincount adds a transition list's row in.
-    n_states, n_actions = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    n_states, n_actions = draw(st.integers(1, max_states)), draw(st.integers(1, 3))
     columns = {"pair": [], "next_state": [], "probability": [], "step_reward": []}
     for pair in range(n_states * n_actions):
-        successors = sorted(draw(st.sets(st.integers(0, n_states - 1), min_size=1)))
+        successors = sorted(draw(st.sets(st.integers(0, n_states - 1), min_size=1, max_size=max_successors)))
         weights = [draw(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.01, 1.0)) for _ in successors]
         weights[0] = weights[0] or 1.0  # a row needs some mass
         for k, w in zip(successors, weights):
             columns["pair"].append(pair)
             columns["next_state"].append(k)
             columns["probability"].append(w / math.fsum(weights))
-            columns["step_reward"].append(draw(st.floats(-10.0, 10.0)))
+            columns["step_reward"].append(draw(rewards))
     return ExplicitMDP(states=[f"s{i}" for i in range(n_states)], actions=[f"a{j}" for j in range(n_actions)],
                        **columns)
 
@@ -266,6 +290,55 @@ def test_value_iteration_matches_a_dense_reference(mdp, gamma):
     q = np.array(value_iteration(mdp, gamma).rows)
     np.testing.assert_allclose(q, dense_value_iteration(transition, reward, gamma), rtol=0, atol=1e-12)
     assert np.array_equal(np.array(value_iteration(mdp, 0.0).rows), (transition * reward).sum(axis=2))
+
+
+# Rewards up to 10**k for k from -3 to 9, drawn once per MDP, so that Q* ranges from far above the float spacing
+# near it to far below, at every tol. In the example, sweep 15 is the first whose bound, 99200 * 0.1**14, lies
+# below tol, but rounding leaves its change at 1.004e-09, so the solve settles at sweep 16.
+@settings(max_examples=100, deadline=None)
+@example(mdp=one_state_loop(1.0, 99200.0), gamma=0.1, tol=1e-9)
+@given(mdp=st.integers(-3, 9).flatmap(lambda k: flat_mdps(5, 3, st.floats(-(10.0 ** k), 10.0 ** k))),
+       gamma=st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.99]), tol=st.sampled_from([1e-3, 1e-9, 1e-12, 1e-15]))
+def test_value_iteration_settles_exactly_where_sweeping_without_its_budget_does(mdp, gamma, tol):
+    settled = dense_value_iteration(mdp.transition, mdp.reward, gamma, tol)
+    if settled is None:
+        with pytest.raises(ValueError, match="^value iteration did not converge within "):
+            value_iteration(mdp, gamma, tol)
+    else:
+        assert np.array_equal(np.array(value_iteration(mdp, gamma, tol).rows), settled)
+
+
+@st.composite
+def deterministic_batches(draw):
+    """Rows of a deterministic MDP: a random subset of its (state, action) pairs, each with one reward and one
+    next state, and each repeated one to three times, in random order."""
+    n_states, n_actions = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n_states - 1), st.integers(0, n_actions - 1)), min_size=1))
+    rows = []
+    for s, a in sorted(pairs):
+        # Rewards within 1 keep Q* within 10, where floats lie far closer together than the solve's tol.
+        reward = draw(st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 0.0, 1.0]))
+        step = ExperienceTuple(f"s{s}", f"a{a}", reward, f"s{draw(st.integers(0, n_states - 1))}")
+        rows += [step] * draw(st.integers(1, 3))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=deterministic_batches(), gamma=st.sampled_from([0.0, 0.5, 0.9]), alpha=st.sampled_from([0.1, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_replay_on_deterministic_data_stops_at_the_solved_estimate(batch, gamma, alpha, seed):
+    # Replay on fixed data converges to the certainty-equivalence estimate, Q* of estimate_mdp(batch). The solve
+    # lies within gamma / (1 - gamma) * tol of it. Replay stops once no update alpha * (target - Q) changes a value,
+    # so each covered Q lies within 1 / (2 * alpha) <= 5 units in the last place of its target, and its target is
+    # rounded too: 8 units of max|Q*| bound that residual, which puts replay within it / (1 - gamma) of the estimate.
+    tol = 1e-13
+    q = learn(batch, ControlParams(alpha=alpha, gamma=gamma), iterations=100_000, seed=seed).q
+    mdp = estimate_mdp(batch)
+    q_star = value_iteration(mdp, gamma, tol=tol)
+    bound = (gamma * tol + 8 * math.ulp(max(abs(x) for row in q_star.rows for x in row))) / (1 - gamma)
+    for (i, s), (j, a) in itertools.product(enumerate(q_star.states), enumerate(q_star.actions)):
+        if mdp.coverage[i, j]:  # an uncovered pair is a zero-reward self-loop to the solve, never updated by replay
+            assert abs(q.value(s, a) - q_star.value(s, a)) <= bound
 
 
 @st.composite
