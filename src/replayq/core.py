@@ -406,8 +406,12 @@ StepFn = Callable[[StateId, ActionId, random.Random], EnvResponse]
 class Environment:
     """Ordered state/action sets plus a step function, closed over its states.
 
-    `exact_mdp`, when provided, builds the environment's true dynamics for
-    model-based verification.
+    `states` and `actions`, given as any iterables, are checked as QTable
+    checks its labels, actions first, and held as tuples of their texts; an
+    empty list, or one holding an invalid or repeated label, is refused with
+    ValueError. The step is called with those texts. `exact_mdp`, when
+    provided, builds the environment's true dynamics for model-based
+    verification.
     """
 
     name: str
@@ -415,3 +419,10 @@ class Environment:
     actions: Tuple[ActionId, ...]
     step: StepFn
     exact_mdp: Optional[Callable[[], ExplicitMDP]] = None
+
+    def __post_init__(self) -> None:
+        for field_name, kind in (("actions", "action"), ("states", "state")):
+            labels = list(getattr(self, field_name))
+            if not labels:
+                raise ValueError(f"environment {self.name!r} has no {field_name}")
+            object.__setattr__(self, field_name, tuple(_validate_labels(labels, kind)))

@@ -45,8 +45,9 @@ class _StepTable:
 
     Calling it steps as a step function does, refusing a state or an action the
     table lacks, and never reads `rng`. `sample_experience` reads the table
-    instead of calling it when the table answers every pair it can draw. Every
-    label it holds, next states included, is an exact str.
+    instead of calling it when the table answers every pair it can draw: the
+    environment's labels and a model's actions are texts, as is every label
+    the table holds, next states included, so each lookup is of an exact str.
     """
 
     responses: Dict[StateId, Dict[ActionId, EnvResponse]]
@@ -106,24 +107,21 @@ def sample_experience(
     one `random.Random(seed)` makes every draw in turn: the state as
     `choice(env.states)`; a random-mode action as `choice(env.actions)`, an
     ε-greedy one as `random()` and, when that falls below ε, `choice` of the
-    model's actions (the first for a state the table lacks, even unhashable);
-    then whatever `env.step` takes from it. `n` is an integer of at least 1,
-    a bool is not, and an environment with no states or no actions is refused.
-    Labels are coded into the batch as they are drawn; in either mode a bad
-    row raises ValueError as ExperienceTuple would, naming the first one.
+    model's actions (the first for a state the table lacks); then whatever
+    `env.step` takes from it. `n` is an integer of at least 1, a bool is not.
+    Labels are coded in first-appearance order; in either mode a bad row
+    raises ValueError as ExperienceTuple would, naming the first one.
 
-    A step held as a table, the built-in gridworld's, is read, not called,
-    when every state and action label is an exact str and the table answers
-    every pair the call can draw: the table and each state's greedy action are
-    read once per call, and the labels of each distinct pair drawn are coded
-    once. The table draws nothing, so the draws and the batch are the same.
-    Any other step is called once per tuple, so a pair the table lacks, such
-    as a model's action the environment does not have, is refused at its draw.
+    One loop makes the draws, each kept as the index of its (state, action)
+    pair; each state's greedy pair is found once per call. A step held as a
+    table, the built-in gridworld's, is read, not called, when the table
+    answers every pair the call can draw: each distinct pair drawn is then
+    coded once, after the loop. The table draws nothing, so the draws and the
+    batch are the same. Any other step is called once per tuple, so a pair
+    the table lacks, such as a model's action the environment does not have,
+    is refused at its draw.
     """
     n = _count("n", n)
-    for field, labels in (("states", env.states), ("actions", env.actions)):
-        if not labels:
-            raise ValueError(f"environment {env.name!r} has no {field}")
     if mode not in SAMPLE_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {SAMPLE_MODES}")
     picks, greedy = env.actions, None  # random mode: every action is a uniform pick
@@ -135,7 +133,7 @@ def sample_experience(
         epsilon, picks = _rate("epsilon", control.epsilon), model.q.actions
         if not picks:
             raise ValueError("no actions defined")
-        greedy, first = policy_from_q(model.q).get, picks[0]
+        greedy = policy_from_q(model.q)
     elif model is not None or control is not None:
         raise ValueError("model and control are taken only in epsilon-greedy mode")
 
@@ -143,60 +141,44 @@ def sample_experience(
     getrandbits, random_, step, env_states = rng.getrandbits, rng.random, env.step, env.states
     num_states, num_picks = len(env_states), len(picks)
     state_bits, pick_bits = num_states.bit_length(), num_picks.bit_length()
+    if greedy is not None:  # pair k = i * num_picks + j of state i and pick j; picks are the table's actions in order
+        greedy_pairs = [i * num_picks + model.q.action_index[greedy.get(state, picks[0])]
+                        for i, state in enumerate(env_states)]
     states, actions = _Codes(), _Codes()
-    codes = []
-    if type(step) is _StepTable and all(type(label) is str for label in (*env_states, *picks)):
-        # An exact str hashes and compares alike at every lookup, so the table is read once per
-        # call, into the response of each pair k = i * num_picks + j of a state and a pick, and
-        # a draw keeps its k alone. None marks a pair the table lacks: then the loop below calls
-        # the step per tuple, which refuses that pair at its draw.
-        pairs = [step.responses.get(state, {}).get(action) for state in env_states for action in picks]
-        if None not in pairs:
-            if greedy is not None:
-                greedy_pairs = [i * num_picks + picks.index(greedy(state, first)) for i, state in enumerate(env_states)]
-            drawn = []
-            for _ in range(n):
-                i = getrandbits(state_bits)
-                while i >= num_states:
-                    i = getrandbits(state_bits)
-                if greedy is None or random_() < epsilon:
-                    j = getrandbits(pick_bits)
-                    while j >= num_picks:
-                        j = getrandbits(pick_bits)
-                    k = i * num_picks + j
-                else:
-                    k = greedy_pairs[i]
-                drawn.append(k)
-            # A label first appears in the row where that row's pair first appears, so coding each
-            # distinct pair in first-appearance order numbers the labels as coding row by row does.
-            pair_codes = {}
-            for k in dict.fromkeys(drawn):
-                next_state, reward = pairs[k]
-                state, action = env_states[k // num_picks], picks[k % num_picks]
-                pair_codes[k] = states[state], actions[action], reward, states[next_state]
-            codes = list(chain.from_iterable(map(pair_codes.__getitem__, drawn)))
-            return ExperienceBatch._from_codes(states, actions, codes)
+    codes, drawn = [], []
+    # Every label here is an exact str, so the table is read once per call, into the response of each pair;
+    # None marks a pair it lacks, and then the step is called per tuple, which refuses that pair at its draw.
+    pairs = [step.responses.get(state, {}).get(action) for state in env_states for action in picks] \
+        if type(step) is _StepTable else None
+    if pairs and None not in pairs:
+        take = drawn.append
+    else:
+        def take(k: int) -> None:
+            state, action = env_states[k // num_picks], picks[k % num_picks]
+            next_state, reward = step(state, action, rng)
+            try:  # state before next state, so state codes follow first appearance
+                codes.extend((states[state], actions[action], reward, states[next_state]))
+            except TypeError:  # code the row by its text, or name the first bad row, as ExperienceBatch(rows) does
+                _code_by_text(states, actions, codes, (state, action, reward, next_state))
     for _ in range(n):
         # Each uniform pick redraws getrandbits(n.bit_length()) until it is below n, as choice does.
         i = getrandbits(state_bits)
         while i >= num_states:
             i = getrandbits(state_bits)
-        state = env_states[i]
         if greedy is None or random_() < epsilon:
-            i = getrandbits(pick_bits)
-            while i >= num_picks:
-                i = getrandbits(pick_bits)
-            action = picks[i]
+            j = getrandbits(pick_bits)
+            while j >= num_picks:
+                j = getrandbits(pick_bits)
+            take(i * num_picks + j)
         else:
-            try:
-                action = greedy(state, first)
-            except TypeError:  # an unhashable state is unknown too; its row's coding refuses it
-                action = first
-        next_state, reward = step(state, action, rng)
-        try:  # state before next state, so state codes follow first appearance
-            codes += states[state], actions[action], reward, states[next_state]
-        except TypeError:  # code the row by its text, or name the first bad row, as ExperienceBatch(rows) does
-            _code_by_text(states, actions, codes, (state, action, reward, next_state))
+            take(greedy_pairs[i])
+    # A label first appears in the row where that row's pair first appears, so coding each distinct
+    # pair drawn from the table in first-appearance order numbers the labels as coding row by row does.
+    pair_codes = {}
+    for k in dict.fromkeys(drawn):
+        next_state, reward = pairs[k]
+        pair_codes[k] = states[env_states[k // num_picks]], actions[picks[k % num_picks]], reward, states[next_state]
+    codes += chain.from_iterable(map(pair_codes.__getitem__, drawn))
     return ExperienceBatch._from_codes(states, actions, codes)
 
 

@@ -129,10 +129,11 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
     of the returned table by `gamma * tol`. Each backup costs time linear in
     the number of transitions. Sweep `k` changes the table by at most
     `gamma**(k - 1) * max|E[r]|`; let K be the first sweep whose bound lies
-    below `tol`. When K exceeds a million, the call is refused before the
-    first sweep; iterates that rounding keeps cycling, however long the cycle,
-    are refused after 2K sweeps. Every refusal is a ValueError. The MDP
-    itself is not checked again: its constructor refuses an invalid one.
+    below `tol`. When K exceeds a million, or max|E[r]| overflows, the call
+    is refused before the first sweep; iterates that rounding keeps cycling,
+    however long the cycle, are refused after 2K sweeps, and never after more
+    than a million. Every refusal is a ValueError. The MDP itself is not
+    checked again: its constructor refuses an invalid one.
 
     The values are held action-major, one row per action, so each sweep's
     per-state maximum reduces contiguous rows. Q* is the same bit for bit as
@@ -151,15 +152,18 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
     pair = mdp.pair % n_actions * n_states + mdp.pair // n_actions  # (s, a) -> a * S + s
     expected_reward = np.bincount(pair, weights=mdp.probability * mdp.step_reward, minlength=q.size)
     max_reward = float(np.abs(expected_reward).max(initial=0.0))
+    if not math.isfinite(max_reward):  # a row's expected reward overflowed: no sweep count bounds it
+        raise ValueError("state-action values must be finite")
     if max_reward < tol:
         sweeps = 1
     elif gamma == 0.0:
         sweeps = 2
-    else:  # the clamp keeps an infinite max|E[r]| from overflowing int, and takes NaN (inf - inf) as a refusal
-        sweeps = 2 + int(min(_MAX_SWEEPS, (math.log(tol) - math.log(max_reward)) / math.log(gamma)))
+    else:
+        sweeps = 2 + int((math.log(tol) - math.log(max_reward)) / math.log(gamma))
     if sweeps > _MAX_SWEEPS:
         raise ValueError(f"value iteration at gamma {gamma} may need more than {_MAX_SWEEPS} sweeps to reach tol {tol}")
-    for _ in range(2 * sweeps):  # rounding can delay the settling sweep, so the budget allows twice K
+    sweeps = min(2 * sweeps, _MAX_SWEEPS)  # rounding can delay the settling sweep, so the budget allows twice K
+    for _ in range(sweeps):
         v = q.max(axis=0)
         backed_up = np.bincount(pair, weights=mdp.probability * v[mdp.next_state], minlength=q.size)
         q_next = (expected_reward + gamma * backed_up).reshape(q.shape)
@@ -170,7 +174,7 @@ def value_iteration(mdp: ExplicitMDP, gamma: float, tol: float = 1e-9) -> QTable
         if delta < tol:
             break
     else:
-        raise ValueError(f"value iteration did not converge within {2 * sweeps} sweeps: the last changed the table "
+        raise ValueError(f"value iteration did not converge within {sweeps} sweeps: the last changed the table "
                          f"by {delta!r}, not below tol {tol}")
 
     return QTable._of(mdp.states, mdp.actions, q.T.tolist())

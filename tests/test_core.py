@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from replayq.core import (
     ControlParams,
     Environment,
-    EnvResponse,
     ExperienceBatch,
     ExperienceTuple,
     QTable,
@@ -22,7 +21,7 @@ from replayq.core import (
     policy_from_q,
     validate_label,
 )
-from replayq.envs import gridworld_mdp, gridworld_step, make_environment, sample_experience
+from replayq.envs import gridworld_mdp, gridworld_step, make_environment
 from replayq.learner import epsilon_greedy, learn
 from replayq.oracle import estimate_mdp
 from replayq.persist import format_report
@@ -206,8 +205,6 @@ def test_every_keyed_lookup_refuses_or_defaults_a_key_no_table_holds(key):
     model = RLModel(q, ControlParams())
     rows = [SimpleNamespace(**{**dict(state="s", action="a", reward=0.0, next_state="s"), field: key})
             for field in ("state", "action", "next_state")]
-    env = Environment("key", (key,), ("a",), lambda s, a, rng: EnvResponse(s, 0.0))
-    greedy = {"mode": "epsilon-greedy", "model": model, "control": ControlParams(epsilon=0.0)}
     # (lookup, call, documented default); a lookup with no default must raise ValueError.
     calls = [
         ("QTable", lambda: QTable(states=[key]), None),
@@ -224,8 +221,8 @@ def test_every_keyed_lookup_refuses_or_defaults_a_key_no_table_holds(key):
         ("tictactoe_step", lambda: tictactoe_step(key, "c1", random.Random(0)), None),
         ("tictactoe_step", lambda: tictactoe_step(EMPTY_BOARD, key, random.Random(0)), None),
         ("ttt_winner", lambda: ttt_winner(key), None),
-        ("sample_experience", lambda: sample_experience(3, env), None),
-        ("sample_experience", lambda: sample_experience(3, env, **greedy), None),
+        ("Environment", lambda: Environment("key", (key,), ("a",), gridworld_step), None),
+        ("Environment", lambda: Environment("key", ("s",), (key,), gridworld_step), None),
     ]
     for row in rows:
         calls += [

@@ -158,37 +158,35 @@ def test_sample_experience_takes_any_integer_count():
     assert sample_experience(np.int64(5), env, seed=3) == sample_experience(5, env, seed=3)
 
 
-@pytest.mark.parametrize("mode", SAMPLE_MODES)
-def test_sample_experience_refuses_an_environment_with_no_states_or_actions(mode):
-    def step(s, a, rng):
-        return EnvResponse(s, 0.0)
-
-    q = QTable(["s"], ["a"])
-    kwargs = {} if mode == "random" else {"model": RLModel(q, ControlParams()), "control": ControlParams()}
-    for env, field in ((Environment("bare", (), ("a",), step), "states"),
-                       (Environment("bare", ("s",), (), step), "actions")):
-        with pytest.raises(ValueError, match=f"^environment 'bare' has no {field}$"):
-            sample_experience(5, env, mode=mode, **kwargs)
+@pytest.mark.parametrize("states,actions,field", [((), ("up",), "states"), (("s1",), (), "actions")])
+def test_an_environment_with_no_states_or_actions_is_refused_when_built(states, actions, field):
+    with pytest.raises(ValueError, match=f"^environment 'bare' has no {field}$"):
+        Environment("bare", states, actions, gridworld_step)
 
 
-@pytest.mark.parametrize("epsilon", [None, 0.0, 1.0])
-@pytest.mark.parametrize("seed", range(4))
-def test_sample_experience_refuses_an_unhashable_state_alike_in_both_modes(epsilon, seed):
-    def step(s, a, rng):
-        return EnvResponse("s", 0.0)
-
-    env = Environment("lists", ("a,b", ["s"]), ("a",), step)
-    kwargs = {}
-    if epsilon is not None:  # at epsilon 0 the greedy branch takes the first action, then the row is coded
-        kwargs = {"mode": "epsilon-greedy", "model": RLModel(QTable(["s"], ["a"]), ControlParams()),
-                  "control": ControlParams(epsilon=epsilon)}
-    # The first bad row is named, whichever state is drawn first.
-    if random.Random(seed).choice(env.states) == "a,b":
-        message = "state 'a,b' contains forbidden character ','"
-    else:
-        message = "state must be a non-empty string, got ['s']"
+# The first bad label in list order is named, as QTable names it.
+@pytest.mark.parametrize("states,message", [(("a,b", ["s"]), "state 'a,b' contains forbidden character ','"),
+                                            ((["s"], "a,b"), "state must be a non-empty string, got ['s']")])
+def test_an_environment_refuses_its_first_bad_state_when_built(states, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        sample_experience(5, env, seed=seed, **kwargs)
+        Environment("lists", states, ("a",), gridworld_step)
+
+
+# Held, ("s1", "s1", "s2") would draw s1 twice as often as s2.
+@pytest.mark.parametrize("states,actions,message", [
+    (("s1", "s1", "s2"), GRIDWORLD_ACTIONS, "state 's1' is listed more than once"),
+    (GRIDWORLD_STATES, ("up", "down", "up"), "action 'up' is listed more than once"),
+])
+def test_an_environment_refuses_a_repeated_state_or_action_when_built(states, actions, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Environment("dup", states, actions, gridworld_step)
+
+
+def test_an_environment_takes_its_labels_from_any_iterable():
+    env = Environment("gen", (s for s in GRIDWORLD_STATES), iter(GRIDWORLD_ACTIONS), gridworld_step)
+    assert (env.states, env.actions) == (GRIDWORLD_STATES, GRIDWORLD_ACTIONS)
+    assert _columns(sample_experience(50, env, seed=4)) == _columns(sample_experience(50, gridworld_environment(),
+                                                                                      seed=4))
 
 
 def ref_sample(n, env, mode, model, control, seed):
@@ -293,20 +291,40 @@ def test_the_gridworld_table_samples_as_its_step_called_per_tuple(mode, n, model
     assert _columns(batch) == _columns(sample_experience(n, _called(env), mode=mode, seed=seed, **kwargs))
 
 
+class PlainSubStr(str):
+    """A str subclass that changes nothing."""
+
+
 @pytest.mark.parametrize("mode", SAMPLE_MODES)
-@pytest.mark.parametrize("seed", range(4))
-def test_the_gridworld_table_samples_a_label_not_an_exact_str_as_its_step_called_per_tuple(mode, seed):
-    env = Environment("grid", ("s1", ["s2"], np.str_("s3")), GRIDWORLD_ACTIONS, gridworld_step)
+def test_the_gridworld_table_samples_a_label_not_an_exact_str_as_its_text(mode, monkeypatch):
+    with pytest.raises(ValueError, match="^" + re.escape("state must be a non-empty string, got ['s2']") + "$"):
+        Environment("grid", ("s1", ["s2"], np.str_("s3")), GRIDWORLD_ACTIONS, gridworld_step)
+    env = Environment("grid", ("s1", np.str_("s3")), GRIDWORLD_ACTIONS, gridworld_step)
+    assert env.states == ("s1", "s3") and type(env.states[1]) is str
     kwargs = {}
     if mode == "epsilon-greedy":
-        kwargs = {"model": RLModel(QTable(["s1"], ["up"]), ControlParams()), "control": ControlParams(epsilon=0.5)}
-    outcomes = []
-    for sampled in (env, _called(env)):
-        try:
-            outcomes.append(_columns(sample_experience(5, sampled, mode=mode, seed=seed, **kwargs)))
-        except ValueError as exc:
-            outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
+        kwargs = {"model": RLModel(QTable(["s3"], ["up"]), ControlParams()), "control": ControlParams(epsilon=0.5)}
+    plain = Environment("grid", ("s1", "s3"), GRIDWORLD_ACTIONS, gridworld_step)
+    expected = _columns(sample_experience(20, plain, mode=mode, seed=2, **kwargs))
+    monkeypatch.setattr(_StepTable, "__call__", lambda *args: pytest.fail("the table's step was called"))
+    assert _columns(sample_experience(20, env, mode=mode, seed=2, **kwargs)) == expected
+
+
+@pytest.mark.parametrize("kind", [np.str_, PlainSubStr])
+@pytest.mark.parametrize("mode", SAMPLE_MODES)
+@pytest.mark.parametrize("called", [False, True])
+def test_labels_that_are_not_exact_strs_are_held_and_sampled_as_their_texts(kind, mode, called):
+    def build(make):
+        env = Environment("grid", map(make, GRIDWORLD_STATES), map(make, GRIDWORLD_ACTIONS), gridworld_step)
+        return _called(env) if called else env
+
+    env = build(kind)
+    assert all(type(label) is str for label in env.states + env.actions)
+    q = QTable(GRIDWORLD_STATES, ["down", "up"])
+    q.set("s3", "up", 1.0)
+    kwargs = {"model": RLModel(q, ControlParams()), "control": ControlParams(epsilon=0.3)} if mode != "random" else {}
+    batch = sample_experience(200, env, mode=mode, seed=9, **kwargs)
+    assert _columns(batch) == _columns(sample_experience(200, build(str), mode=mode, seed=9, **kwargs))
 
 
 def _jump_model(state):
