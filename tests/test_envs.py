@@ -310,6 +310,17 @@ def test_the_gridworld_table_samples_a_label_not_an_exact_str_as_its_text(mode, 
     assert _columns(sample_experience(20, env, mode=mode, seed=2, **kwargs)) == expected
 
 
+@pytest.mark.parametrize("mode", SAMPLE_MODES)
+@pytest.mark.parametrize("seed", range(4))
+def test_the_gridworld_table_samples_a_label_not_an_exact_str_as_its_step_called_per_tuple(mode, seed):
+    env = Environment("grid", ("s1", PlainSubStr("s2"), np.str_("s3")), GRIDWORLD_ACTIONS, gridworld_step)
+    kwargs = {}
+    if mode == "epsilon-greedy":
+        kwargs = {"model": RLModel(QTable(["s1"], ["up"]), ControlParams()), "control": ControlParams(epsilon=0.5)}
+    batch = sample_experience(5, env, mode=mode, seed=seed, **kwargs)
+    assert _columns(batch) == _columns(sample_experience(5, _called(env), mode=mode, seed=seed, **kwargs))
+
+
 @pytest.mark.parametrize("kind", [np.str_, PlainSubStr])
 @pytest.mark.parametrize("mode", SAMPLE_MODES)
 @pytest.mark.parametrize("called", [False, True])
